@@ -41,6 +41,7 @@ from .operators import (
 from .rational import filter_to_series, invert_to_plan
 from .regularize import RegularizerConfig, convergence_sweep
 from .serialization import (
+    _pair,
     filter_spec_from_json,
     load_problem,
     matrix_from_json,
@@ -59,10 +60,6 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INADMISSIBLE = 2
 EXIT_SINGULAR = 3
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _problem_series_and_spectrum(doc):
@@ -215,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin", type=float, default=None,
                        help="required hull/spectrum separation")
         p.add_argument("--tol", type=float, default=1e-6,
-                       help="root clustering tolerance")
-        p.add_argument("--n", type=int, default=None,
-                       help="grid-size override")
+                       help="root clustering tolerance: zeros of the series "
+                            "closer than tol*max(1, max|zero|) count as "
+                            "repeated and are rejected")
 
     p = sub.add_parser("check", help="admissibility report for a problem")
     p.add_argument("problem")

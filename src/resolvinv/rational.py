@@ -1,4 +1,10 @@
-"""Polynomials, rational functions, partial fractions and inversion plans.
+"""Inversion plans, filter-to-series conversion and polynomial helpers.
+
+The plan for 1/f is built without polynomials: the zeros of f come from
+one small eigenvalue solve (:func:`resolvinv.series.secular_zeros`) and
+the residues of 1/f from the closed form -1/f'(z_k).  Polynomials,
+root clustering and the least-squares partial-fraction fit remain for
+filter specifications and general rational functions.
 
 Conventions: polynomial coefficients are stored ascending; partial
 fractions use the (pole - z)^k basis throughout, with conversion helpers
@@ -7,7 +13,6 @@ for the (z - pole)^k convention.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,13 +21,17 @@ import numpy.polynomial.polynomial as npp
 
 from .errors import (
     ConditioningError,
-    DegenerateSeriesError,
     HypothesisError,
     MalformedSpecError,
     RepeatedRootError,
     UnsupportedShapeError,
 )
-from .series import ResolventSeries, gamma_beta, numerator_coefficients
+from .series import (
+    ResolventSeries,
+    gamma_beta,
+    numerator_coefficients,
+    secular_zeros,
+)
 
 __all__ = [
     "Polynomial",
@@ -99,10 +108,6 @@ class Polynomial:
     def from_roots(roots) -> "Polynomial":
         """Monic prod (z - r)."""
         return Polynomial(tuple(npp.polyfromroots(list(roots))))
-
-    @staticmethod
-    def from_descending(roots_first_coeffs) -> "Polynomial":
-        return Polynomial(tuple(reversed(tuple(roots_first_coeffs))))
 
 
 def _root_scale(roots) -> float:
@@ -222,13 +227,13 @@ def series_to_rational(series: ResolventSeries) -> RationalFunction:
     return RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
 
-def _fit_sample_points(poles, count=100, radius_factor=2.0):
+def _fit_sample_points(poles, count=100, radius_factor=2.0) -> np.ndarray:
     """Deterministic off-pole sample points on a circle around the poles."""
-    center = sum(poles) / len(poles) if poles else 0j
-    scale = max([1.0] + [abs(p - center) for p in poles])
+    poles = np.asarray(poles, dtype=complex)
+    center = poles.mean() if poles.size else 0j
+    scale = max(1.0, float(np.max(np.abs(poles - center), initial=0.0)))
     r = radius_factor * scale + 1.0
-    return [center + r * cmath.exp(2j * math.pi * (k + 0.37) / count)
-            for k in range(count)]
+    return center + r * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
 
 
 def partial_fractions(r: RationalFunction, tol: float = DEFAULT_ROOT_TOL
@@ -332,30 +337,39 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
                    ) -> InversionPlan:
     """Build the left-inverse plan for a theorem-mode series.
 
-    gamma and beta come from the closed formulas; the remainder poles are
-    the zeros of f.  The identity f(z) * (gamma + beta z + h(z)) = 1 is
-    verified at sample points before the plan is returned.
+    gamma and beta come from the closed formulas.  The remainder poles are
+    the zeros z_k of f, from one eigenvalue solve (:func:`secular_zeros`),
+    and their coefficients are c_k = -1/f'(z_k) with
+    f'(z) = sum_j a_j / (alpha_j - z)^2.  Two zeros closer than
+    ``tol * max(1, max|z_k|)`` raise :class:`RepeatedRootError`; 1/f then
+    has a pole of higher order, which the plan does not represent.  The
+    identity f(z) * (gamma + beta z + h(z)) = 1 is verified at sample
+    points before the plan is returned.
     """
     if not series.is_theorem_mode():
         raise HypothesisError(
             "series must have nonnegative real coefficients with positive sum")
     active = series.pruned()
     gamma, beta = gamma_beta(active)
-    rat = series_to_rational(active)
-    if rat.num.is_zero:
-        raise DegenerateSeriesError("numerator of f is identically zero")
-    g = RationalFunction(rat.den, rat.num)
-    form = partial_fractions(g, tol)
-    remainder = PartialFractionForm(0j, 0j, form.groups)
-    plan = InversionPlan(gamma, beta, remainder)
+    a = np.asarray(active.coefficients)
+    alpha = np.asarray(active.poles)
+    z = secular_zeros(a, alpha)
+    if z.size > 1:
+        gaps = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        # PartialFractionForm rejects poles within 1e-12 * scale
+        if gaps.min() <= max(tol, 1e-12) * _root_scale(z):
+            raise RepeatedRootError("f has a repeated zero")
+    c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
+    groups = tuple(PoleGroup(complex(zk), (complex(ck),))
+                   for zk, ck in zip(z, c))
+    plan = InversionPlan(gamma, beta, PartialFractionForm(0j, 0j, groups))
 
-    pts = _fit_sample_points(list(series.poles) + list(remainder.poles),
-                             count=50)
-    worst = 0.0
-    for z in pts:
-        fz = complex(rat.num(z)) / complex(rat.den(z))
-        worst = max(worst, abs(fz * complex(plan.evaluate_scalar(z)) - 1.0))
-    if worst > 1e-8:
+    pts = _fit_sample_points(np.concatenate([series.poles, z]), count=50)
+    fz = np.sum(a / (alpha - pts[:, None]), axis=1)
+    hz = gamma + beta * pts + np.sum(c / (z - pts[:, None]), axis=1)
+    worst = float(np.max(np.abs(fz * hz - 1.0)))
+    if not worst <= 1e-8:
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
     return plan

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConditioningError,
     ConstructionError,
     DegenerateSeriesError,
     EmptyInputError,
@@ -40,6 +41,7 @@ __all__ = [
     "gamma_beta",
     "evaluate_remainder",
     "check_admissible",
+    "secular_zeros",
     "zeros",
     "caratheodory_zero_series",
 ]
@@ -104,6 +106,8 @@ class ResolventSeries:
         kept = tuple(t for t in self.terms if abs(t[0]) > rtol * amax)
         if not kept:
             raise DegenerateSeriesError("all coefficients vanish")
+        if len(kept) == len(self.terms):
+            return self
         return ResolventSeries(kept)
 
 
@@ -195,7 +199,11 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
 
 
 def numerator_coefficients(series: ResolventSeries) -> np.ndarray:
-    """Ascending coefficients of sum_j a_j * prod_{i != j} (alpha_i - z)."""
+    """Ascending coefficients of sum_j a_j * prod_{i != j} (alpha_i - z).
+
+    Not used to find zeros (see :func:`secular_zeros`): the monomial
+    basis loses accuracy quickly as the number of terms grows.
+    """
     m = len(series.terms)
     total = np.zeros(m, dtype=complex)
     for j, (a, _) in enumerate(series.terms):
@@ -207,27 +215,52 @@ def numerator_coefficients(series: ResolventSeries) -> np.ndarray:
     return total
 
 
-def zeros(series: ResolventSeries) -> list[complex]:
-    """All roots of f (with multiplicity), i.e. of its numerator polynomial.
+def secular_zeros(coefficients, poles) -> np.ndarray:
+    """Zeros of sum_j a_j / (alpha_j - z), sorted by (real, imag).
 
-    A single-term series has none.
+    With a_j = u_j^2 the series is u^T (D - z)^{-1} u for D = diag(alpha),
+    so its zeros are the eigenvalues of D compressed onto the complement
+    of u (the secular equation of Golub, "Some modified matrix eigenvalue
+    problems", SIAM Review 1973).  One reflector H = I - 2 w w^T with
+    H u = -s e_1, s^2 = sum a_j, gives that compression as the trailing
+    (m-1)x(m-1) block of H D H: one small eigenvalue solve, no polynomial.
+    The bilinear (unconjugated) form keeps this valid for complex a_j.
+    """
+    a = np.asarray(coefficients, dtype=complex)
+    alpha = np.asarray(poles, dtype=complex)
+    if a.size < 2:
+        return np.zeros(0, dtype=complex)
+    s2 = a.sum()
+    if abs(s2) <= POLE_SEP_RTOL * np.max(np.abs(a)):
+        raise DegenerateSeriesError("coefficient sum vanishes")
+    u = np.sqrt(a)
+    s = np.sqrt(s2)
+    if (s.conjugate() * u[0]).real < 0.0:
+        s = -s  # keeps v^T v = 2 s (s + u_0) away from zero
+    v = u.copy()
+    v[0] += s
+    w = v / np.sqrt(v @ v)
+    shift = alpha.mean()  # eigenvalue errors scale with the block's norm
+    d = (alpha - shift) * w
+    w1, d1 = w[1:], d[1:]
+    block = (np.diag(alpha[1:] - shift)
+             + np.outer(w1, 4.0 * (w @ d) * w1 - 2.0 * d1)
+             - 2.0 * np.outer(d1, w1))
+    if not np.isfinite(block).all():
+        raise ConditioningError("series terms overflow the zero solve")
+    z = np.linalg.eigvals(block) + shift
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def zeros(series: ResolventSeries) -> list[complex]:
+    """All zeros of f (with multiplicity), sorted by (real, imag).
+
+    Terms with a zero coefficient are dropped first; a single-term series
+    has none.  See :func:`secular_zeros`.
     """
     active = series.pruned()
-    if len(active.terms) < 2:
-        return []
-    num = numerator_coefficients(active)
-    # trim negligible leading coefficients before companion-matrix rootfinding
-    mag = np.max(np.abs(num))
-    if mag == 0.0:
-        raise DegenerateSeriesError("numerator of f is identically zero")
-    k = len(num)
-    while k > 1 and abs(num[k - 1]) <= 1e-14 * mag:
-        k -= 1
-    num = num[:k]
-    if len(num) < 2:
-        return []
-    roots = np.roots(num[::-1])
-    return sorted((complex(r) for r in roots), key=lambda w: (w.real, w.imag))
+    return [complex(z) for z in
+            secular_zeros(active.coefficients, active.poles)]
 
 
 def _barycentric_pair(lam, a0, a1, tol):

@@ -6,6 +6,7 @@ import pytest
 from resolvinv.cli import main
 from resolvinv.demos import write_demo_files
 from resolvinv.errors import MalformedSpecError
+from resolvinv.operators import DenseMatrixOperator, apply_series
 from resolvinv.rational import FilterSpec
 from resolvinv.serialization import (
     filter_spec_from_json,
@@ -160,6 +161,45 @@ class TestInvertCommand:
         x = read_signal(out)
         x0 = read_signal(demo_dir / "convolution_x0.csv")
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
+
+    def _matrix_problem(self, tmp_path, coeffs, poles, eigs):
+        terms = [{"a": [float(a), 0.0], "alpha": [p.real, p.imag]}
+                 for a, p in zip(coeffs, poles)]
+        matrix = np.diag(np.asarray(eigs, dtype=complex))
+        matrix[np.arange(len(eigs) - 1), np.arange(1, len(eigs))] = 0.1
+        problem = tmp_path / "matrix.json"
+        problem.write_text(json.dumps({
+            "kind": "matrix", "terms": terms,
+            "matrix": [[[z.real, z.imag] for z in row] for row in matrix]}))
+        x0 = np.arange(1.0, len(eigs) + 1.0) + 0.5j
+        y = apply_series(ResolventSeries(tuple(zip(coeffs, poles))),
+                         DenseMatrixOperator(matrix), x0)
+        write_signal(tmp_path / "y.csv", y)
+        return problem, x0
+
+    def test_24_term_matrix_recovers_truth(self, tmp_path, capsys):
+        rng = np.random.default_rng(24)
+        coeffs = rng.uniform(0.1, 1.0, 24)
+        poles = np.arange(1.0, 25.0) + 0j
+        problem, x0 = self._matrix_problem(tmp_path, coeffs, poles,
+                                           40.0 + np.arange(8.0))
+        out = tmp_path / "x.csv"
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err.count("remainder poles") == 1
+        x = read_signal(out)
+        assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
+
+    def test_repeated_zero_is_a_typed_error(self, tmp_path, capsys):
+        # equal weights on a triangle: f has a double zero at its centre
+        poles = 1.0 + np.exp(2j * np.pi * np.arange(3) / 3)
+        problem, _ = self._matrix_problem(tmp_path, np.ones(3), poles,
+                                          10.0 + np.arange(4.0))
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "repeated zero" in capsys.readouterr().err
 
     def test_missing_io_flags_exit_one(self, demo_dir, capsys):
         rc = main(["invert", str(demo_dir / "matrix.json")])

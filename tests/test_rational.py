@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_theorem_series
+from conftest import (
+    assemble_plan,
+    assemble_series,
+    matrix_with_eigenvalues,
+    random_theorem_series,
+)
 from resolvinv.errors import (
+    ConditioningError,
     HypothesisError,
     MalformedSpecError,
     RepeatedRootError,
@@ -15,6 +23,7 @@ from resolvinv.rational import (
     PoleGroup,
     Polynomial,
     RationalFunction,
+    _fit_sample_points,
     filter_to_series,
     invert_to_plan,
     partial_fractions,
@@ -261,6 +270,78 @@ class TestInvertToPlan:
             scale = max(np.max(np.abs(rat.num.coeffs)) *
                         max(1.0, np.max(np.abs(num_g.coeffs))), 1.0)
             assert np.max(np.abs(coeffs)) <= 1e-9 * scale
+
+
+def _identity_residual(series, plan):
+    """max |f(z) (gamma + beta z + h(z)) - 1|, term by term, at the points
+    on which invert_to_plan checks the plan itself."""
+    pts = _fit_sample_points(list(series.poles) + list(plan.remainder.poles),
+                             count=50)
+    return max(abs(evaluate(series, z) * complex(plan.evaluate_scalar(z))
+                   - 1.0) for z in pts)
+
+
+class TestInvertToPlanScaling:
+    @pytest.mark.parametrize("family", ["random", "equispaced"])
+    @pytest.mark.parametrize("m", [16, 24, 32, 64, 128])
+    def test_m_sweep_oracle(self, m, family):
+        rng = np.random.default_rng(200 + m)
+        if family == "random":
+            poles = rng.uniform(0, 1, m) + 1j * rng.uniform(0, 1, m)
+        else:
+            poles = np.arange(1, m + 1, dtype=complex)
+        series = ResolventSeries(tuple(zip(rng.uniform(0.1, 1.0, m), poles)))
+        plan = invert_to_plan(series)
+        assert len(plan.remainder.groups) == m - 1
+        assert _identity_residual(series, plan) <= 1e-8
+        # dense oracle, same bound as test_left_inverse_oracle_equivalence
+        n = 12
+        center = poles.mean()
+        radius = np.max(np.abs(poles - center))
+        eigs = center + (radius + rng.uniform(1.5, 3.0, n)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, n))
+        a_matrix = matrix_with_eigenvalues(rng, eigs)
+        f_a = assemble_series(series, a_matrix)
+        defect = np.linalg.norm(assemble_plan(plan, a_matrix) @ f_a
+                                - np.eye(n))
+        assert defect <= 1e-9 * np.linalg.cond(f_a)
+
+    def test_residues_match_closed_form(self):
+        rng = np.random.default_rng(43)
+        s = random_theorem_series(rng, 6, 6)
+        plan = invert_to_plan(s)
+        for g in plan.remainder.groups:
+            fprime = sum(a / (al - g.pole) ** 2 for a, al in s.terms)
+            assert g.coeffs[0] == pytest.approx(-1.0 / fprime, rel=1e-12)
+
+    def test_exact_double_zero_rejected(self):
+        # equal weights on the cube roots of unity: f = 3z^2 / (1 - z^3)
+        s = ResolventSeries(tuple((1.0, np.exp(2j * np.pi * k / 3))
+                                  for k in range(3)))
+        with pytest.raises(RepeatedRootError):
+            invert_to_plan(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(3, 8),
+           log_eps=st.floats(-16.0, -1.0),
+           radius=st.floats(1e-2, 1e2),
+           theta=st.floats(0.0, 2 * np.pi),
+           tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    def test_near_confluent_plan_or_typed_error(self, k, log_eps, radius,
+                                                theta, tol):
+        # equal weights on a regular k-gon give f a zero of order k - 1 at
+        # its centre; perturbed weights split it into a tight cluster
+        eps = 10.0 ** log_eps
+        poles = 1.0 + radius * np.exp(1j * (theta + 2 * np.pi
+                                             * np.arange(k) / k))
+        coeffs = 1.0 + eps * np.cos(1.7 * np.arange(k))
+        s = ResolventSeries(tuple(zip(coeffs, poles)))
+        try:
+            plan = invert_to_plan(s, tol=tol)
+        except (RepeatedRootError, ConditioningError):
+            return
+        assert len(plan.remainder.groups) == k - 1
+        assert _identity_residual(s, plan) <= 1e-8
 
 
 class TestFilterSpec:
