@@ -4,7 +4,9 @@ Subcommands: check, invert, sweep, counterexample, demo.  Problem files
 are JSON (see serialization), signals travel as two-column CSV, stdout is
 machine readable and diagnostics go to stderr.  Exit codes: 0 success /
 admissible, 1 malformed input, 2 hypothesis or admissibility failure,
-3 singular resolvent or transfer function.
+3 singular resolvent or transfer function, 4 numerical failure (a
+subproblem too ill conditioned to trust, e.g. a plan that fails its
+identity check).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import demos
 from .errors import (
+    ConditioningError,
     ConstructionError,
     HypothesisError,
     MalformedSpecError,
@@ -60,6 +63,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INADMISSIBLE = 2
 EXIT_SINGULAR = 3
+EXIT_NUMERICAL = 4
 
 
 def _problem_series_and_spectrum(doc):
@@ -268,6 +272,9 @@ def main(argv=None) -> int:
     except (SingularResolventError, SingularTransferError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except ConditioningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ResolvinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

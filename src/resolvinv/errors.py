@@ -65,6 +65,10 @@ class MalformedSpecError(ResolvinvError):
     """A filter or problem specification is structurally invalid."""
 
 
+class RepeatedPoleError(HypothesisError, ValueError):
+    """Two terms of a series share a pole."""
+
+
 class RepeatedRootError(HypothesisError):
     """The characteristic polynomial has a repeated root where distinct
     roots are required."""

@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import (
+    ConditioningError,
     HypothesisError,
     SeparationError,
     SingularResolventError,
@@ -169,13 +170,24 @@ class GridDerivativeOperator(OperatorHandle):
         e = np.exp(-alpha * d)
         i0 = (1.0 - e) / alpha
         i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-        # per-cell integral of the linear interpolant against exp(-alpha tau)
-        cells = v[:-1] * i0 + (v[1:] - v[:-1]) * (i1 / d)
-        # backward recurrence w_i = e * w_{i+1} + cells_i, w_{n-1} = 0
-        rev = cells[::-1]
-        acc = scipy.signal.lfilter([1.0], [1.0, -e], rev)
-        out = np.zeros_like(v)
-        out[:-1] = acc[::-1]
+        # per-cell integral of the linear interpolant against exp(-alpha tau),
+        # written straight into the output buffer
+        out = np.empty(v.size, dtype=complex)
+        cells = out[:-1]
+        np.subtract(v[1:], v[:-1], out=cells)
+        cells *= i1 / d
+        cells += v[:-1] * i0
+        out[-1] = 0.0
+        # backward recurrence w_i = e * w_{i+1} + cells_i, w_{n-1} = 0, as
+        # one unit upper-bidiagonal solve in LAPACK band storage (row 0 is
+        # the superdiagonal; the unit diagonal in row 1 is never read)
+        band = np.zeros((2, cells.size), dtype=complex, order="F")
+        band[0, 1:] = -e
+        # overwrite_b solves in place in `out`, which the function owns
+        _, info = ztbtrs(band, cells, uplo="U", diag="U", overwrite_b=True)
+        if info != 0:
+            raise ConditioningError(
+                f"backward recurrence solve failed (LAPACK info {info})")
         return out
 
 

@@ -31,11 +31,8 @@ class RegularizerConfig:
     """Descending grid of positive regularization parameters."""
 
     alpha_grid: tuple[float, ...]
-    variant: str = "tikhonov"
 
     def __post_init__(self):
-        if self.variant != "tikhonov":
-            raise ValueError(f"unknown regularizer variant {self.variant!r}")
         grid = tuple(float(a) for a in self.alpha_grid)
         if not grid:
             raise ValueError("alpha grid must be nonempty")

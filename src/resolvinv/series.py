@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSeriesError,
     EmptyInputError,
     PoleEvaluationError,
+    RepeatedPoleError,
     ZeroOfSeriesError,
 )
 from .geometry import (
@@ -70,7 +71,7 @@ class ResolventSeries:
         for i in range(len(poles)):
             for j in range(i + 1, len(poles)):
                 if abs(poles[i] - poles[j]) <= tol:
-                    raise ValueError(
+                    raise RepeatedPoleError(
                         f"poles {poles[i]} and {poles[j]} are not distinct")
 
     @property

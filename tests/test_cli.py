@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,15 @@ from resolvinv.geometry import (
     UnitCircle,
 )
 from resolvinv.series import ResolventSeries
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args):
+    """Run the interpreter on this checkout's sources in a fresh process."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +214,34 @@ class TestInvertCommand:
         assert rc == 2
         assert "repeated zero" in capsys.readouterr().err
 
+    def test_failed_identity_check_exits_four(self, tmp_path, capsys):
+        # equal weights on a square: f has a triple zero at its centre,
+        # which splits past the repeated-zero test and fails the plan check
+        poles = np.array([1.0, 1.0j, -1.0, -1.0j])
+        problem, _ = self._matrix_problem(tmp_path, np.ones(4), poles,
+                                          10.0 + np.arange(4.0))
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert "error: inversion plan fails the identity check" in (
+            capsys.readouterr().err)
+
+    def test_repeated_pole_exits_two_without_traceback(self, tmp_path):
+        problem = tmp_path / "matrix.json"
+        problem.write_text(json.dumps({
+            "kind": "matrix",
+            "terms": [{"a": [1.0, 0.0], "alpha": [2.0, 0.0]},
+                      {"a": [0.5, 0.0], "alpha": [2.0, 0.0]}],
+            "matrix": [[[10.0, 0.0], [0.0, 0.0]],
+                       [[0.0, 0.0], [11.0, 0.0]]]}))
+        write_signal(tmp_path / "y.csv", np.ones(2))
+        proc = run_python("-m", "resolvinv.cli", "invert", str(problem),
+                          "--input", str(tmp_path / "y.csv"),
+                          "--output", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert "error: poles" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_io_flags_exit_one(self, demo_dir, capsys):
         rc = main(["invert", str(demo_dir / "matrix.json")])
         assert rc == 1
@@ -288,3 +329,13 @@ class TestDeterminism:
             capsys.readouterr()
         for p in sorted(d1.iterdir()):
             assert p.read_bytes() == (d2 / p.name).read_bytes()
+
+
+class TestColdStart:
+    def test_cli_import_skips_heavy_scipy_modules(self):
+        # scipy.signal alone costs most of a CLI call's start-up
+        proc = run_python("-c", "import sys, resolvinv.cli; print(sorted(m "
+                          "for m in ('scipy.signal', 'scipy.stats') "
+                          "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,40 @@ class TestGridDerivativeOperator:
         # interior only: the forward difference and the truncated upper
         # limit pollute the last few samples
         assert np.max(np.abs(resid[:-2] - v[:-2])) < 5e-3
+
+    @staticmethod
+    def _loop_resolvent(g, alpha, v):
+        """Scalar reference: w_i = e * w_{i+1} + cells_i, w_{n-1} = 0."""
+        d = g.dt
+        e = cmath.exp(-alpha * d)
+        i0 = (1.0 - e) / alpha
+        i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+        v = v.tolist()
+        w = [0j] * len(v)
+        for i in range(len(v) - 2, -1, -1):
+            cell = (v[i + 1] - v[i]) * (i1 / d) + v[i] * i0
+            w[i] = e * w[i + 1] + cell
+        return np.array(w), e
+
+    @pytest.mark.parametrize("L, n, alpha, regime", [
+        (1.0, 3, 2.0 - 1.5j, "smallest grid"),
+        (10.0, 11, 800.0 + 5.0j, "e underflows"),
+        (1.0, 2 ** 16, 0.06 + 0.03j, "e near one"),
+    ])
+    def test_recurrence_matches_python_loop(self, L, n, alpha, regime):
+        g = GridDerivativeOperator(0.0, L, n)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v_before = v.copy()
+        got = g.resolvent_solve(alpha, v)
+        want, e = self._loop_resolvent(g, alpha, v)
+        if regime == "e underflows":
+            assert alpha.real * g.dt > 745 and e == 0
+        if regime == "e near one":
+            assert abs(alpha * g.dt) < 2e-6
+        assert np.array_equal(v, v_before)
+        assert got[-1] == 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_nonpositive_real_part_rejected(self):
         g = GridDerivativeOperator(0.0, 1.0, 11)

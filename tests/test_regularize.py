@@ -104,10 +104,6 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError):
             RegularizerConfig((1e-4, 1e-2))
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            RegularizerConfig((1e-2,), variant="landweber")
-
 
 class TestConvergenceSweep:
     def test_error_decreases_to_tolerance(self):
