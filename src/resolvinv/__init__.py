@@ -28,6 +28,7 @@ from .operators import (
     PeriodicShiftOperator,
     apply_plan,
     apply_series,
+    convolution_series,
     forward_even_convolution,
     forward_exponential_volterra,
     forward_filter,

@@ -37,6 +37,7 @@ from .operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
     apply_plan,
+    convolution_series,
     invert_filter,
     solve_even_convolution,
     solve_exponential_volterra,
@@ -66,26 +67,35 @@ EXIT_SINGULAR = 3
 EXIT_NUMERICAL = 4
 
 
+def _convolution_terms(doc):
+    return [(complex(t["b"][0], t["b"][1]), complex(t["beta"][0], t["beta"][1]))
+            for t in doc["terms"]]
+
+
 def _problem_series_and_spectrum(doc):
-    """Series and spectrum descriptor implied by a problem document."""
+    """Series, spectrum descriptor and operator implied by a problem document.
+
+    The operator is the ``DenseMatrixOperator`` of ``matrix`` and ``sweep``
+    problems (its eigenvalues give the spectrum, so solving with it needs
+    no second eigenvalue computation) and ``None`` for the other kinds.
+    """
     kind = doc["kind"]
     if kind == "series":
         if "spectrum" not in doc:
             raise MalformedSpecError('series problems need a "spectrum"')
-        return terms_from_json(doc["terms"]), spectrum_from_json(doc["spectrum"])
+        return (terms_from_json(doc["terms"]),
+                spectrum_from_json(doc["spectrum"]), None)
     if kind == "filter":
         series, _ = filter_to_series(filter_spec_from_json(doc))
-        return series, UnitCircle()
+        return series, UnitCircle(), None
     if kind == "integral":
-        return terms_from_json(doc["kernel"]), ImaginaryAxis()
+        return terms_from_json(doc["kernel"]), ImaginaryAxis(), None
     if kind == "convolution":
-        from .operators import _convolution_series
-        terms = [(complex(t["b"][0], t["b"][1]),
-                  complex(t["beta"][0], t["beta"][1])) for t in doc["terms"]]
-        return _convolution_series(terms), PositiveHalfLine()
+        return (convolution_series(_convolution_terms(doc)),
+                PositiveHalfLine(), None)
     if kind in ("matrix", "sweep"):
         A = DenseMatrixOperator(matrix_from_json(doc["matrix"]))
-        return terms_from_json(doc["terms"]), A.spectrum()
+        return terms_from_json(doc["terms"]), A.spectrum(), A
     raise MalformedSpecError(f"unknown problem kind {kind!r}")
 
 
@@ -106,7 +116,7 @@ def _report_json(report) -> dict:
 
 def cmd_check(args) -> int:
     doc = load_problem(args.problem)
-    series, spectrum = _problem_series_and_spectrum(doc)
+    series, spectrum, _ = _problem_series_and_spectrum(doc)
     margin = args.margin if args.margin is not None else doc.get("margin", 0.0)
     report = check_admissible(series, spectrum, margin)
     print(json.dumps(_report_json(report), sort_keys=True))
@@ -128,7 +138,7 @@ def cmd_invert(args) -> int:
     y = read_signal(args.input)
     kind = doc["kind"]
 
-    series, spectrum = _problem_series_and_spectrum(doc)
+    series, spectrum, A = _problem_series_and_spectrum(doc)
     margin = args.margin if args.margin is not None else doc.get("margin", 0.0)
     report = check_admissible(series, spectrum, margin)
     if not (report.theorem_mode_ok and report.separation_ok):
@@ -139,21 +149,19 @@ def cmd_invert(args) -> int:
     print(_plan_summary(plan), file=sys.stderr)
 
     if kind == "matrix":
-        A = DenseMatrixOperator(matrix_from_json(doc["matrix"]))
         if y.size != A.dim:
             raise MalformedSpecError("input length does not match the matrix")
         x = apply_plan(plan, A, y)
     elif kind == "filter":
-        x = invert_filter(filter_spec_from_json(doc), y)
+        x = invert_filter(filter_spec_from_json(doc), y, plan)
     elif kind == "integral":
         g = doc["grid"]
         grid = GridDerivativeOperator(g["t0"], g["L"], g["n"])
-        x, boundary = solve_exponential_volterra(series, y, grid)
+        x, boundary = solve_exponential_volterra(series, y, grid, plan)
         print(f"boundary residual |y(L)| = {boundary:.6g}", file=sys.stderr)
     elif kind == "convolution":
-        terms = [(complex(t["b"][0], t["b"][1]),
-                  complex(t["beta"][0], t["beta"][1])) for t in doc["terms"]]
-        x = solve_even_convolution(terms, y, doc["period"])
+        x = solve_even_convolution(_convolution_terms(doc), y, doc["period"],
+                                   plan)
     else:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
 

@@ -65,6 +65,12 @@ class MalformedSpecError(ResolvinvError):
     """A filter or problem specification is structurally invalid."""
 
 
+class InvalidInputError(MalformedSpecError, ValueError):
+    """An argument lies outside its domain: a grid without extent, data
+    of the wrong length, an unordered regularization grid, a negative
+    margin, a non-finite point."""
+
+
 class RepeatedPoleError(HypothesisError, ValueError):
     """Two terms of a series share a pole."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidInputError
 
 __all__ = [
     "HullPolygon",
@@ -87,7 +87,7 @@ def convex_hull(points) -> HullPolygon:
         raise EmptyInputError("convex_hull of empty point set")
     for p in pts:
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            raise ValueError(f"non-finite point {p}")
+            raise InvalidInputError(f"non-finite point {p}")
     scale = _scale(pts)
     tol = REL_TOL * scale
 
@@ -259,6 +259,6 @@ def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,
     Returns (separated, achieved distance).
     """
     if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
+        raise InvalidInputError("margin must be nonnegative")
     d = hull_spectrum_distance(hull, spectrum)
     return d > margin, d

@@ -4,6 +4,18 @@ Backends expose three capabilities: apply the operator, solve resolvent
 systems (alpha*I - A) u = v, and describe the spectrum geometrically.
 Factorizations are cached per pole, so repeated solves (iterated resolvent
 powers) reuse them.
+
+Operators diagonal in a Fourier basis (multiplier, periodic shift, and the
+even-convolution solvers) keep their symbol as a numpy array s and act
+elementwise on it.  A pole p is accepted against such a symbol when
+
+    min_k |p - s_k| > SPECTRUM_GAP_RTOL * max(1, |p|).
+
+The tolerance scales with the pole, not with max|s|: the rounding error of
+p - s_k next to the closest sample is about eps*|p|, whatever the size of
+the samples far away.  A bound scaled by max|s| grows like n^2 for the
+convolution symbol xi^2 on n samples and rejects well separated poles as
+touching the spectrum.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from scipy.linalg.lapack import ztbtrs
 from .errors import (
     ConditioningError,
     HypothesisError,
+    InvalidInputError,
     SeparationError,
     SingularResolventError,
     SingularTransferError,
@@ -49,6 +62,7 @@ __all__ = [
     "apply_plan",
     "solve_exponential_volterra",
     "forward_exponential_volterra",
+    "convolution_series",
     "solve_even_convolution",
     "forward_even_convolution",
     "forward_filter",
@@ -80,7 +94,7 @@ class DenseMatrixOperator(OperatorHandle):
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
+            raise InvalidInputError("matrix must be square")
         self.matrix = m
         self.dim = m.shape[0]
         self._lu_cache: dict[complex, tuple] = {}
@@ -113,7 +127,7 @@ class MultiplierOperator(OperatorHandle):
     def __init__(self, symbol):
         s = np.asarray(symbol, dtype=complex)
         if s.ndim != 1:
-            raise ValueError("symbol must be a 1-d sample array")
+            raise InvalidInputError("symbol must be a 1-d sample array")
         self.symbol = s
         self.dim = s.size
 
@@ -124,13 +138,8 @@ class MultiplierOperator(OperatorHandle):
         return PointSpectrum(tuple(complex(s) for s in self.symbol))
 
     def resolvent_solve(self, alpha, v):
-        denom = complex(alpha) - self.symbol
-        gap = np.min(np.abs(denom))
-        scale = max(1.0, float(np.max(np.abs(self.symbol))), abs(alpha))
-        if gap <= SPECTRUM_GAP_RTOL * scale:
-            raise SingularResolventError(
-                f"pole {alpha} touches a symbol sample")
-        return np.asarray(v, dtype=complex) / denom
+        _check_symbol_gap((alpha,), self.symbol)
+        return np.asarray(v, dtype=complex) / (complex(alpha) - self.symbol)
 
 
 class GridDerivativeOperator(OperatorHandle):
@@ -143,9 +152,9 @@ class GridDerivativeOperator(OperatorHandle):
 
     def __init__(self, t0: float, L: float, n: int):
         if n < 3:
-            raise ValueError("grid needs at least 3 points")
+            raise InvalidInputError("grid needs at least 3 points")
         if not L > t0:
-            raise ValueError("grid end must exceed grid start")
+            raise InvalidInputError("grid end must exceed grid start")
         self.t = np.linspace(t0, L, n)
         self.dt = float(self.t[1] - self.t[0])
         self.dim = n
@@ -196,7 +205,7 @@ class PeriodicShiftOperator(OperatorHandle):
 
     def __init__(self, n: int):
         if n < 2:
-            raise ValueError("signal length must be at least 2")
+            raise InvalidInputError("signal length must be at least 2")
         self.dim = n
         self.symbol = np.exp(2j * np.pi * np.arange(n) / n)
 
@@ -207,15 +216,27 @@ class PeriodicShiftOperator(OperatorHandle):
         return PointSpectrum(tuple(complex(s) for s in self.symbol))
 
     def resolvent_solve(self, alpha, v):
-        denom = complex(alpha) - self.symbol
-        gap = np.min(np.abs(denom))
-        if gap <= SPECTRUM_GAP_RTOL * max(1.0, abs(alpha)):
+        _check_symbol_gap((alpha,), self.symbol)
+        return np.fft.ifft(np.fft.fft(np.asarray(v, dtype=complex))
+                           / (complex(alpha) - self.symbol))
+
+
+def _check_symbol_gap(poles, symbol: np.ndarray):
+    """Raise unless min_k |p - s_k| > SPECTRUM_GAP_RTOL * max(1, |p|) for
+    every pole p and the symbol samples s (see the module docstring)."""
+    for p in poles:
+        p = complex(p)
+        if np.min(np.abs(p - symbol)) <= SPECTRUM_GAP_RTOL * max(1.0, abs(p)):
             raise SingularResolventError(
-                f"pole {alpha} touches a root of unity")
-        return np.fft.ifft(np.fft.fft(np.asarray(v, dtype=complex)) / denom)
+                f"pole {p} lies on or too near the spectrum")
 
 
 def _check_poles_off_spectrum(poles, A: OperatorHandle):
+    if isinstance(A, (MultiplierOperator, PeriodicShiftOperator)):
+        _check_symbol_gap(poles, A.symbol)
+        return
+    if not poles:
+        return
     spec = A.spectrum()
     scale = max([1.0] + [abs(p) for p in poles])
     for p in poles:
@@ -271,13 +292,15 @@ def _require_decaying_kernel(kernel: ResolventSeries):
 
 
 def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
-                               grid: GridDerivativeOperator):
+                               grid: GridDerivativeOperator,
+                               plan: InversionPlan | None = None):
     """Solve int_t^L k(s-t) x(s) ds = y(t) for x on the grid.
 
     The kernel is k(t) = sum_j a_j exp(-alpha_j t) with a_j > 0 and
     Re alpha_j > 0, so the left-hand side is f(D) x for D = d/dt and the
     solution is x = gamma*y + beta*y' + h(D) y.  The derivative uses
-    second-order central differences (one sided at the ends).
+    second-order central differences (one sided at the ends).  ``plan``
+    is ``invert_to_plan(kernel)``, built here when not given.
 
     Returns (x, boundary_residual) where the residual is |y(L)|, the size
     of the neglected tail at the truncated upper limit.
@@ -285,8 +308,9 @@ def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
     _require_decaying_kernel(kernel)
     y = np.asarray(y, dtype=complex)
     if y.shape != (grid.dim,):
-        raise ValueError("data length does not match the grid")
-    plan = invert_to_plan(kernel)
+        raise InvalidInputError("data length does not match the grid")
+    if plan is None:
+        plan = invert_to_plan(kernel)
     dy = np.gradient(y, grid.dt, edge_order=2)
     x = plan.gamma * y + plan.beta * dy + _apply_remainder(
         plan.remainder, grid, y)
@@ -303,7 +327,10 @@ def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
 # --- even exponential-sum convolution on a periodic grid --------------------
 
 
-def _convolution_series(terms) -> ResolventSeries:
+def convolution_series(terms) -> ResolventSeries:
+    """The series {(-2i b_j beta_j, beta_j^2)} of an even kernel
+    sum_j b_j exp(-i beta_j |t|), checked against the theorem's hypotheses
+    (Im beta_j < 0, positive mapped coefficients, pole hull off [0, inf))."""
     mapped = []
     for b, beta in terms:
         b = complex(b)
@@ -328,36 +355,42 @@ def _convolution_series(terms) -> ResolventSeries:
     return series
 
 
-def _frequency_symbol(n: int, period: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+def _squared_frequencies(n: int, period: float) -> np.ndarray:
+    """xi^2 for the angular frequencies xi = 2 pi k / period of the DFT."""
+    xi = np.fft.fftfreq(n, d=period / (2.0 * np.pi * n))
+    xi *= xi
+    return xi
 
 
-def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
+def solve_even_convolution(terms, y: np.ndarray, period: float,
+                           plan: InversionPlan | None = None) -> np.ndarray:
     """Solve int k1(s-t) x(s) ds = y(t) on a periodic grid.
 
     The even kernel is k1(t) = sum_j b_j exp(-i beta_j |t|) with
     Im beta_j < 0.  In frequency space the operator is f(xi^2) with the
-    mapped series {(-2i b_j beta_j, beta_j^2)}, and the solution applies
-    the inverse plan to the multiplier operator with symbol xi^2.
+    mapped series {(-2i b_j beta_j, beta_j^2)}, so the solution is the
+    elementwise product (gamma + beta xi^2 + h(xi^2)) * fft(y), transformed
+    back.  ``plan`` is ``invert_to_plan(convolution_series(terms))``,
+    built here when not given.
     """
-    series = _convolution_series(terms)
+    series = convolution_series(terms)
+    if plan is None:
+        plan = invert_to_plan(series)
     y = np.asarray(y, dtype=complex)
-    plan = invert_to_plan(series)
-    xi = _frequency_symbol(y.size, period)
-    A = MultiplierOperator(xi * xi)
-    yhat = np.fft.fft(y)
-    xhat = apply_plan(plan, A, yhat)
-    return np.fft.ifft(xhat)
+    s = _squared_frequencies(y.size, period)
+    _check_symbol_gap(plan.remainder.poles, s)
+    return np.fft.ifft(plan.evaluate_scalar(s) * np.fft.fft(y))
 
 
 def forward_even_convolution(terms, x: np.ndarray,
                              period: float) -> np.ndarray:
-    """Forward periodic convolution via the frequency-space multiplier."""
-    series = _convolution_series(terms)
+    """Forward periodic convolution: f(xi^2) * fft(x), transformed back."""
+    series = convolution_series(terms)
     x = np.asarray(x, dtype=complex)
-    xi = _frequency_symbol(x.size, period)
-    A = MultiplierOperator(xi * xi)
-    return np.fft.ifft(apply_series(series, A, np.fft.fft(x)))
+    s = _squared_frequencies(x.size, period)
+    _check_symbol_gap(series.poles, s)
+    return np.fft.ifft(sum(a / (alpha - s) for a, alpha in series.terms)
+                       * np.fft.fft(x))
 
 
 # --- recursive filters on periodic signals ----------------------------------
@@ -384,13 +417,15 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * q / p)
 
 
-def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
+def invert_filter(spec: FilterSpec, y: np.ndarray,
+                  plan: InversionPlan | None = None) -> np.ndarray:
     """Recover the input signal of a recursive filter from its output.
 
     Requires the residue expansion of the transfer function to have
     positive coefficients and the root hull to avoid the unit circle; then
     x = -gamma T^{-1} y - beta y - h(T) T^{-1} y with the shift T realized
-    through its DFT symbol.
+    through its DFT symbol.  ``plan`` is the inversion plan of
+    ``filter_to_series(spec)``'s series, built here when not given.
     """
     series, report = filter_to_series(spec)
     if not report.theorem_mode_ok:
@@ -401,7 +436,8 @@ def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
     if not ok:
         raise SeparationError(
             "root hull of the characteristic polynomial meets the unit circle")
-    plan = invert_to_plan(series)
+    if plan is None:
+        plan = invert_to_plan(series)
     y = np.asarray(y, dtype=complex)
     sym = _unit_roots(y.size)
     what = -np.fft.fft(y) / sym  # -T^{-1} y in frequency space

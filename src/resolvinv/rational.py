@@ -183,8 +183,15 @@ class PoleGroup:
         return len(self.coeffs)
 
     def __call__(self, z):
-        w = self.pole - z
-        return sum(c / w ** (k + 1) for k, c in enumerate(self.coeffs))
+        # Horner in r = 1/(pole - z); in place on the temporaries when z
+        # is an array, which spares one allocation per step
+        r = self.pole - z
+        r **= -1
+        out = self.coeffs[-1] * r
+        for c in self.coeffs[-2::-1]:
+            out += c
+            out *= r
+        return out
 
     def coeffs_z_minus_pole(self) -> tuple[complex, ...]:
         """Same group in the (z - pole)^k convention."""
@@ -212,10 +219,18 @@ class PartialFractionForm:
         return tuple(g.pole for g in self.groups)
 
     def proper_part(self, z):
-        return sum((g(z) for g in self.groups), start=0j)
+        return _add_groups(0j, self.groups, z)
 
     def __call__(self, z):
-        return self.gamma + self.beta * z + self.proper_part(z)
+        return _add_groups(self.gamma + self.beta * z, self.groups, z)
+
+
+def _add_groups(out, groups, z):
+    """out + sum of the pole groups at z, added in place when out is an
+    array (the callers pass a fresh one)."""
+    for g in groups:
+        out += g(z)
+    return out
 
 
 def series_to_rational(series: ResolventSeries) -> RationalFunction:
@@ -330,7 +345,7 @@ class InversionPlan:
 
     def evaluate_scalar(self, z):
         """1/f at a scalar (or array) argument, via the plan."""
-        return self.gamma + self.beta * z + self.remainder.proper_part(z)
+        return _add_groups(self.gamma + self.beta * z, self.remainder.groups, z)
 
 
 def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularOperatorError
+from .errors import InvalidInputError, SingularOperatorError
 from .operators import DenseMatrixOperator, _apply_remainder, apply_series
 from .rational import InversionPlan
 from .series import ResolventSeries
@@ -35,11 +35,11 @@ class RegularizerConfig:
     def __post_init__(self):
         grid = tuple(float(a) for a in self.alpha_grid)
         if not grid:
-            raise ValueError("alpha grid must be nonempty")
+            raise InvalidInputError("alpha grid must be nonempty")
         if any(a <= 0.0 for a in grid):
-            raise ValueError("alpha values must be positive")
+            raise InvalidInputError("alpha values must be positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("alpha grid must be strictly decreasing")
+            raise InvalidInputError("alpha grid must be strictly decreasing")
         object.__setattr__(self, "alpha_grid", grid)
 
 
@@ -50,7 +50,7 @@ def tikhonov_apply(K: np.ndarray, alpha: float, y: np.ndarray) -> np.ndarray:
     definite for alpha > 0, so the solution is unique.
     """
     if alpha <= 0.0:
-        raise ValueError("regularization parameter must be positive")
+        raise InvalidInputError("regularization parameter must be positive")
     K = np.asarray(K, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n = K.shape[1]

@@ -204,10 +204,10 @@ def spectrum_from_json(doc) -> Spectrum:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    m = np.array([[_complex(p) for p in row] for row in rows], dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if any(len(row) != len(rows) for row in rows):
         raise MalformedSpecError("matrix must be square")
-    return m
+    return np.array([[_complex(p) for p in row] for row in rows],
+                    dtype=complex)
 
 
 def read_signal(path) -> np.ndarray:

@@ -242,6 +242,47 @@ class TestInvertCommand:
         assert "error: poles" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["matrix", "filter", "integral",
+                                      "convolution"])
+    def test_builds_one_plan_with_the_given_tol(self, kind, demo_dir,
+                                                tmp_path, capsys, monkeypatch):
+        import resolvinv.cli as cli_module
+        import resolvinv.operators as operators_module
+        from resolvinv.rational import invert_to_plan
+
+        tols = []
+
+        def counting(*args, **kwargs):
+            tols.append(kwargs.get("tol"))
+            return invert_to_plan(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "invert_to_plan", counting)
+        monkeypatch.setattr(operators_module, "invert_to_plan", counting)
+        rc = main(["invert", str(demo_dir / f"{kind}.json"),
+                   "--input", str(demo_dir / f"{kind}_y.csv"),
+                   "--output", str(tmp_path / "x.csv"), "--tol", "1e-5"])
+        assert rc == 0
+        capsys.readouterr()
+        assert tols == [1e-5]
+
+    def test_matrix_eigenvalues_computed_once(self, demo_dir, tmp_path,
+                                              capsys, monkeypatch):
+        eigvals = np.linalg.eigvals
+        matrix_calls = []
+
+        def counting(a):
+            if np.shape(a) == (4, 4):  # the demo matrix, not the plan's block
+                matrix_calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        rc = main(["invert", str(demo_dir / "matrix.json"),
+                   "--input", str(demo_dir / "matrix_y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 0
+        capsys.readouterr()
+        assert len(matrix_calls) == 1
+
     def test_missing_io_flags_exit_one(self, demo_dir, capsys):
         rc = main(["invert", str(demo_dir / "matrix.json")])
         assert rc == 1
@@ -254,6 +295,87 @@ class TestInvertCommand:
                    "--input", str(bad), "--output", str(tmp_path / "o.csv")])
         assert rc == 1
         capsys.readouterr()
+
+
+class TestOutOfDomainInput:
+    """Schema-valid files whose values are out of their domain end in
+    exit 1 with an ``error:`` line; an escaping ValueError would fail
+    these in-process calls with its traceback."""
+
+    @staticmethod
+    def _edited(demo_dir, tmp_path, name, edit):
+        doc = json.loads((demo_dir / name).read_text())
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return path
+
+    def _assert_exit_one(self, argv, capsys, message):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {message}" in err
+
+    def test_increasing_alpha_grid(self, demo_dir, tmp_path, capsys):
+        sweep = self._edited(demo_dir, tmp_path, "sweep.json",
+                             lambda d: d["alpha_grid"].reverse())
+        self._assert_exit_one(
+            ["sweep", str(sweep), "--input", str(demo_dir / "sweep_x.csv"),
+             "--output", str(tmp_path / "o.csv")],
+            capsys, "alpha grid must be strictly decreasing")
+
+    def test_grid_without_extent(self, demo_dir, tmp_path, capsys):
+        def collapse(doc):
+            doc["grid"]["L"] = doc["grid"]["t0"]
+
+        integral = self._edited(demo_dir, tmp_path, "integral.json", collapse)
+        self._assert_exit_one(
+            ["invert", str(integral),
+             "--input", str(demo_dir / "integral_y.csv"),
+             "--output", str(tmp_path / "o.csv")],
+            capsys, "grid end must exceed grid start")
+
+    def test_input_length_differs_from_grid(self, demo_dir, tmp_path, capsys):
+        y = tmp_path / "short.csv"
+        write_signal(y, read_signal(demo_dir / "integral_y.csv")[:-1])
+        self._assert_exit_one(
+            ["invert", str(demo_dir / "integral.json"), "--input", str(y),
+             "--output", str(tmp_path / "o.csv")],
+            capsys, "data length does not match the grid")
+
+    def test_negative_margin(self, demo_dir, capsys):
+        self._assert_exit_one(
+            ["check", str(demo_dir / "series_admissible.json"),
+             "--margin", "-1"],
+            capsys, "margin must be nonnegative")
+
+    def test_non_finite_pole(self, demo_dir, tmp_path, capsys):
+        def nan_pole(doc):
+            doc["terms"][0]["alpha"] = [float("nan"), 0.0]
+
+        series = self._edited(demo_dir, tmp_path, "series_admissible.json",
+                              nan_pole)
+        self._assert_exit_one(["check", str(series)], capsys,
+                              "non-finite point")
+
+    def test_ragged_matrix(self, demo_dir, tmp_path, capsys):
+        def drop_one_entry(doc):
+            doc["matrix"][0].pop()
+
+        matrix = self._edited(demo_dir, tmp_path, "matrix.json",
+                              drop_one_entry)
+        self._assert_exit_one(["check", str(matrix)], capsys,
+                              "matrix must be square")
+
+    def test_subprocess_prints_no_traceback(self, demo_dir, tmp_path):
+        y = tmp_path / "short.csv"
+        write_signal(y, read_signal(demo_dir / "integral_y.csv")[:-1])
+        proc = run_python("-m", "resolvinv.cli", "invert",
+                          str(demo_dir / "integral.json"), "--input", str(y),
+                          "--output", str(tmp_path / "o.csv"))
+        assert proc.returncode == 1
+        assert "error: data length" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweepCommand:

@@ -4,11 +4,15 @@ import pytest
 from resolvinv.errors import HypothesisError, SeparationError
 from resolvinv.operators import (
     GridDerivativeOperator,
+    MultiplierOperator,
+    apply_plan,
+    convolution_series,
     forward_even_convolution,
     forward_exponential_volterra,
     solve_even_convolution,
     solve_exponential_volterra,
 )
+from resolvinv.rational import invert_to_plan
 from resolvinv.series import ResolventSeries
 
 
@@ -157,6 +161,35 @@ class TestEvenConvolution:
             y_ref[i] = np.sum(kernel(t - t[i]) * x) * dt
         y = forward_even_convolution(terms, x, period)
         assert np.max(np.abs(y - y_ref)) < 1e-3 * np.max(np.abs(y_ref))
+
+    def test_demo_kernel_round_trip_at_2_18(self):
+        # the symbol xi^2 reaches ~1e10 here; the pole at -1 stays 1 away
+        terms = [(-0.5, -1j)]
+        period = 8.0
+        n = 2 ** 18
+        x = band_limited_signal(n, period)
+        y = forward_even_convolution(terms, x, period)
+        x_rec = solve_even_convolution(terms, y, period)
+        # f(s) = 1/(-1 - s): condition number 1 + max xi^2
+        kappa = 1.0 + (np.pi * n / period) ** 2
+        err = np.max(np.abs(x_rec - x)) / np.max(np.abs(x))
+        assert err <= 10.0 * np.finfo(float).eps * kappa
+
+    def test_one_pass_matches_apply_plan(self):
+        rng = np.random.default_rng(3)
+        betas = np.array([1.5, 2.5, 3.5]) * np.exp(
+            1j * (-np.pi / 2 + np.array([0.1, -0.05, 0.12])))
+        terms = list(zip(rng.uniform(0.5, 1.5, 3) / (-2j * betas), betas))
+        period, n = 8.0, 256
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        plan = invert_to_plan(convolution_series(terms))
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+        want = np.fft.ifft(apply_plan(plan, MultiplierOperator(xi * xi),
+                                      np.fft.fft(y)))
+        got = solve_even_convolution(terms, y, period)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(solve_even_convolution(terms, y, period, plan),
+                              got)
 
     def test_zero_signal(self):
         terms = [(-0.5, -1j)]

@@ -65,6 +65,28 @@ class TestMultiplierOperator:
         with pytest.raises(SingularResolventError):
             A.resolvent_solve(2.0, [1, 1])
 
+    def test_gap_tolerance_scales_with_the_pole(self):
+        # a large sample far from the pole does not widen the gap bound
+        A = MultiplierOperator([0.0, 1e12])
+        assert np.allclose(A.resolvent_solve(-1.0, [1, 1]),
+                           [-1.0, 1.0 / (-1.0 - 1e12)], rtol=1e-15, atol=0)
+        with pytest.raises(SingularResolventError):
+            A.resolvent_solve(1e12 * (1.0 + 1e-11), [1, 1])
+
+    def test_plan_and_series_checks_skip_the_point_spectrum(self,
+                                                            monkeypatch):
+        def no_spectrum(self):
+            raise AssertionError("spectrum() built for a symbol operator")
+
+        monkeypatch.setattr(MultiplierOperator, "spectrum", no_spectrum)
+        s = ResolventSeries(((1, 5.0), (2, 7.0)))
+        A = MultiplierOperator([1.0, 2.0, 3.0])
+        v = np.ones(3, dtype=complex)
+        assert np.allclose(apply_plan(invert_to_plan(s), A,
+                                      apply_series(s, A, v)), v, atol=1e-12)
+        with pytest.raises(SingularResolventError):
+            apply_series(ResolventSeries(((1, 2.0),)), A, v)
+
 
 class TestGridDerivativeOperator:
     def test_apply_is_forward_difference(self):
@@ -197,6 +219,16 @@ class TestApplyPlan:
         A = DenseMatrixOperator(np.diag([1.0, 2.0]))
         v = np.array([1.0, 1.0], dtype=complex)
         assert np.allclose(apply_plan(plan, A, v), [2.0, 1.0], atol=1e-14)
+
+    def test_no_remainder_poles_skip_the_eigenvalues(self, monkeypatch):
+        def no_eigenvalues(self):
+            raise AssertionError("eigenvalues computed without a pole")
+
+        monkeypatch.setattr(DenseMatrixOperator, "eigenvalues",
+                            no_eigenvalues)
+        plan = invert_to_plan(ResolventSeries(((1, 3.0),)))
+        A = DenseMatrixOperator(np.diag([1.0, 2.0]))
+        assert np.allclose(apply_plan(plan, A, np.ones(2)), [2.0, 1.0])
 
     def test_dense_assembly_oracle(self):
         rng = np.random.default_rng(10)
