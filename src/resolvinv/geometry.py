@@ -80,7 +80,7 @@ def convex_hull(points) -> HullPolygon:
     """Monotone-chain convex hull of complex points.
 
     Exactly collinear points interior to an edge are dropped; duplicate
-    inputs are merged at relative tolerance 1e-12.
+    inputs are merged at tolerance 1e-12 relative to their own modulus.
     """
     pts = list(points)
     if not pts:
@@ -88,14 +88,14 @@ def convex_hull(points) -> HullPolygon:
     for p in pts:
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise InvalidInputError(f"non-finite point {p}")
-    scale = _scale(pts)
-    tol = REL_TOL * scale
-
     # near-duplicates need not be adjacent in the sort (e.g. tiny real
-    # parts with different signs), so merge against every kept point
+    # parts with different signs), so merge against every kept point. The
+    # merge radius is relative to the pair, not to the spread of the set:
+    # a dropped point then lies within 1e-12*|p| of the hull, where a
+    # spread-relative radius could cut a small extreme point off it.
     uniq: list[complex] = []
     for p in sorted(pts, key=lambda w: (w.real, w.imag)):
-        if all(abs(p - q) > tol for q in uniq):
+        if all(abs(p - q) > REL_TOL * max(abs(p), abs(q)) for q in uniq):
             uniq.append(p)
     if len(uniq) == 1:
         return HullPolygon((uniq[0],))

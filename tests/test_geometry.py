@@ -68,6 +68,15 @@ class TestConvexHull:
         hull = convex_hull([2 + 1j, 2 + 1j, 2 + 1j])
         assert hull.vertices == (2 + 1j,)
 
+    def test_small_extreme_point_kept(self):
+        # 1e-10 lies within 1e-12 of the spread of the set from 0, but is
+        # the far end of the segment and must stay a vertex
+        pts = [0j, 1e-10 + 0j, -100 + 0j]
+        hull = convex_hull(pts)
+        assert set(hull.vertices) == {-100 + 0j, 1e-10 + 0j}
+        for p in pts:
+            assert hull_distance(hull, p) <= 1e-12 * (1 + abs(p))
+
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
             convex_hull([])
