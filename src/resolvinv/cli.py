@@ -46,13 +46,9 @@ from .rational import filter_to_series, invert_to_plan
 from .regularize import RegularizerConfig, convergence_sweep
 from .serialization import (
     _pair,
-    filter_spec_from_json,
     load_problem,
-    matrix_from_json,
     read_signal,
     series_to_json,
-    spectrum_from_json,
-    terms_from_json,
     write_signal,
     write_sweep_csv,
 )
@@ -67,36 +63,25 @@ EXIT_SINGULAR = 3
 EXIT_NUMERICAL = 4
 
 
-def _convolution_terms(doc):
-    return [(complex(t["b"][0], t["b"][1]), complex(t["beta"][0], t["beta"][1]))
-            for t in doc["terms"]]
-
-
-def _problem_series_and_spectrum(doc):
-    """Series, spectrum descriptor and operator implied by a problem document.
+def _problem_series_and_spectrum(problem):
+    """Series, spectrum descriptor and operator of a decoded problem.
 
     The operator is the ``DenseMatrixOperator`` of ``matrix`` and ``sweep``
     problems (its eigenvalues give the spectrum, so solving with it needs
     no second eigenvalue computation) and ``None`` for the other kinds.
     """
-    kind = doc["kind"]
+    kind = problem["kind"]
     if kind == "series":
-        if "spectrum" not in doc:
-            raise MalformedSpecError('series problems need a "spectrum"')
-        return (terms_from_json(doc["terms"]),
-                spectrum_from_json(doc["spectrum"]), None)
+        return problem["series"], problem["spectrum"], None
     if kind == "filter":
-        series, _ = filter_to_series(filter_spec_from_json(doc))
+        series, _ = filter_to_series(problem["spec"])
         return series, UnitCircle(), None
     if kind == "integral":
-        return terms_from_json(doc["kernel"]), ImaginaryAxis(), None
+        return problem["series"], ImaginaryAxis(), None
     if kind == "convolution":
-        return (convolution_series(_convolution_terms(doc)),
-                PositiveHalfLine(), None)
-    if kind in ("matrix", "sweep"):
-        A = DenseMatrixOperator(matrix_from_json(doc["matrix"]))
-        return terms_from_json(doc["terms"]), A.spectrum(), A
-    raise MalformedSpecError(f"unknown problem kind {kind!r}")
+        return convolution_series(problem["terms"]), PositiveHalfLine(), None
+    A = DenseMatrixOperator(problem["matrix"])
+    return problem["series"], A.spectrum(), A
 
 
 def _report_json(report) -> dict:
@@ -115,9 +100,9 @@ def _report_json(report) -> dict:
 
 
 def cmd_check(args) -> int:
-    doc = load_problem(args.problem)
-    series, spectrum, _ = _problem_series_and_spectrum(doc)
-    margin = args.margin if args.margin is not None else doc.get("margin", 0.0)
+    problem = load_problem(args.problem)
+    series, spectrum, _ = _problem_series_and_spectrum(problem)
+    margin = args.margin if args.margin is not None else problem["margin"]
     report = check_admissible(series, spectrum, margin)
     print(json.dumps(_report_json(report), sort_keys=True))
     admissible = (report.theorem_mode_ok and report.separation_ok
@@ -132,14 +117,14 @@ def _plan_summary(plan) -> str:
 
 
 def cmd_invert(args) -> int:
-    doc = load_problem(args.problem)
+    problem = load_problem(args.problem)
     if args.input is None or args.output is None:
         raise MalformedSpecError("invert needs --input and --output")
     y = read_signal(args.input)
-    kind = doc["kind"]
+    kind = problem["kind"]
 
-    series, spectrum, A = _problem_series_and_spectrum(doc)
-    margin = args.margin if args.margin is not None else doc.get("margin", 0.0)
+    series, spectrum, A = _problem_series_and_spectrum(problem)
+    margin = args.margin if args.margin is not None else problem["margin"]
     report = check_admissible(series, spectrum, margin)
     if not (report.theorem_mode_ok and report.separation_ok):
         print("problem is not admissible", file=sys.stderr)
@@ -153,14 +138,13 @@ def cmd_invert(args) -> int:
             raise MalformedSpecError("input length does not match the matrix")
         x = apply_plan(plan, A, y)
     elif kind == "filter":
-        x = invert_filter(filter_spec_from_json(doc), y, plan)
+        x = invert_filter(problem["spec"], y, plan)
     elif kind == "integral":
-        g = doc["grid"]
-        grid = GridDerivativeOperator(g["t0"], g["L"], g["n"])
+        grid = GridDerivativeOperator(*problem["grid"])
         x, boundary = solve_exponential_volterra(series, y, grid, plan)
         print(f"boundary residual |y(L)| = {boundary:.6g}", file=sys.stderr)
     elif kind == "convolution":
-        x = solve_even_convolution(_convolution_terms(doc), y, doc["period"],
+        x = solve_even_convolution(problem["terms"], y, problem["period"],
                                    plan)
     else:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
@@ -172,17 +156,17 @@ def cmd_invert(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load_problem(args.problem)
-    if doc["kind"] != "sweep":
+    problem = load_problem(args.problem)
+    if problem["kind"] != "sweep":
         raise MalformedSpecError('sweep needs a "sweep" problem file')
     if args.input is None or args.output is None:
         raise MalformedSpecError("sweep needs --input and --output")
-    series = terms_from_json(doc["terms"])
-    A = DenseMatrixOperator(matrix_from_json(doc["matrix"]))
+    series = problem["series"]
+    A = DenseMatrixOperator(problem["matrix"])
     x_true = read_signal(args.input)
     if x_true.size != A.dim:
         raise MalformedSpecError("input length does not match the matrix")
-    config = RegularizerConfig(tuple(doc["alpha_grid"]))
+    config = RegularizerConfig(problem["alpha_grid"])
     plan = invert_to_plan(series, tol=args.tol)
     report = convergence_sweep(series, plan, A, x_true, config)
     write_sweep_csv(args.output, report)

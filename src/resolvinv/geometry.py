@@ -258,7 +258,7 @@ def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,
 
     Returns (separated, achieved distance).
     """
-    if margin < 0.0:
-        raise InvalidInputError("margin must be nonnegative")
+    if not 0.0 <= margin < math.inf:
+        raise InvalidInputError("margin must be nonnegative and finite")
     d = hull_spectrum_distance(hull, spectrum)
     return d > margin, d

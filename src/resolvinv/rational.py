@@ -22,6 +22,7 @@ import numpy.polynomial.polynomial as npp
 from .errors import (
     ConditioningError,
     HypothesisError,
+    InvalidInputError,
     MalformedSpecError,
     RepeatedRootError,
     UnsupportedShapeError,
@@ -359,8 +360,10 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     ``tol * max(1, max|z_k|)`` raise :class:`RepeatedRootError`; 1/f then
     has a pole of higher order, which the plan does not represent.  The
     identity f(z) * (gamma + beta z + h(z)) = 1 is verified at sample
-    points before the plan is returned.
+    points before the plan is returned.  ``tol`` must be finite and >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError("tol must be nonnegative and finite")
     if not series.is_theorem_mode():
         raise HypothesisError(
             "series must have nonnegative real coefficients with positive sum")

@@ -36,8 +36,8 @@ class RegularizerConfig:
         grid = tuple(float(a) for a in self.alpha_grid)
         if not grid:
             raise InvalidInputError("alpha grid must be nonempty")
-        if any(a <= 0.0 for a in grid):
-            raise InvalidInputError("alpha values must be positive")
+        if any(not 0.0 < a < np.inf for a in grid):
+            raise InvalidInputError("alpha values must be positive and finite")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError("alpha grid must be strictly decreasing")
         object.__setattr__(self, "alpha_grid", grid)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvinv.cli import main
 from resolvinv.demos import write_demo_files
@@ -31,6 +33,18 @@ from resolvinv.series import ResolventSeries
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DELETE = object()
+
+
+def _edit(doc, path, value):
+    """Set the value at ``path`` of a JSON document, or delete it."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
 
 
 def run_python(*args):
@@ -103,6 +117,45 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(MalformedSpecError):
             load_problem(path)
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("series_admissible", ("spectrum",), DELETE),
+        ("series_admissible", ("terms", 0, "a", 0), True),
+        ("filter", ("b",), DELETE),
+        ("filter", ("c", 1, 0), "1"),
+        ("integral", ("grid", "t0"), DELETE),
+        ("integral", ("kernel", 1, "alpha"), [1, 2, 3]),
+        ("convolution", ("period",), DELETE),
+        ("convolution", ("terms", 0, "beta"), {}),
+        ("matrix", ("terms",), DELETE),
+        ("matrix", ("matrix", 2), [[1, 2]]),
+        ("sweep", ("alpha_grid",), DELETE),
+        ("sweep", ("alpha_grid", 3), "0.1"),
+    ])
+    def test_load_problem_rejects_missing_or_mistyped_field(
+            self, demo_dir, tmp_path, name, path, value):
+        doc = json.loads((demo_dir / f"{name}.json").read_text())
+        _edit(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(MalformedSpecError):
+            load_problem(bad)
+
+    def test_load_problem_decodes_values(self, demo_dir):
+        problem = load_problem(demo_dir / "matrix.json")
+        assert problem["kind"] == "matrix" and problem["margin"] == 0.0
+        assert problem["series"] == ResolventSeries(((1.0, 1.0), (1.0, 3.0)))
+        assert problem["matrix"].dtype == complex
+        assert problem["matrix"].shape == (4, 4)
+        assert problem["matrix"][0, 1] == 0.1
+
+    @pytest.mark.parametrize("text", ["[[1, 2, 3]]", "[[true, 0]]",
+                                      '[["1", 0]]', "[]", "[[NaN, 0]]"])
+    def test_bad_json_signal_rejected(self, tmp_path, text):
+        path = tmp_path / "sig.json"
+        path.write_text(text)
+        with pytest.raises(MalformedSpecError):
+            read_signal(path)
 
 
 class TestCheckCommand:
@@ -297,9 +350,22 @@ class TestInvertCommand:
         capsys.readouterr()
 
 
+def _run_argv(demo_dir, tmp_path, problem):
+    """The CLI call that reads every field of a demo problem."""
+    kind = problem.stem
+    if kind.startswith("series"):
+        return ["check", str(problem)]
+    output = ["--output", str(tmp_path / "o.csv")]
+    if kind == "sweep":
+        return ["sweep", str(problem),
+                "--input", str(demo_dir / "sweep_x.csv")] + output
+    return ["invert", str(problem),
+            "--input", str(demo_dir / f"{kind}_y.csv")] + output
+
+
 class TestOutOfDomainInput:
-    """Schema-valid files whose values are out of their domain end in
-    exit 1 with an ``error:`` line; an escaping ValueError would fail
+    """Well-formed files whose values are out of their domain end in
+    exit 1 with an ``error:`` line; an escaping exception would fail
     these in-process calls with its traceback."""
 
     @staticmethod
@@ -367,6 +433,48 @@ class TestOutOfDomainInput:
         self._assert_exit_one(["check", str(matrix)], capsys,
                               "matrix must be square")
 
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("integral.json", ("grid", "n"), 400.0,
+         'grid "n" must be an integer >= 3'),
+        ("integral.json", ("grid", "L"), float("inf"),
+         "L must be a finite number"),
+        ("matrix.json", ("matrix", 0, 0, 0), float("nan"),
+         "non-finite point in matrix"),
+        ("sweep.json", ("alpha_grid", 0), float("inf"),
+         "alpha must be a finite number > 0"),
+        ("convolution.json", ("period",), float("inf"),
+         "period must be a finite number > 0"),
+    ])
+    def test_non_finite_or_non_integer_field(self, demo_dir, tmp_path, capsys,
+                                             name, path, value, message):
+        problem = self._edited(demo_dir, tmp_path, name,
+                               lambda doc: _edit(doc, path, value))
+        self._assert_exit_one(_run_argv(demo_dir, tmp_path, problem), capsys,
+                              message)
+
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin(self, demo_dir, capsys, margin):
+        self._assert_exit_one(
+            ["check", str(demo_dir / "series_admissible.json"),
+             f"--margin={margin}"],
+            capsys, "margin must be nonnegative and finite")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_out_of_domain(self, demo_dir, tmp_path, capsys, tol):
+        self._assert_exit_one(
+            _run_argv(demo_dir, tmp_path, demo_dir / "matrix.json")
+            + [f"--tol={tol}"],
+            capsys, "tol must be nonnegative and finite")
+
+    def test_non_finite_signal_row(self, demo_dir, tmp_path, capsys):
+        y = tmp_path / "filter_y.csv"
+        rows = (demo_dir / "filter_y.csv").read_text().splitlines()
+        y.write_text("\n".join(["nan,0.0"] + rows[1:]) + "\n")
+        self._assert_exit_one(
+            ["invert", str(demo_dir / "filter.json"), "--input", str(y),
+             "--output", str(tmp_path / "o.csv")],
+            capsys, f"non-finite point in signal {y}")
+
     def test_subprocess_prints_no_traceback(self, demo_dir, tmp_path):
         y = tmp_path / "short.csv"
         write_signal(y, read_signal(demo_dir / "integral_y.csv")[:-1])
@@ -376,6 +484,39 @@ class TestOutOfDomainInput:
         assert proc.returncode == 1
         assert "error: data length" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 3.0, float("nan"), float("inf"),
+               float("-inf"), [], {}, [1], [1, 2, 3], [[1, 2]]]
+DEMO_PROBLEMS = ["series_admissible", "series_inadmissible", "matrix",
+                 "filter", "integral", "convolution", "sweep"]
+
+
+def _json_paths(node, prefix=()):
+    """Every (path, is_object_field) below a JSON node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,), isinstance(node, dict)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edited_demo_problem_exits_with_a_code(demo_dir, tmp_path_factory,
+                                               data):
+    """One deleted field or one replaced value in a demo problem ends in
+    an exit code from 0 to 4, never in an exception.  The values hold no
+    large integer, so no edit asks for a huge grid."""
+    name = data.draw(st.sampled_from(DEMO_PROBLEMS))
+    doc = json.loads((demo_dir / f"{name}.json").read_text())
+    path, is_field = data.draw(st.sampled_from(list(_json_paths(doc))))
+    values = [DELETE] + FUZZ_VALUES if is_field else FUZZ_VALUES
+    _edit(doc, path, data.draw(st.sampled_from(values)))
+    work = tmp_path_factory.mktemp("fuzz")
+    problem = work / f"{name}.json"
+    problem.write_text(json.dumps(doc))
+    assert main(_run_argv(demo_dir, work, problem)) in range(5)
 
 
 class TestSweepCommand:
@@ -457,7 +598,7 @@ class TestColdStart:
     def test_cli_import_skips_heavy_scipy_modules(self):
         # scipy.signal alone costs most of a CLI call's start-up
         proc = run_python("-c", "import sys, resolvinv.cli; print(sorted(m "
-                          "for m in ('scipy.signal', 'scipy.stats') "
-                          "if m in sys.modules))")
+                          "for m in ('scipy.signal', 'scipy.stats', "
+                          "'jsonschema') if m in sys.modules))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

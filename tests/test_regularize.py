@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix_with_eigenvalues, random_theorem_series
-from resolvinv.errors import SingularOperatorError
+from resolvinv.errors import InvalidInputError, SingularOperatorError
 from resolvinv.operators import DenseMatrixOperator, apply_plan, apply_series
 from resolvinv.rational import invert_to_plan
 from resolvinv.regularize import (
@@ -103,6 +103,11 @@ class TestRegularizerConfig:
     def test_nondecreasing_rejected(self):
         with pytest.raises(ValueError):
             RegularizerConfig((1e-4, 1e-2))
+
+    @pytest.mark.parametrize("grid", [(np.inf, 1e-2), (np.nan,)])
+    def test_non_finite_rejected(self, grid):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            RegularizerConfig(grid)
 
 
 class TestConvergenceSweep:
