@@ -53,6 +53,7 @@ from .serialization import (
     write_sweep_csv,
 )
 from .series import caratheodory_zero_series, check_admissible, evaluate
+from .tolerance import DEFAULT_ROOT_TOL, EPS
 
 log = logging.getLogger("resolvinv")
 
@@ -207,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--margin", type=float, default=None,
                        help="required hull/spectrum separation")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="root clustering tolerance: zeros of the series "
-                            "closer than tol*max(1, max|zero|) count as "
+        p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
+                       help="repeated-zero tolerance: zeros of the series "
+                            f"closer than max(tol, {EPS:g})*max|pole| (over "
+                            "the terms with a nonzero coefficient) count as "
                             "repeated and are rejected")
 
     p = sub.add_parser("check", help="admissibility report for a problem")

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, InvalidInputError
+from .tolerance import EPS
 
 __all__ = [
     "HullPolygon",
@@ -24,12 +25,6 @@ __all__ = [
     "hull_spectrum_distance",
     "hull_separated_from",
 ]
-
-REL_TOL = 1e-12
-
-
-def _scale(points) -> float:
-    return max(1.0, max(abs(p) for p in points))
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -51,10 +46,6 @@ class HullPolygon:
         if not self.vertices:
             raise EmptyInputError("hull needs at least one vertex")
 
-    @property
-    def scale(self) -> float:
-        return _scale(self.vertices)
-
     def edges(self):
         """Closed edge list; empty for a point, one edge for a segment."""
         v = self.vertices
@@ -64,23 +55,21 @@ class HullPolygon:
             return [(v[0], v[1])]
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def contains(self, z: complex, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = REL_TOL * max(self.scale, abs(z), 1.0)
+    def contains(self, z: complex) -> bool:
+        """Exact membership test: z in the closed hull."""
         v = self.vertices
         if len(v) == 1:
-            return abs(z - v[0]) <= tol
+            return z == v[0]
         if len(v) == 2:
-            return _point_segment_distance(z, v[0], v[1]) <= tol
-        area_tol = tol * max(self.scale, abs(z), 1.0)
-        return all(_cross(a, b, z) >= -area_tol for a, b in self.edges())
+            return _point_segment_distance(z, v[0], v[1]) == 0.0
+        return all(_cross(a, b, z) >= 0.0 for a, b in self.edges())
 
 
 def convex_hull(points) -> HullPolygon:
     """Monotone-chain convex hull of complex points.
 
     Exactly collinear points interior to an edge are dropped; duplicate
-    inputs are merged at tolerance 1e-12 relative to their own modulus.
+    inputs are merged at ``tolerance.EPS`` relative to their own modulus.
     """
     pts = list(points)
     if not pts:
@@ -91,11 +80,11 @@ def convex_hull(points) -> HullPolygon:
     # near-duplicates need not be adjacent in the sort (e.g. tiny real
     # parts with different signs), so merge against every kept point. The
     # merge radius is relative to the pair, not to the spread of the set:
-    # a dropped point then lies within 1e-12*|p| of the hull, where a
+    # a dropped point then lies within EPS*|p| of the hull, where a
     # spread-relative radius could cut a small extreme point off it.
     uniq: list[complex] = []
     for p in sorted(pts, key=lambda w: (w.real, w.imag)):
-        if all(abs(p - q) > REL_TOL * max(abs(p), abs(q)) for q in uniq):
+        if all(abs(p - q) > EPS * max(abs(p), abs(q)) for q in uniq):
             uniq.append(p)
     if len(uniq) == 1:
         return HullPolygon((uniq[0],))
@@ -133,15 +122,21 @@ def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
 
 
 def hull_distance(hull: HullPolygon, z: complex) -> float:
-    """Euclidean distance from z to the hull as a set (0 inside or on it)."""
+    """Euclidean distance from z to the hull as a set (0 inside or on it).
+
+    A computed distance of at most EPS * max(|z|, max|vertex|) is rounding
+    and counts as 0, so a point on an edge stays on it at every scale.
+    """
     v = hull.vertices
     if len(v) == 1:
-        return abs(z - v[0])
-    if len(v) == 2:
-        return _point_segment_distance(z, v[0], v[1])
-    if hull.contains(z, tol=0.0):
+        d = abs(z - v[0])
+    elif len(v) == 2:
+        d = _point_segment_distance(z, v[0], v[1])
+    elif hull.contains(z):
         return 0.0
-    return min(_point_segment_distance(z, a, b) for a, b in hull.edges())
+    else:
+        d = min(_point_segment_distance(z, a, b) for a, b in hull.edges())
+    return 0.0 if d <= EPS * max(abs(z), max(abs(u) for u in v)) else d
 
 
 def _segment_segment_distance(a0, a1, b0, b1) -> float:
@@ -220,13 +215,13 @@ def _hull_circle_distance(hull: HullPolygon) -> float:
 
 def _hull_ray_distance(hull: HullPolygon) -> float:
     """Distance between the hull and the closed ray [0, +inf)."""
-    if hull.contains(0j, tol=0.0):
+    if hull.contains(0j):
         return 0.0
     v = hull.vertices
     if len(v) == 1:
         return PositiveHalfLine().distance_to(v[0])
     # the hull is bounded, so a segment [0, B] stands in for the ray
-    B = 2.0 * max(1.0, max(abs(p) for p in v))
+    B = 2.0 * max(abs(p) for p in v)
     return min(_segment_segment_distance(a, b, 0j, complex(B, 0.0))
                for a, b in hull.edges())
 

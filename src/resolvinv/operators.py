@@ -5,17 +5,21 @@ systems (alpha*I - A) u = v, and describe the spectrum geometrically.
 Factorizations are cached per pole, so repeated solves (iterated resolvent
 powers) reuse them.
 
-Operators diagonal in a Fourier basis (multiplier, periodic shift, and the
-even-convolution solvers) keep their symbol as a numpy array s and act
-elementwise on it.  A pole p is accepted against such a symbol when
+Operators diagonal in a Fourier basis (multiplier, periodic shift, the
+recursive-filter and even-convolution solvers) keep their symbol as a
+numpy array s and act elementwise on it.  A pole p is accepted against
+such a symbol when, for its nearest sample s*,
 
-    min_k |p - s_k| > SPECTRUM_GAP_RTOL * max(1, |p|).
+    |p - s*| > SPECTRUM_EPS * max(|p|, |s*|),
 
-The tolerance scales with the pole, not with max|s|: the rounding error of
-p - s_k next to the closest sample is about eps*|p|, whatever the size of
-the samples far away.  A bound scaled by max|s| grows like n^2 for the
-convolution symbol xi^2 on n samples and rejects well separated poles as
-touching the spectrum.
+the package's one tolerance rule (:mod:`resolvinv.tolerance`): the
+rounding error of p - s* is about eps * max(|p|, |s*|), whatever the
+size of the samples far away, and there is no floor of 1, so the decision
+does not change when poles and symbol are rescaled together.  A bound
+scaled by max|s| would grow like n^2 for the convolution symbol xi^2 on
+n samples and reject well separated poles as touching the spectrum.
+Other operators check each pole p on its own: dist(p, spectrum) >
+SPECTRUM_EPS * |p|.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .rational import (
     invert_to_plan,
 )
 from .series import ResolventSeries, check_admissible
+from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
 
 __all__ = [
     "OperatorHandle",
@@ -68,8 +73,6 @@ __all__ = [
     "forward_filter",
     "invert_filter",
 ]
-
-SPECTRUM_GAP_RTOL = 1e-10
 
 
 class OperatorHandle:
@@ -222,11 +225,14 @@ class PeriodicShiftOperator(OperatorHandle):
 
 
 def _check_symbol_gap(poles, symbol: np.ndarray):
-    """Raise unless min_k |p - s_k| > SPECTRUM_GAP_RTOL * max(1, |p|) for
-    every pole p and the symbol samples s (see the module docstring)."""
+    """Raise unless |p - s*| > SPECTRUM_EPS * max(|p|, |s*|) for every pole
+    p and its nearest symbol sample s* (see the module docstring); one
+    pass over the samples per pole."""
     for p in poles:
         p = complex(p)
-        if np.min(np.abs(p - symbol)) <= SPECTRUM_GAP_RTOL * max(1.0, abs(p)):
+        gaps = np.abs(p - symbol)
+        k = np.argmin(gaps)
+        if negligible(gaps[k], p, symbol[k], rtol=SPECTRUM_EPS):
             raise SingularResolventError(
                 f"pole {p} lies on or too near the spectrum")
 
@@ -238,9 +244,9 @@ def _check_poles_off_spectrum(poles, A: OperatorHandle):
     if not poles:
         return
     spec = A.spectrum()
-    scale = max([1.0] + [abs(p) for p in poles])
     for p in poles:
-        if spec.distance_to(complex(p)) <= SPECTRUM_GAP_RTOL * scale:
+        p = complex(p)
+        if negligible(spec.distance_to(p), p, rtol=SPECTRUM_EPS):
             raise SingularResolventError(
                 f"pole {p} lies on or too near the spectrum")
 
@@ -341,7 +347,7 @@ def convolution_series(terms) -> ResolventSeries:
         a = -2j * b * beta
         mapped.append((a, beta * beta))
     series = ResolventSeries(tuple(mapped))
-    if not series.is_theorem_mode(rtol=1e-9):
+    if not series.is_theorem_mode(rtol=DERIVED_EPS):
         raise HypothesisError(
             "mapped coefficients -2i b_j beta_j must be real positive")
     # drop the tiny imaginary residue of the mapping
@@ -400,6 +406,14 @@ def _unit_roots(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
+    """The sample of the roots of unity ``sym`` nearest each pole: the one
+    closest in angle, found without a pass over the n samples."""
+    n = sym.size
+    turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
+    return sym[np.rint(n * turns).astype(int) % n]
+
+
 def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     """Run the difference equation on a length-n periodic signal.
 
@@ -409,8 +423,7 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     omega = _unit_roots(x.size)
     p = spec.characteristic()(omega)
-    scale = max(1.0, float(np.max(np.abs(spec.c))))
-    if np.min(np.abs(p)) <= 1e-10 * scale:
+    if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
         raise SingularTransferError(
             "characteristic polynomial vanishes at a grid frequency")
     q = spec.input_polynomial()(omega)
@@ -425,7 +438,9 @@ def invert_filter(spec: FilterSpec, y: np.ndarray,
     positive coefficients and the root hull to avoid the unit circle; then
     x = -gamma T^{-1} y - beta y - h(T) T^{-1} y with the shift T realized
     through its DFT symbol.  ``plan`` is the inversion plan of
-    ``filter_to_series(spec)``'s series, built here when not given.
+    ``filter_to_series(spec)``'s series, built here when not given; its
+    poles are checked against the roots of unity like every other
+    Fourier-diagonal path.
     """
     series, report = filter_to_series(spec)
     if not report.theorem_mode_ok:
@@ -440,6 +455,8 @@ def invert_filter(spec: FilterSpec, y: np.ndarray,
         plan = invert_to_plan(series)
     y = np.asarray(y, dtype=complex)
     sym = _unit_roots(y.size)
+    poles = plan.remainder.poles
+    _check_symbol_gap(poles, _nearest_unit_roots(poles, sym))
     what = -np.fft.fft(y) / sym  # -T^{-1} y in frequency space
     xhat = plan.evaluate_scalar(sym) * what
     return np.fft.ifft(xhat)

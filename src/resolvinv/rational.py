@@ -33,6 +33,14 @@ from .series import (
     numerator_coefficients,
     secular_zeros,
 )
+from .tolerance import (
+    DEFAULT_ROOT_TOL,
+    DERIVED_EPS,
+    EPS,
+    magnitude,
+    min_gap,
+    require_distinct,
+)
 
 __all__ = [
     "Polynomial",
@@ -48,11 +56,6 @@ __all__ = [
     "invert_to_plan",
     "filter_to_series",
 ]
-
-# A double root computed via the companion matrix is only accurate to
-# about sqrt(machine epsilon); cluster wider than that.
-DEFAULT_ROOT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -111,10 +114,6 @@ class Polynomial:
         return Polynomial(tuple(npp.polyfromroots(list(roots))))
 
 
-def _root_scale(roots) -> float:
-    return max([1.0] + [abs(r) for r in roots])
-
-
 def poly_roots(p: Polynomial, tol: float = DEFAULT_ROOT_TOL
                ) -> list[tuple[complex, int]]:
     """All roots with multiplicities.
@@ -142,7 +141,7 @@ def poly_roots(p: Polynomial, tol: float = DEFAULT_ROOT_TOL
                 z = z2
         polished.append(z)
 
-    scale = _root_scale(polished)
+    scale = max([1.0] + [abs(r) for r in polished])
     clusters: list[list[complex]] = []
     for z in sorted(polished, key=lambda w: (w.real, w.imag)):
         for c in clusters:
@@ -208,12 +207,7 @@ class PartialFractionForm:
     groups: tuple[PoleGroup, ...]
 
     def __post_init__(self):
-        poles = [g.pole for g in self.groups]
-        scale = max([1.0] + [abs(p) for p in poles])
-        for i in range(len(poles)):
-            for j in range(i + 1, len(poles)):
-                if abs(poles[i] - poles[j]) <= 1e-12 * scale:
-                    raise ValueError("pole groups are not distinct")
+        require_distinct(self.poles)
 
     @property
     def poles(self) -> tuple[complex, ...]:
@@ -244,11 +238,17 @@ def series_to_rational(series: ResolventSeries) -> RationalFunction:
 
 
 def _fit_sample_points(poles, count=100, radius_factor=2.0) -> np.ndarray:
-    """Deterministic off-pole sample points on a circle around the poles."""
+    """Deterministic off-pole sample points on a circle around the poles.
+
+    The radius is ``radius_factor`` times their spread about the centre,
+    plus the centre's modulus: every sample then lies at least
+    spread + |centre| from every pole, which keeps the rounding of
+    z - pole relative to the data, at any scale.  Points that all sit at
+    the origin have no scale, and any circle serves; the unit one is used.
+    """
     poles = np.asarray(poles, dtype=complex)
     center = poles.mean() if poles.size else 0j
-    scale = max(1.0, float(np.max(np.abs(poles - center), initial=0.0)))
-    r = radius_factor * scale + 1.0
+    r = (radius_factor * magnitude(poles - center) + abs(center)) or 1.0
     return center + r * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
 
 
@@ -357,10 +357,17 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     the zeros z_k of f, from one eigenvalue solve (:func:`secular_zeros`),
     and their coefficients are c_k = -1/f'(z_k) with
     f'(z) = sum_j a_j / (alpha_j - z)^2.  Two zeros closer than
-    ``tol * max(1, max|z_k|)`` raise :class:`RepeatedRootError`; 1/f then
-    has a pole of higher order, which the plan does not represent.  The
-    identity f(z) * (gamma + beta z + h(z)) = 1 is verified at sample
-    points before the plan is returned.  ``tol`` must be finite and >= 0.
+    ``max(tol, EPS) * max|alpha_j|`` (over the terms with a nonzero
+    coefficient) raise :class:`RepeatedRootError`; 1/f then has a pole of
+    higher order, which the plan does not represent.  The gap is relative
+    to the poles, not to the zeros: the zeros lie in the pole hull, and a
+    double zero near the origin splits into two computed zeros whose
+    modulus says nothing about the size of the problem.  The identity
+    f(z) * (gamma + beta z + h(z)) = 1 is verified at sample points on a
+    circle around the poles and zeros before the plan is returned.
+    ``tol`` must be finite and >= 0; every comparison is relative to the
+    data, so rescaling poles and operator together by any factor leaves
+    the decision unchanged (see :mod:`resolvinv.tolerance`).
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidInputError("tol must be nonnegative and finite")
@@ -372,12 +379,9 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     a = np.asarray(active.coefficients)
     alpha = np.asarray(active.poles)
     z = secular_zeros(a, alpha)
-    if z.size > 1:
-        gaps = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        # PartialFractionForm rejects poles within 1e-12 * scale
-        if gaps.min() <= max(tol, 1e-12) * _root_scale(z):
-            raise RepeatedRootError("f has a repeated zero")
+    # at least PartialFractionForm's EPS * max|z_k|, since |z_k| <= max|alpha|
+    if min_gap(z) <= max(tol, EPS) * magnitude(alpha):
+        raise RepeatedRootError("f has a repeated zero")
     c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
     groups = tuple(PoleGroup(complex(zk), (complex(ck),))
                    for zk, ck in zip(z, c))
@@ -455,7 +459,7 @@ def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL
         terms.append((a_j, z_j))
     series = ResolventSeries(tuple(terms))
     report = FilterSeriesReport(
-        theorem_mode_ok=series.is_theorem_mode(rtol=1e-9),
+        theorem_mode_ok=series.is_theorem_mode(rtol=DERIVED_EPS),
         residues=series.coefficients,
         poles=series.poles,
     )

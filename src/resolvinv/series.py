@@ -24,8 +24,8 @@ from .errors import (
     ConstructionError,
     DegenerateSeriesError,
     EmptyInputError,
+    InvalidInputError,
     PoleEvaluationError,
-    RepeatedPoleError,
     ZeroOfSeriesError,
 )
 from .geometry import (
@@ -34,6 +34,7 @@ from .geometry import (
     convex_hull,
     hull_separated_from,
 )
+from .tolerance import EPS, magnitude, negligible, require_distinct
 
 __all__ = [
     "ResolventSeries",
@@ -47,16 +48,14 @@ __all__ = [
     "caratheodory_zero_series",
 ]
 
-POLE_SEP_RTOL = 1e-12
-THEOREM_MODE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ResolventSeries:
     """Finite list of (coefficient a_j, pole alpha_j) pairs.
 
-    Poles must be pairwise distinct; zero coefficients are allowed and can
-    be removed with :meth:`pruned`.
+    Coefficients and poles must be finite and the poles pairwise distinct
+    (see :mod:`resolvinv.tolerance`); zero coefficients are allowed and
+    can be removed with :meth:`pruned`.
     """
 
     terms: tuple[tuple[complex, complex], ...]
@@ -66,13 +65,11 @@ class ResolventSeries:
             raise EmptyInputError("series needs at least one term")
         terms = tuple((complex(a), complex(al)) for a, al in self.terms)
         object.__setattr__(self, "terms", terms)
-        tol = POLE_SEP_RTOL * self.scale
-        poles = [al for _, al in terms]
-        for i in range(len(poles)):
-            for j in range(i + 1, len(poles)):
-                if abs(poles[i] - poles[j]) <= tol:
-                    raise RepeatedPoleError(
-                        f"poles {poles[i]} and {poles[j]} are not distinct")
+        values = np.array(terms)
+        if not np.isfinite(values).all():
+            raise InvalidInputError(
+                "series coefficients and poles must be finite")
+        require_distinct(values[:, 1])
 
     @property
     def coefficients(self) -> tuple[complex, ...]:
@@ -84,7 +81,8 @@ class ResolventSeries:
 
     @property
     def scale(self) -> float:
-        return max(1.0, max(abs(al) for _, al in self.terms))
+        """max |alpha_j|, the scale of the pole tolerances."""
+        return magnitude(self.poles)
 
     @property
     def coefficient_sum(self) -> complex:
@@ -93,18 +91,18 @@ class ResolventSeries:
             math.fsum(a.imag for a in self.coefficients),
         )
 
-    def is_theorem_mode(self, rtol: float = THEOREM_MODE_RTOL) -> bool:
-        """Nonnegative real coefficients with positive sum."""
-        atol = rtol * max(1.0, max(abs(a) for a in self.coefficients))
+    def is_theorem_mode(self, rtol: float = EPS) -> bool:
+        """Nonnegative real coefficients with positive sum, up to
+        ``rtol * max|a|``."""
+        atol = rtol * magnitude(self.coefficients)
         for a in self.coefficients:
             if abs(a.imag) > atol or a.real < -atol:
                 return False
         return self.coefficient_sum.real > atol
 
-    def pruned(self, rtol: float = 0.0) -> "ResolventSeries":
-        """Drop terms whose coefficient magnitude is <= rtol * max|a|."""
-        amax = max(abs(a) for a in self.coefficients)
-        kept = tuple(t for t in self.terms if abs(t[0]) > rtol * amax)
+    def pruned(self) -> "ResolventSeries":
+        """Drop the terms whose coefficient is zero."""
+        kept = tuple(t for t in self.terms if t[0] != 0)
         if not kept:
             raise DegenerateSeriesError("all coefficients vanish")
         if len(kept) == len(self.terms):
@@ -124,7 +122,7 @@ def evaluate(series: ResolventSeries, z: complex) -> complex:
     Raises :class:`PoleEvaluationError` if z sits on a pole.
     """
     z = complex(z)
-    tol = POLE_SEP_RTOL * series.scale
+    tol = EPS * max(series.scale, abs(z))
     for _, alpha in series.terms:
         if abs(z - alpha) <= tol:
             raise PoleEvaluationError(alpha, z)
@@ -137,7 +135,7 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     gamma = sum(a_j alpha_j) / (sum a_j)^2 and beta = -1 / sum(a_j).
     """
     s = series.coefficient_sum
-    if abs(s) <= POLE_SEP_RTOL * max(abs(a) for a in series.coefficients):
+    if negligible(s, *series.coefficients):
         raise DegenerateSeriesError("coefficient sum vanishes")
     weighted = _fsum_complex(a * al for a, al in series.terms)
     return weighted / (s * s), -1.0 / s
@@ -232,7 +230,7 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     if a.size < 2:
         return np.zeros(0, dtype=complex)
     s2 = a.sum()
-    if abs(s2) <= POLE_SEP_RTOL * np.max(np.abs(a)):
+    if negligible(s2, magnitude(a)):
         raise DegenerateSeriesError("coefficient sum vanishes")
     u = np.sqrt(a)
     s = np.sqrt(s2)
@@ -264,15 +262,15 @@ def zeros(series: ResolventSeries) -> list[complex]:
             secular_zeros(active.coefficients, active.poles)]
 
 
-def _barycentric_pair(lam, a0, a1, tol):
+def _barycentric_pair(lam, a0, a1):
     d = a1 - a0
     L2 = abs(d) ** 2
     if L2 == 0.0:
         return None
     t = ((lam - a0).conjugate() * d).real / L2
-    if t < -tol or t > 1.0 + tol:
+    if t < -EPS or t > 1.0 + EPS:
         return None
-    if abs(lam - (a0 + t * d)) > tol * max(1.0, abs(a0), abs(a1)):
+    if not negligible(lam - (a0 + t * d), a0, a1, lam):
         return None
     t = min(1.0, max(0.0, t))
     return (1.0 - t, t)
@@ -302,10 +300,9 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     if not poles:
         raise EmptyInputError("no poles given")
     target = complex(target)
-    scale = max(1.0, max(abs(p) for p in poles), abs(target))
-    tol = POLE_SEP_RTOL * scale
+    scale = max(magnitude(poles), abs(target))
     for p in poles:
-        if abs(target - p) <= tol:
+        if negligible(target - p, scale):
             raise ConstructionError(f"target {target} coincides with pole {p}")
 
     best = None  # (min weight, [(k, pole), ...])
@@ -313,7 +310,7 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
         bc = _barycentric_triple(target, poles[i], poles[j], poles[k])
         if bc is None:
             continue
-        if min(bc) < -tol:
+        if min(bc) < -EPS:
             continue
         cand = (min(bc), [(bc[0], poles[i]), (bc[1], poles[j]),
                           (bc[2], poles[k])])
@@ -321,7 +318,7 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
             best = cand
     if best is None:
         for i, j in itertools.combinations(range(len(poles)), 2):
-            bc = _barycentric_pair(target, poles[i], poles[j], tol)
+            bc = _barycentric_pair(target, poles[i], poles[j])
             if bc is None:
                 continue
             cand = (min(bc), [(bc[0], poles[i]), (bc[1], poles[j])])
@@ -332,7 +329,7 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
             f"target {target} lies outside the convex hull of the poles")
 
     terms = tuple((k * abs(p - target) ** 2, p)
-                  for k, p in best[1] if k > 1e-14)
+                  for k, p in best[1] if k > 0.0)
     if not terms:
         raise ConstructionError("degenerate barycentric weights")
     return ResolventSeries(terms)

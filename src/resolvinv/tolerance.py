@@ -1,0 +1,86 @@
+"""The one tolerance rule of the package.
+
+A computed quantity counts as zero when it is at most ``rtol`` times the
+scale of the data that produced it.  Rounding error is relative to the
+size of the operands, so the scale is never floored at 1: a floor would
+make every decision change when poles, spectrum and grid are rescaled
+together.  Where one operand's scale can vanish (a pole at the origin),
+the scale comes from the other operand.
+
+Three levels of ``rtol``, by how much rounding the compared quantity
+carries:
+
+* :data:`EPS` for quantities one step of arithmetic away from the data:
+  pole gaps, coefficient signs and sums, hull vertex merging, a point's
+  distance to the pole hull;
+* :data:`SPECTRUM_EPS` for a pole against spectrum or symbol samples
+  that were themselves computed (eigenvalues, squared DFT frequencies,
+  a characteristic polynomial at the roots of unity);
+* :data:`DERIVED_EPS` for the theorem-mode test of coefficients derived
+  from the data (filter residues, mapped convolution weights).
+
+:data:`DEFAULT_ROOT_TOL` is the default relative gap below which two
+zeros of a series (or two roots of a filter polynomial) count as one
+repeated root: a double root comes out of an eigenvalue solve split by
+about sqrt(machine epsilon), so the gap must be wider than that.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import RepeatedPoleError
+
+__all__ = [
+    "EPS",
+    "SPECTRUM_EPS",
+    "DERIVED_EPS",
+    "DEFAULT_ROOT_TOL",
+    "magnitude",
+    "negligible",
+    "min_gap",
+    "require_distinct",
+]
+
+EPS = 1e-12
+SPECTRUM_EPS = 1e-10
+DERIVED_EPS = 1e-9
+DEFAULT_ROOT_TOL = 1e-6
+
+
+def magnitude(values) -> float:
+    """max |v| over a short sequence: the scale of that data (0 if empty)."""
+    return max(map(abs, values), default=0.0)
+
+
+def negligible(x, *scales, rtol: float = EPS) -> bool:
+    """True iff |x| <= rtol * max |s| over the given scales."""
+    return bool(abs(x) <= rtol * max(map(abs, scales)))
+
+
+def _gaps(z: np.ndarray) -> np.ndarray:
+    """Pairwise distances, with inf on the diagonal: one vectorised pass."""
+    gaps = np.abs(z[:, None] - z)
+    gaps.flat[::z.size + 1] = np.inf
+    return gaps
+
+
+def min_gap(points) -> float:
+    """Smallest distance between two of the points (inf for fewer)."""
+    z = np.asarray(points, dtype=complex)
+    return float(_gaps(z).min()) if z.size > 1 else math.inf
+
+
+def require_distinct(points) -> None:
+    """Raise :class:`RepeatedPoleError` unless every two poles are more
+    than ``EPS * max|pole|`` apart."""
+    z = np.asarray(points, dtype=complex)
+    if z.size < 2:
+        return
+    gaps = _gaps(z)
+    k = gaps.argmin()
+    if gaps.flat[k] <= EPS * np.abs(z).max():
+        i, j = divmod(k, z.size)
+        raise RepeatedPoleError(f"poles {z[i]} and {z[j]} are not distinct")

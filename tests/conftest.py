@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from resolvinv import ResolventSeries
+
+# `pytest --hypothesis-profile=ci` prints the reproducer blob of a failing
+# example, so a random CI failure can be replayed with @reproduce_failure
+settings.register_profile("ci", print_blob=True)
 
 
 def random_theorem_series(rng, n_min=2, n_max=8, min_sep=1e-2,

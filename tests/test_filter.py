@@ -4,10 +4,12 @@ import pytest
 from resolvinv.errors import (
     HypothesisError,
     SeparationError,
+    SingularResolventError,
     SingularTransferError,
 )
 from resolvinv.operators import forward_filter, invert_filter
-from resolvinv.rational import FilterSpec, Polynomial
+from resolvinv.rational import FilterSpec, Polynomial, invert_to_plan
+from resolvinv.series import ResolventSeries
 
 
 def random_invertible_filter(rng, order):
@@ -126,3 +128,25 @@ class TestInvertFilter:
         spec = FilterSpec((-1.0, 1.0), (1.0,))
         with pytest.raises(SeparationError):
             invert_filter(spec, np.zeros(16))
+
+    def test_passed_plan_pole_on_unit_circle_rejected(self):
+        # the plan of ((1, 0.5), (1, 1.5)) has its one pole at z = 1, a
+        # root of unity; applying it used to return NaN without an error
+        plan = invert_to_plan(ResolventSeries(((1, 0.5), (1, 1.5))))
+        assert plan.remainder.poles == (1 + 0j,)
+        with pytest.raises(SingularResolventError):
+            invert_filter(FilterSpec((-2, 1), (1,)), np.ones(8), plan)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 4096])
+def test_nearest_unit_root_matches_a_full_scan(n):
+    # invert_filter's gap check looks up each pole's nearest root of unity
+    # by angle instead of scanning the n samples
+    from resolvinv.operators import _nearest_unit_roots, _unit_roots
+
+    rng = np.random.default_rng(n)
+    poles = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    sym = _unit_roots(n)
+    got = np.abs(poles - _nearest_unit_roots(poles, sym))
+    want = np.min(np.abs(poles[:, None] - sym[None, :]), axis=1)
+    assert np.array_equal(got, want)

@@ -8,6 +8,7 @@ from resolvinv.errors import (
     ConstructionError,
     DegenerateSeriesError,
     EmptyInputError,
+    InvalidInputError,
     PoleEvaluationError,
 )
 from resolvinv.geometry import (
@@ -46,6 +47,25 @@ class TestResolventSeries:
     def test_pruned(self):
         s = ResolventSeries(((1, 1.0), (0, 2.0)))
         assert s.pruned().terms == ((1 + 0j, 1 + 0j),)
+
+    @pytest.mark.parametrize("terms", [
+        ((complex(1.0, float("nan")), 1), (1, 3)),
+        ((1, float("nan")), (1, 3)),
+        ((1, 1), (float("inf"), 3)),
+        ((1, complex(1.0, float("-inf"))), (1, 3)),
+    ], ids=["nan-coefficient", "nan-pole", "inf-coefficient", "inf-pole"])
+    def test_non_finite_terms_rejected(self, terms):
+        # before the check, a NaN imaginary part passed is_theorem_mode
+        # and a NaN pole overflowed the zero solve
+        with pytest.raises(InvalidInputError):
+            ResolventSeries(terms)
+
+    def test_pole_gap_is_relative_to_the_poles(self):
+        # no floor of 1: poles 1e-13 apart are distinct at scale 1e-12
+        s = ResolventSeries(((1, 1e-12), (1, 1.1e-12)))
+        assert s.scale == pytest.approx(1.1e-12)
+        with pytest.raises(ValueError):
+            ResolventSeries(((1, 1e12), (1, 1e12 + 0.5)))
 
 
 class TestEvaluate:
