@@ -35,19 +35,13 @@ from .operators import (
     invert_filter,
     solve_even_convolution,
     solve_exponential_volterra,
+    solve_filter,
 )
 from .rational import (
     FilterSpec,
     InversionPlan,
-    PartialFractionForm,
-    PoleGroup,
-    Polynomial,
-    RationalFunction,
     filter_to_series,
     invert_to_plan,
-    partial_fractions,
-    poly_roots,
-    series_to_rational,
 )
 from .regularize import (
     RegularizerConfig,

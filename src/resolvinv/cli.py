@@ -38,9 +38,9 @@ from .operators import (
     GridDerivativeOperator,
     apply_plan,
     convolution_series,
-    invert_filter,
     solve_even_convolution,
     solve_exponential_volterra,
+    solve_filter,
 )
 from .rational import filter_to_series, invert_to_plan
 from .regularize import RegularizerConfig, convergence_sweep
@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
 
 
 def _plan_summary(plan) -> str:
-    poles = ", ".join(format(p, ".12g") for p in plan.remainder.poles)
+    poles = ", ".join(format(p, ".12g") for p in plan.zeros)
     return (f"plan: gamma={plan.gamma:.12g} beta={plan.beta:.12g} "
             f"remainder poles: [{poles}]")
 
@@ -139,7 +139,8 @@ def cmd_invert(args) -> int:
             raise MalformedSpecError("input length does not match the matrix")
         x = apply_plan(plan, A, y)
     elif kind == "filter":
-        x = invert_filter(problem["spec"], y, plan)
+        # check_admissible is stricter than invert_filter's own checks
+        x = solve_filter(plan, y)
     elif kind == "integral":
         grid = GridDerivativeOperator(*problem["grid"])
         x, boundary = solve_exponential_volterra(series, y, grid, plan)
@@ -205,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Left inversion of resolvent-series operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def margin(p):
         p.add_argument("--margin", type=float, default=None,
                        help="required hull/spectrum separation")
+
+    def tol(p):
         p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
                        help="repeated-zero tolerance: zeros of the series "
                             f"closer than max(tol, {EPS:g})*max|pole| (over "
@@ -216,21 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="admissibility report for a problem")
     p.add_argument("problem")
-    common(p)
+    margin(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("invert", help="solve the first-kind problem")
     p.add_argument("problem")
     p.add_argument("--input", help="signal/vector to invert (CSV or JSON)")
     p.add_argument("--output", help="where to write the solution CSV")
-    common(p)
+    margin(p)
+    tol(p)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", help="regularization convergence sweep")
     p.add_argument("problem")
     p.add_argument("--input", help="true solution vector")
     p.add_argument("--output", help="sweep report CSV")
-    common(p)
+    tol(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("counterexample",

@@ -2,8 +2,8 @@
 
 Backends expose three capabilities: apply the operator, solve resolvent
 systems (alpha*I - A) u = v, and describe the spectrum geometrically.
-Factorizations are cached per pole, so repeated solves (iterated resolvent
-powers) reuse them.
+Factorizations are cached per pole, so repeated solves at one pole (a
+plan applied to many vectors, a regularization sweep) reuse them.
 
 Operators diagonal in a Fourier basis (multiplier, periodic shift, the
 recursive-filter and even-convolution solvers) keep their symbol as a
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
 
@@ -50,11 +51,10 @@ from .geometry import (
 from .rational import (
     FilterSpec,
     InversionPlan,
-    PartialFractionForm,
     filter_to_series,
     invert_to_plan,
 )
-from .series import ResolventSeries, check_admissible
+from .series import ResolventSeries, theorem_mode
 from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
 
 __all__ = [
@@ -72,6 +72,7 @@ __all__ = [
     "forward_even_convolution",
     "forward_filter",
     "invert_filter",
+    "solve_filter",
 ]
 
 
@@ -238,10 +239,9 @@ def _check_symbol_gap(poles, symbol: np.ndarray):
 
 
 def _check_poles_off_spectrum(poles, A: OperatorHandle):
-    if isinstance(A, (MultiplierOperator, PeriodicShiftOperator)):
-        _check_symbol_gap(poles, A.symbol)
-        return
-    if not poles:
+    # a symbol is scanned by each resolvent solve, so not here as well
+    if len(poles) == 0 or isinstance(A, (MultiplierOperator,
+                                         PeriodicShiftOperator)):
         return
     spec = A.spectrum()
     for p in poles:
@@ -264,24 +264,23 @@ def apply_series(series: ResolventSeries, A: OperatorHandle,
     return out
 
 
-def _apply_remainder(remainder: PartialFractionForm, A: OperatorHandle,
+def _apply_remainder(plan: InversionPlan, A: OperatorHandle,
                      v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(v, dtype=complex))
-    for group in remainder.groups:
-        w = np.asarray(v, dtype=complex)
-        for c in group.coeffs:
-            w = A.resolvent_solve(group.pole, w)
-            out = out + c * w
+    """h(A) v: one resolvent solve per zero of the plan."""
+    v = np.asarray(v, dtype=complex)
+    out = np.zeros_like(v)
+    for zk, ck in zip(plan.zeros, plan.residues):
+        out += ck * A.resolvent_solve(zk, v)
     return out
 
 
 def apply_plan(plan: InversionPlan, A: OperatorHandle,
                v: np.ndarray) -> np.ndarray:
-    """(gamma + beta A + h(A)) v with h in partial-fraction form."""
-    _check_poles_off_spectrum(plan.remainder.poles, A)
+    """(gamma + beta A + h(A)) v, h as simple poles at the plan's zeros."""
+    _check_poles_off_spectrum(plan.zeros, A)
     v = np.asarray(v, dtype=complex)
     return plan.gamma * v + plan.beta * A.apply(v) + _apply_remainder(
-        plan.remainder, A, v)
+        plan, A, v)
 
 
 # --- exponential-sum kernel equation on a half line -------------------------
@@ -318,8 +317,7 @@ def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
     if plan is None:
         plan = invert_to_plan(kernel)
     dy = np.gradient(y, grid.dt, edge_order=2)
-    x = plan.gamma * y + plan.beta * dy + _apply_remainder(
-        plan.remainder, grid, y)
+    x = plan.gamma * y + plan.beta * dy + _apply_remainder(plan, grid, y)
     return x, float(abs(y[-1]))
 
 
@@ -344,15 +342,12 @@ def convolution_series(terms) -> ResolventSeries:
         if beta.imag >= 0.0:
             raise HypothesisError(
                 f"kernel frequency {beta} must have negative imaginary part")
-        a = -2j * b * beta
-        mapped.append((a, beta * beta))
-    series = ResolventSeries(tuple(mapped))
-    if not series.is_theorem_mode(rtol=DERIVED_EPS):
+        mapped.append((-2j * b * beta, beta * beta))
+    # built without the mapping's tiny imaginary residue, which is tested
+    series = ResolventSeries(tuple((a.real, al) for a, al in mapped))
+    if not theorem_mode([a for a, _ in mapped], rtol=DERIVED_EPS):
         raise HypothesisError(
             "mapped coefficients -2i b_j beta_j must be real positive")
-    # drop the tiny imaginary residue of the mapping
-    series = ResolventSeries(tuple((complex(a.real), al)
-                                   for a, al in series.terms))
     hull = convex_hull(series.poles)
     ok, _ = hull_separated_from(hull, PositiveHalfLine())
     if not ok:
@@ -384,7 +379,7 @@ def solve_even_convolution(terms, y: np.ndarray, period: float,
         plan = invert_to_plan(series)
     y = np.asarray(y, dtype=complex)
     s = _squared_frequencies(y.size, period)
-    _check_symbol_gap(plan.remainder.poles, s)
+    _check_symbol_gap(plan.zeros, s)
     return np.fft.ifft(plan.evaluate_scalar(s) * np.fft.fft(y))
 
 
@@ -422,11 +417,11 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     omega = _unit_roots(x.size)
-    p = spec.characteristic()(omega)
+    p = npp.polyval(omega, spec.c)
     if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
         raise SingularTransferError(
             "characteristic polynomial vanishes at a grid frequency")
-    q = spec.input_polynomial()(omega)
+    q = npp.polyval(omega, (0j,) + spec.b)
     return np.fft.ifft(np.fft.fft(x) * q / p)
 
 
@@ -438,9 +433,8 @@ def invert_filter(spec: FilterSpec, y: np.ndarray,
     positive coefficients and the root hull to avoid the unit circle; then
     x = -gamma T^{-1} y - beta y - h(T) T^{-1} y with the shift T realized
     through its DFT symbol.  ``plan`` is the inversion plan of
-    ``filter_to_series(spec)``'s series, built here when not given; its
-    poles are checked against the roots of unity like every other
-    Fourier-diagonal path.
+    ``filter_to_series(spec)``'s series, built here when not given; see
+    :func:`solve_filter` for the solve itself.
     """
     series, report = filter_to_series(spec)
     if not report.theorem_mode_ok:
@@ -453,10 +447,15 @@ def invert_filter(spec: FilterSpec, y: np.ndarray,
             "root hull of the characteristic polynomial meets the unit circle")
     if plan is None:
         plan = invert_to_plan(series)
+    return solve_filter(plan, y)
+
+
+def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:
+    """:func:`invert_filter` without its checks of the filter: only the
+    plan's poles are checked, against the roots of unity."""
     y = np.asarray(y, dtype=complex)
     sym = _unit_roots(y.size)
-    poles = plan.remainder.poles
-    _check_symbol_gap(poles, _nearest_unit_roots(poles, sym))
+    _check_symbol_gap(plan.zeros, _nearest_unit_roots(plan.zeros, sym))
     what = -np.fft.fft(y) / sym  # -T^{-1} y in frequency space
     xhat = plan.evaluate_scalar(sym) * what
     return np.fft.ifft(xhat)

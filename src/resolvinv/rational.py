@@ -2,13 +2,15 @@
 
 The plan for 1/f is built without polynomials: the zeros of f come from
 one small eigenvalue solve (:func:`resolvinv.series.secular_zeros`) and
-the residues of 1/f from the closed form -1/f'(z_k).  Polynomials,
-root clustering and the least-squares partial-fraction fit remain for
-filter specifications and general rational functions.
+the residues of 1/f from the closed form -1/f'(z_k).  Every zero is
+simple (a repeated one raises), so the plan is two arrays.  A filter's
+characteristic roots come from ``numpy.roots`` on its coefficient array.
 
-Conventions: polynomial coefficients are stored ascending; partial
-fractions use the (pole - z)^k basis throughout, with conversion helpers
-for the (z - pole)^k convention.
+The polynomial and partial-fraction layer (``Polynomial`` to
+``partial_fractions``) has no caller in the package: it is kept for
+``perfbench/spans.py``, which looks its functions up by name, and as a
+test oracle.  Coefficients are ascending, partial fractions in the
+(pole - z)^k basis.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ __all__ = [
     "invert_to_plan",
     "filter_to_series",
 ]
+
+
+# --- polynomial and partial-fraction layer, no caller in the package ------
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -193,10 +199,6 @@ class PoleGroup:
             out *= r
         return out
 
-    def coeffs_z_minus_pole(self) -> tuple[complex, ...]:
-        """Same group in the (z - pole)^k convention."""
-        return tuple(c * (-1.0) ** (k + 1) for k, c in enumerate(self.coeffs))
-
 
 @dataclass(frozen=True)
 class PartialFractionForm:
@@ -213,19 +215,11 @@ class PartialFractionForm:
     def poles(self) -> tuple[complex, ...]:
         return tuple(g.pole for g in self.groups)
 
-    def proper_part(self, z):
-        return _add_groups(0j, self.groups, z)
-
     def __call__(self, z):
-        return _add_groups(self.gamma + self.beta * z, self.groups, z)
-
-
-def _add_groups(out, groups, z):
-    """out + sum of the pole groups at z, added in place when out is an
-    array (the callers pass a fresh one)."""
-    for g in groups:
-        out += g(z)
-    return out
+        out = self.gamma + self.beta * z
+        for g in self.groups:
+            out += g(z)
+        return out
 
 
 def series_to_rational(series: ResolventSeries) -> RationalFunction:
@@ -250,6 +244,7 @@ def _fit_sample_points(poles, count=100, radius_factor=2.0) -> np.ndarray:
     center = poles.mean() if poles.size else 0j
     r = (radius_factor * magnitude(poles - center) + abs(center)) or 1.0
     return center + r * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
+
 
 
 def partial_fractions(r: RationalFunction, tol: float = DEFAULT_ROOT_TOL
@@ -332,30 +327,38 @@ def partial_fractions(r: RationalFunction, tol: float = DEFAULT_ROOT_TOL
     return form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionPlan:
     """Executable left inverse gamma + beta*A + h(A).
 
-    ``remainder`` is strictly proper: its affine part is zero and it holds
-    the c_{jk} / (pole_j - z)^k groups of h.
+    h(z) = sum_k residues[k] / (zeros[k] - z) is strictly proper, with
+    simple poles at the m - 1 zeros of f (two 1-d complex arrays).
     """
 
     gamma: complex
     beta: complex
-    remainder: PartialFractionForm
+    zeros: np.ndarray
+    residues: np.ndarray
 
     def evaluate_scalar(self, z):
-        """1/f at a scalar (or array) argument, via the plan."""
-        return _add_groups(self.gamma + self.beta * z, self.remainder.groups, z)
+        """1/f at a scalar (or array) argument, via the plan, accumulated
+        in place: two temporaries of an array's size for any m."""
+        out = self.gamma + self.beta * z
+        for zk, ck in zip(self.zeros, self.residues):
+            r = zk - z
+            r **= -1
+            r *= ck
+            out += r
+        return out
 
 
 def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
                    ) -> InversionPlan:
     """Build the left-inverse plan for a theorem-mode series.
 
-    gamma and beta come from the closed formulas.  The remainder poles are
-    the zeros z_k of f, from one eigenvalue solve (:func:`secular_zeros`),
-    and their coefficients are c_k = -1/f'(z_k) with
+    gamma and beta come from the closed formulas.  The zeros z_k of f
+    come from one eigenvalue solve (:func:`secular_zeros`, in its sorted
+    order) and the residues are c_k = -1/f'(z_k) with
     f'(z) = sum_j a_j / (alpha_j - z)^2.  Two zeros closer than
     ``max(tol, EPS) * max|alpha_j|`` (over the terms with a nonzero
     coefficient) raise :class:`RepeatedRootError`; 1/f then has a pole of
@@ -379,13 +382,9 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     a = np.asarray(active.coefficients)
     alpha = np.asarray(active.poles)
     z = secular_zeros(a, alpha)
-    # at least PartialFractionForm's EPS * max|z_k|, since |z_k| <= max|alpha|
     if min_gap(z) <= max(tol, EPS) * magnitude(alpha):
         raise RepeatedRootError("f has a repeated zero")
     c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
-    groups = tuple(PoleGroup(complex(zk), (complex(ck),))
-                   for zk, ck in zip(z, c))
-    plan = InversionPlan(gamma, beta, PartialFractionForm(0j, 0j, groups))
 
     pts = _fit_sample_points(np.concatenate([series.poles, z]), count=50)
     fz = np.sum(a / (alpha - pts[:, None]), axis=1)
@@ -394,13 +393,14 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     if not worst <= 1e-8:
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
-    return plan
+    return InversionPlan(gamma, beta, z, c)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
     """Difference-equation coefficients c_0..c_N (output) and b_1..b_N
-    (input) of a recursive filter of true order N >= 1."""
+    (input) of a recursive filter of true order N >= 1: the characteristic
+    polynomial is p(z) = sum c_k z^k, the input one q(z) = sum b_l z^l."""
 
     c: tuple[complex, ...]
     b: tuple[complex, ...]
@@ -422,14 +422,6 @@ class FilterSpec:
     def order(self) -> int:
         return len(self.c) - 1
 
-    def characteristic(self) -> Polynomial:
-        """p(z) = sum c_k z^k."""
-        return Polynomial(self.c)
-
-    def input_polynomial(self) -> Polynomial:
-        """q(z) = sum_{l>=1} b_l z^l."""
-        return Polynomial((0j,) + self.b)
-
 
 @dataclass(frozen=True)
 class FilterSeriesReport:
@@ -442,22 +434,28 @@ def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL
                      ) -> tuple[ResolventSeries, FilterSeriesReport]:
     """Residue expansion of the filter transfer function.
 
-    Poles are the roots z_j of the characteristic polynomial p (which must
-    be distinct); coefficients are a_j = (q(z)/z)|_{z_j} / p'(z_j).  The
-    returned series f satisfies q(z)/p(z) = -z f(z).
+    Poles are the roots z_j of p by ``numpy.roots`` and one Newton step
+    (kept where it lowers |p|); two closer than ``max(tol, EPS) * max|z_j|``
+    raise :class:`RepeatedRootError`.  Coefficients are
+    a_j = (q(z)/z)|_{z_j} / p'(z_j), so that q(z)/p(z) = -z f(z).
+    ``tol`` must be finite and >= 0, as for :func:`invert_to_plan`.
     """
-    p = spec.characteristic()
-    roots = poly_roots(p, tol)
-    if any(m > 1 for _, m in roots):
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError("tol must be nonnegative and finite")
+    c = np.asarray(spec.c)
+    dc = npp.polyder(c)
+    z = np.roots(c[::-1])
+    pz = npp.polyval(z, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = z - pz / npp.polyval(z, dc)
+        z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
+    if min_gap(z) <= max(tol, EPS) * magnitude(z):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
-    qt = Polynomial(spec.b)  # q(z)/z, exact since q has no constant term
-    dp = p.derivative()
-    terms = []
-    for z_j, _ in roots:
-        a_j = complex(qt(z_j)) / complex(dp(z_j))
-        terms.append((a_j, z_j))
-    series = ResolventSeries(tuple(terms))
+    z = z[np.lexsort((z.imag, z.real))]
+    # q(z)/z has the ascending coefficients b, since q has no constant term
+    a = npp.polyval(z, spec.b) / npp.polyval(z, dc)
+    series = ResolventSeries(tuple(zip(a, z)))
     report = FilterSeriesReport(
         theorem_mode_ok=series.is_theorem_mode(rtol=DERIVED_EPS),
         residues=series.coefficients,

@@ -74,8 +74,7 @@ def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
     if not np.all(np.isfinite(K)):
         raise SingularOperatorError("operator matrix is singular")
     reg = tikhonov_apply(K, alpha, y)
-    return plan.gamma * y + plan.beta * reg + _apply_remainder(
-        plan.remainder, A, y)
+    return plan.gamma * y + plan.beta * reg + _apply_remainder(plan, A, y)
 
 
 @dataclass(frozen=True)

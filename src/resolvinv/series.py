@@ -43,6 +43,7 @@ __all__ = [
     "gamma_beta",
     "evaluate_remainder",
     "check_admissible",
+    "theorem_mode",
     "secular_zeros",
     "zeros",
     "caratheodory_zero_series",
@@ -92,13 +93,8 @@ class ResolventSeries:
         )
 
     def is_theorem_mode(self, rtol: float = EPS) -> bool:
-        """Nonnegative real coefficients with positive sum, up to
-        ``rtol * max|a|``."""
-        atol = rtol * magnitude(self.coefficients)
-        for a in self.coefficients:
-            if abs(a.imag) > atol or a.real < -atol:
-                return False
-        return self.coefficient_sum.real > atol
+        """See :func:`theorem_mode`."""
+        return theorem_mode(self.coefficients, rtol)
 
     def pruned(self) -> "ResolventSeries":
         """Drop the terms whose coefficient is zero."""
@@ -108,6 +104,14 @@ class ResolventSeries:
         if len(kept) == len(self.terms):
             return self
         return ResolventSeries(kept)
+
+
+def theorem_mode(coefficients, rtol: float = EPS) -> bool:
+    """Nonnegative real coefficients with positive sum, up to
+    ``rtol * max|a|``."""
+    atol = rtol * magnitude(coefficients)
+    return (all(abs(a.imag) <= atol and a.real >= -atol for a in coefficients)
+            and math.fsum(a.real for a in coefficients) > atol)
 
 
 def _fsum_complex(values) -> complex:

@@ -52,10 +52,6 @@ def assemble_plan(plan, a_matrix):
     n = a_matrix.shape[0]
     eye = np.eye(n, dtype=complex)
     out = plan.gamma * eye + plan.beta * a_matrix
-    for group in plan.remainder.groups:
-        res = np.linalg.inv(group.pole * eye - a_matrix)
-        power = eye
-        for c in group.coeffs:
-            power = power @ res
-            out += c * power
+    for zk, ck in zip(plan.zeros, plan.residues):
+        out += ck * np.linalg.inv(zk * eye - a_matrix)
     return out

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvinv.cli import main
+from resolvinv import cli, operators, rational
+from resolvinv.cli import build_parser, main
 from resolvinv.demos import write_demo_files
 from resolvinv.errors import MalformedSpecError
 from resolvinv.operators import DenseMatrixOperator, apply_series
@@ -205,6 +206,23 @@ class TestInvertCommand:
         x = read_signal(out)
         x0 = read_signal(demo_dir / "filter_x0.csv")
         assert np.max(np.abs(x - x0)) < 1e-9
+
+    def test_filter_series_built_once(self, demo_dir, tmp_path, capsys,
+                                      monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rational.filter_to_series(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "filter_to_series", counted)
+        monkeypatch.setattr(operators, "filter_to_series", counted)
+        rc = main(["invert", str(demo_dir / "filter.json"),
+                   "--input", str(demo_dir / "filter_y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
     def test_integral_recovers_truth(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -542,6 +560,15 @@ class TestSweepCommand:
                    "--output", str(tmp_path / "o.csv")])
         assert rc == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["check", "p.json", "--tol", "1e-3"],
+                                  ["sweep", "p.json", "--margin", "1"]])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCounterexampleCommand:

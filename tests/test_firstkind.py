@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resolvinv import operators
 from resolvinv.errors import HypothesisError, SeparationError
 from resolvinv.operators import (
     GridDerivativeOperator,
@@ -190,6 +191,29 @@ class TestEvenConvolution:
         assert np.allclose(got, want, rtol=1e-12, atol=0)
         assert np.array_equal(solve_even_convolution(terms, y, period, plan),
                               got)
+
+    @pytest.mark.parametrize("residue", [0.0, 1e-12, 1e-6])
+    def test_mapped_series_built_once_and_real(self, residue, monkeypatch):
+        # mapped coefficients 1 + i*residue: the imaginary residue is
+        # dropped when it passes the DERIVED_EPS theorem-mode test
+        built = []
+
+        def counted(terms):
+            built.append(terms)
+            return ResolventSeries(terms)
+
+        monkeypatch.setattr(operators, "ResolventSeries", counted)
+        betas = np.array([1.5, 2.5]) * np.exp(1j * (-np.pi / 2 + 0.1))
+        terms = [((1.0 + 1j * residue) / (-2j * beta), beta)
+                 for beta in betas]
+        if residue > 1e-9:
+            with pytest.raises(HypothesisError):
+                convolution_series(terms)
+            return
+        series = convolution_series(terms)
+        assert len(built) == 1
+        assert all(a.imag == 0.0 for a in series.coefficients)
+        assert series.coefficients == pytest.approx((1.0, 1.0), rel=1e-15)
 
     def test_zero_signal(self):
         terms = [(-0.5, -1j)]

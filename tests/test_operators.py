@@ -9,6 +9,7 @@ from conftest import (
     matrix_with_eigenvalues,
     random_theorem_series,
 )
+from resolvinv import operators
 from resolvinv.errors import SingularResolventError
 from resolvinv.operators import (
     DenseMatrixOperator,
@@ -86,6 +87,29 @@ class TestMultiplierOperator:
                                       apply_series(s, A, v)), v, atol=1e-12)
         with pytest.raises(SingularResolventError):
             apply_series(ResolventSeries(((1, 2.0),)), A, v)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MultiplierOperator(np.linspace(-1.0, 1.0, 16)),
+        lambda: PeriodicShiftOperator(16),
+    ], ids=["multiplier", "periodic_shift"])
+    def test_one_symbol_scan_per_pole(self, make, monkeypatch):
+        scanned = []
+        check = operators._check_symbol_gap
+
+        def counted(poles, symbol):
+            scanned.extend(poles)
+            return check(poles, symbol)
+
+        monkeypatch.setattr(operators, "_check_symbol_gap", counted)
+        s = ResolventSeries(((1, 3.0), (2, 4.0 + 1j), (1, 5.0), (3, 6.0j)))
+        plan = invert_to_plan(s)
+        A = make()
+        v = np.arange(16.0) + 1j
+        y = apply_series(s, A, v)
+        assert len(scanned) == 4
+        scanned.clear()
+        assert np.allclose(apply_plan(plan, A, y), v, atol=1e-10)
+        assert len(scanned) == 3
 
 
 class TestGridDerivativeOperator:

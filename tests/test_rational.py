@@ -20,7 +20,6 @@ from resolvinv.series import ResolventSeries, evaluate, evaluate_remainder
 from resolvinv.rational import (
     FilterSpec,
     PartialFractionForm,
-    PoleGroup,
     Polynomial,
     RationalFunction,
     _fit_sample_points,
@@ -193,16 +192,6 @@ class TestPartialFractions:
                 ref = complex(num(z)) / complex(den(z))
                 assert abs(form(z) - ref) <= 1e-10 * (1.0 + abs(ref))
 
-    def test_conversion_helper(self):
-        g = PoleGroup(2 + 0j, (1 + 0j, 3 + 0j))
-        # c1/(p-z) + c2/(p-z)^2 == -c1/(z-p) + c2/(z-p)^2
-        assert g.coeffs_z_minus_pole() == (-1 + 0j, 3 + 0j)
-        z = 0.7j
-        direct = complex(g(z))
-        flipped = sum(c / (z - g.pole) ** (k + 1)
-                      for k, c in enumerate(g.coeffs_z_minus_pole()))
-        assert direct == pytest.approx(flipped)
-
 
 class TestInvertToPlan:
     def test_single_term_plan(self):
@@ -210,19 +199,19 @@ class TestInvertToPlan:
         plan = invert_to_plan(ResolventSeries(((1, alpha),)))
         assert plan.gamma == pytest.approx(alpha)
         assert plan.beta == pytest.approx(-1.0)
-        assert plan.remainder.groups == ()
+        assert plan.zeros.shape == plan.residues.shape == (0,)
 
     def test_two_pole_residue_oracle(self):
         s = ResolventSeries(((1, 1.0), (1, 3.0)))
         plan = invert_to_plan(s)
         assert plan.gamma == pytest.approx(1.0)
         assert plan.beta == pytest.approx(-0.5)
-        assert plan.remainder.poles == (pytest.approx(2 + 0j),)
+        assert plan.zeros.tolist() == [pytest.approx(2 + 0j)]
         # oracle: numerical residue of h at the pole, in (pole - z) form:
         # c11 = lim_{z->2} (2 - z) h(z)
         eps = 1e-7
         approx = (2 - (2 + eps)) * evaluate_remainder(s, 2 + eps)
-        c11 = plan.remainder.groups[0].coeffs[0]
+        c11 = plan.residues[0]
         assert c11 == pytest.approx(approx, abs=1e-6)
         assert c11 == pytest.approx(-0.5)
 
@@ -232,9 +221,8 @@ class TestInvertToPlan:
         plan = invert_to_plan(s)
         assert plan.gamma == pytest.approx(0.0)
         assert plan.beta == pytest.approx(-0.5)
-        g = plan.remainder.groups[0]
-        assert g.pole == pytest.approx(0j, abs=1e-12)
-        assert g.coeffs[0] == pytest.approx(-0.5)
+        assert plan.zeros.tolist() == [pytest.approx(0j, abs=1e-12)]
+        assert plan.residues[0] == pytest.approx(-0.5)
 
     def test_non_theorem_mode_rejected(self):
         with pytest.raises(HypothesisError):
@@ -249,22 +237,17 @@ class TestInvertToPlan:
             s = random_theorem_series(rng, 2, 6)
             plan = invert_to_plan(s)
             rat = series_to_rational(s)
-            # reconstruct plan as a rational function over prod (pole - z)^k
+            # reconstruct plan as a rational function over prod (z_k - z)
             den_g = Polynomial((1.0,))
-            for grp in plan.remainder.groups:
-                for _ in range(grp.multiplicity):
-                    den_g = den_g * Polynomial((grp.pole, -1.0))
+            for zk in plan.zeros:
+                den_g = den_g * Polynomial((zk, -1.0))
             num_g = Polynomial((plan.gamma, plan.beta)) * den_g
-            for grp in plan.remainder.groups:
-                for k, c in enumerate(grp.coeffs):
-                    term = Polynomial((c,))
-                    for ogrp in plan.remainder.groups:
-                        mult = ogrp.multiplicity
-                        if ogrp is grp:
-                            mult -= k + 1
-                        for _ in range(mult):
-                            term = term * Polynomial((ogrp.pole, -1.0))
-                    num_g = num_g + term
+            for k, ck in enumerate(plan.residues):
+                term = Polynomial((ck,))
+                for i, zi in enumerate(plan.zeros):
+                    if i != k:
+                        term = term * Polynomial((zi, -1.0))
+                num_g = num_g + term
             ident = (rat.num * num_g) - (rat.den * den_g)
             coeffs = np.array(ident.coeffs)
             scale = max(np.max(np.abs(rat.num.coeffs)) *
@@ -275,8 +258,7 @@ class TestInvertToPlan:
 def _identity_residual(series, plan):
     """max |f(z) (gamma + beta z + h(z)) - 1|, term by term, at the points
     on which invert_to_plan checks the plan itself."""
-    pts = _fit_sample_points(list(series.poles) + list(plan.remainder.poles),
-                             count=50)
+    pts = _fit_sample_points(list(series.poles) + list(plan.zeros), count=50)
     return max(abs(evaluate(series, z) * complex(plan.evaluate_scalar(z))
                    - 1.0) for z in pts)
 
@@ -292,7 +274,7 @@ class TestInvertToPlanScaling:
             poles = np.arange(1, m + 1, dtype=complex)
         series = ResolventSeries(tuple(zip(rng.uniform(0.1, 1.0, m), poles)))
         plan = invert_to_plan(series)
-        assert len(plan.remainder.groups) == m - 1
+        assert plan.zeros.shape == plan.residues.shape == (m - 1,)
         assert _identity_residual(series, plan) <= 1e-8
         # dense oracle, same bound as test_left_inverse_oracle_equivalence
         n = 12
@@ -310,9 +292,9 @@ class TestInvertToPlanScaling:
         rng = np.random.default_rng(43)
         s = random_theorem_series(rng, 6, 6)
         plan = invert_to_plan(s)
-        for g in plan.remainder.groups:
-            fprime = sum(a / (al - g.pole) ** 2 for a, al in s.terms)
-            assert g.coeffs[0] == pytest.approx(-1.0 / fprime, rel=1e-12)
+        for zk, ck in zip(plan.zeros, plan.residues):
+            fprime = sum(a / (al - zk) ** 2 for a, al in s.terms)
+            assert ck == pytest.approx(-1.0 / fprime, rel=1e-12)
 
     def test_exact_double_zero_rejected(self):
         # equal weights on the cube roots of unity: f = 3z^2 / (1 - z^3)
@@ -340,7 +322,7 @@ class TestInvertToPlanScaling:
             plan = invert_to_plan(s, tol=tol)
         except (RepeatedRootError, ConditioningError):
             return
-        assert len(plan.remainder.groups) == k - 1
+        assert plan.zeros.shape == plan.residues.shape == (k - 1,)
         assert _identity_residual(s, plan) <= 1e-8
 
 
@@ -355,8 +337,8 @@ class TestFilterSpec:
 
     def test_polynomials(self):
         spec = FilterSpec((-2.0, 3.0, -1.0), (1.0, 1.0))
-        assert spec.characteristic().coeffs == (-2 + 0j, 3 + 0j, -1 + 0j)
-        assert spec.input_polynomial().coeffs == (0j, 1 + 0j, 1 + 0j)
+        assert spec.c == (-2 + 0j, 3 + 0j, -1 + 0j)
+        assert spec.b == (1 + 0j, 1 + 0j)
         assert spec.order == 2
 
 
@@ -374,8 +356,8 @@ class TestFilterToSeries:
         poles = sorted(series.poles, key=lambda z: z.real)
         assert poles == [pytest.approx(1 + 0j), pytest.approx(2 + 0j)]
         # oracle: numerical residues of q / (z p) at z_j
-        p = spec.characteristic()
-        q = spec.input_polynomial()
+        p = Polynomial(spec.c)
+        q = Polynomial((0j,) + spec.b)
 
         def residue(zj):
             eps = 1e-7
@@ -396,8 +378,8 @@ class TestFilterToSeries:
         rng = np.random.default_rng(41)
         spec = FilterSpec((-2.0, 3.0, -1.0), (1.0, 1.0))
         series, _ = filter_to_series(spec)
-        p = spec.characteristic()
-        q = spec.input_polynomial()
+        p = Polynomial(spec.c)
+        q = Polynomial((0j,) + spec.b)
         for _ in range(50):
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if min(abs(z - zj) for zj in series.poles) < 0.3:
