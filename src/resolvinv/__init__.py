@@ -33,6 +33,7 @@ from .operators import (
     forward_exponential_volterra,
     forward_filter,
     invert_filter,
+    solve_convolution,
     solve_even_convolution,
     solve_exponential_volterra,
     solve_filter,

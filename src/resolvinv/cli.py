@@ -38,7 +38,7 @@ from .operators import (
     GridDerivativeOperator,
     apply_plan,
     convolution_series,
-    solve_even_convolution,
+    solve_convolution,
     solve_exponential_volterra,
     solve_filter,
 )
@@ -146,8 +146,8 @@ def cmd_invert(args) -> int:
         x, boundary = solve_exponential_volterra(series, y, grid, plan)
         print(f"boundary residual |y(L)| = {boundary:.6g}", file=sys.stderr)
     elif kind == "convolution":
-        x = solve_even_convolution(problem["terms"], y, problem["period"],
-                                   plan)
+        # the kernel was checked when its series was built above
+        x = solve_convolution(plan, y, problem["period"])
     else:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
 

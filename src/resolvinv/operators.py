@@ -3,7 +3,8 @@
 Backends expose three capabilities: apply the operator, solve resolvent
 systems (alpha*I - A) u = v, and describe the spectrum geometrically.
 Factorizations are cached per pole, so repeated solves at one pole (a
-plan applied to many vectors, a regularization sweep) reuse them.
+plan applied to many vectors, a regularization sweep) reuse them; a dense
+matrix also caches its eigenvalues and its singular value decomposition.
 
 Operators diagonal in a Fourier basis (multiplier, periodic shift, the
 recursive-filter and even-convolution solvers) keep their symbol as a
@@ -19,7 +20,10 @@ does not change when poles and symbol are rescaled together.  A bound
 scaled by max|s| would grow like n^2 for the convolution symbol xi^2 on
 n samples and reject well separated poles as touching the spectrum.
 Other operators check each pole p on its own: dist(p, spectrum) >
-SPECTRUM_EPS * |p|.
+SPECTRUM_EPS * |p|, for a dense matrix against its cached eigenvalues in
+one vectorised pass.  Only the poles that carry a nonzero coefficient are
+checked, as :meth:`ResolventSeries.pruned` keeps them, so a zero term is
+skipped alike on every operator.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from scipy.linalg.lapack import ztbtrs
 
 from .errors import (
     ConditioningError,
+    EmptyInputError,
     HypothesisError,
     InvalidInputError,
     SeparationError,
@@ -69,6 +74,7 @@ __all__ = [
     "forward_exponential_volterra",
     "convolution_series",
     "solve_even_convolution",
+    "solve_convolution",
     "forward_even_convolution",
     "forward_filter",
     "invert_filter",
@@ -99,10 +105,13 @@ class DenseMatrixOperator(OperatorHandle):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError("matrix must be square")
+        if m.size == 0:
+            raise EmptyInputError("matrix must be nonempty")
         self.matrix = m
         self.dim = m.shape[0]
         self._lu_cache: dict[complex, tuple] = {}
         self._eigvals: np.ndarray | None = None
+        self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=complex)
@@ -112,10 +121,21 @@ class DenseMatrixOperator(OperatorHandle):
             self._eigvals = np.linalg.eigvals(self.matrix)
         return self._eigvals
 
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, Vh) with A = U diag(s) Vh, s descending; computed once.
+
+        Raises ``numpy.linalg.LinAlgError`` when the SVD does not converge
+        (a matrix holding a NaN or an infinity)."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.matrix)
+        return self._svd
+
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(tuple(complex(e) for e in self.eigenvalues()))
 
     def resolvent_solve(self, alpha, v):
+        """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them,
+        on the LU cached for alpha."""
         alpha = complex(alpha)
         lu = self._lu_cache.get(alpha)
         if lu is None:
@@ -243,6 +263,14 @@ def _check_poles_off_spectrum(poles, A: OperatorHandle):
     if len(poles) == 0 or isinstance(A, (MultiplierOperator,
                                          PeriodicShiftOperator)):
         return
+    if isinstance(A, DenseMatrixOperator):
+        p = np.asarray(poles, dtype=complex)
+        gaps = np.abs(p[:, None] - A.eigenvalues()).min(axis=1)
+        bad = np.flatnonzero(gaps <= SPECTRUM_EPS * np.abs(p))
+        if bad.size:
+            raise SingularResolventError(
+                f"pole {complex(p[bad[0]])} lies on or too near the spectrum")
+        return
     spec = A.spectrum()
     for p in poles:
         p = complex(p)
@@ -253,13 +281,13 @@ def _check_poles_off_spectrum(poles, A: OperatorHandle):
 
 def apply_series(series: ResolventSeries, A: OperatorHandle,
                  v: np.ndarray) -> np.ndarray:
-    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v."""
-    _check_poles_off_spectrum(series.poles, A)
+    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v; the terms with a zero
+    coefficient are skipped, pole check included."""
+    terms = [(a, alpha) for a, alpha in series.terms if a != 0]
+    _check_poles_off_spectrum([alpha for _, alpha in terms], A)
     v = np.asarray(v, dtype=complex)
     out = np.zeros_like(v)
-    for a, alpha in series.terms:
-        if a == 0:
-            continue
+    for a, alpha in terms:
         out = out + a * A.resolvent_solve(alpha, v)
     return out
 
@@ -371,12 +399,20 @@ def solve_even_convolution(terms, y: np.ndarray, period: float,
     Im beta_j < 0.  In frequency space the operator is f(xi^2) with the
     mapped series {(-2i b_j beta_j, beta_j^2)}, so the solution is the
     elementwise product (gamma + beta xi^2 + h(xi^2)) * fft(y), transformed
-    back.  ``plan`` is ``invert_to_plan(convolution_series(terms))``,
-    built here when not given.
+    back.  The kernel is checked through :func:`convolution_series`;
+    ``plan`` is ``invert_to_plan`` of that series, built here when not
+    given.  See :func:`solve_convolution` for the solve itself.
     """
     series = convolution_series(terms)
     if plan is None:
         plan = invert_to_plan(series)
+    return solve_convolution(plan, y, period)
+
+
+def solve_convolution(plan: InversionPlan, y: np.ndarray,
+                      period: float) -> np.ndarray:
+    """:func:`solve_even_convolution` without its checks of the kernel:
+    only the plan's poles are checked, against the squared frequencies."""
     y = np.asarray(y, dtype=complex)
     s = _squared_frequencies(y.size, period)
     _check_symbol_gap(plan.zeros, s)

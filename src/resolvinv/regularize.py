@@ -1,8 +1,25 @@
 """Tikhonov regularization and its composition with an inversion plan.
 
 The ill-posedness of f(A) x = y sits entirely in the beta*A term of the
-inverse, so replacing A = K^{-1} by the Tikhonov regularizer of K yields a
-regularizing family gamma + beta*R_alpha + h(A) for the full problem.
+inverse gamma + beta*A + h(A), so replacing A = K^{-1} by the Tikhonov
+regularizer R_alpha = (alpha I + K^H K)^{-1} K^H of K yields a regularizing
+family gamma + beta*R_alpha + h(A) for the full problem.
+
+R_alpha is applied as filter factors on one singular value decomposition
+(Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998):
+with A = U diag(s) V^H, K = V diag(1/s) U^H and
+
+    R_alpha = U diag(s / (1 + alpha s^2)) V^H,
+
+computed as t / (t^2 + alpha) on the singular values t = 1/s of K.  Nothing
+inverts A or forms K^H K, which would square cond(K).  The SVD is cached on
+the operator, so a sweep costs one SVD and then O(n^2) per alpha.
+
+A counts as singular, by the package's tolerance rule
+(:mod:`resolvinv.tolerance`), when s_min <= EPS * s_max or a singular
+value is not finite (an SVD that does not converge, as on a matrix
+holding a NaN, counts the same); the decision does not change when A is
+rescaled.
 """
 
 from __future__ import annotations
@@ -12,9 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularOperatorError
-from .operators import DenseMatrixOperator, _apply_remainder, apply_series
+from .operators import (
+    DenseMatrixOperator,
+    _apply_remainder,
+    _check_poles_off_spectrum,
+    apply_series,
+)
 from .rational import InversionPlan
 from .series import ResolventSeries
+from .tolerance import negligible
 
 __all__ = [
     "RegularizerConfig",
@@ -43,19 +66,39 @@ class RegularizerConfig:
         object.__setattr__(self, "alpha_grid", grid)
 
 
+def _tikhonov_columns(u, t, vh, alphas, y) -> np.ndarray:
+    """Columns u diag(t / (t^2 + alpha)) vh y, one per alpha: the Tikhonov
+    solutions of K x = y for K = vh^H diag(t) u^H, as an (n, k) block."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all(alphas > 0.0):
+        raise InvalidInputError("regularization parameter must be positive")
+    t = t[:, None]
+    factors = t / (t * t + alphas)
+    return u @ (factors * (vh @ y)[:, None])
+
+
 def tikhonov_apply(K: np.ndarray, alpha: float, y: np.ndarray) -> np.ndarray:
     """Minimizer of ||K x - y||^2 + alpha ||x||^2.
 
-    Solves (alpha I + K^H K) x = K^H y; the system matrix is positive
-    definite for alpha > 0, so the solution is unique.
+    Unique for alpha > 0; with K = P diag(t) Q^H it is
+    Q diag(t / (t^2 + alpha)) P^H y.
     """
-    if alpha <= 0.0:
-        raise InvalidInputError("regularization parameter must be positive")
-    K = np.asarray(K, dtype=complex)
+    p, t, qh = np.linalg.svd(np.asarray(K, dtype=complex),
+                             full_matrices=False)
     y = np.asarray(y, dtype=complex)
-    n = K.shape[1]
-    lhs = alpha * np.eye(n, dtype=complex) + K.conj().T @ K
-    return np.linalg.solve(lhs, K.conj().T @ y)
+    return _tikhonov_columns(qh.conj().T, t, p.conj().T, (alpha,), y)[:, 0]
+
+
+def _invertible_svd(A: DenseMatrixOperator):
+    """A's cached SVD (U, 1/s, Vh), or SingularOperatorError when A is
+    singular by the rule of the module docstring."""
+    try:
+        u, s, vh = A.svd()
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError("operator matrix is singular") from exc
+    if not np.all(np.isfinite(s)) or negligible(s[-1], s[0]):
+        raise SingularOperatorError("operator matrix is singular")
+    return u, 1.0 / s, vh
 
 
 def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
@@ -63,17 +106,13 @@ def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
     """gamma*y + beta*R_alpha y + h(A) y with R_alpha the Tikhonov
     regularizer of K = A^{-1}.
 
-    A must be invertible; the remainder term reuses the resolvent path of
-    the plan application.
+    A must be invertible and the plan's zeros off its spectrum; the
+    remainder term reuses the resolvent path of the plan application.
     """
+    u, t, vh = _invertible_svd(A)
+    _check_poles_off_spectrum(plan.zeros, A)
     y = np.asarray(y, dtype=complex)
-    try:
-        K = np.linalg.inv(A.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError("operator matrix is singular") from exc
-    if not np.all(np.isfinite(K)):
-        raise SingularOperatorError("operator matrix is singular")
-    reg = tikhonov_apply(K, alpha, y)
+    reg = _tikhonov_columns(u, t, vh, (alpha,), y)[:, 0]
     return plan.gamma * y + plan.beta * reg + _apply_remainder(plan, A, y)
 
 
@@ -95,17 +134,25 @@ def convergence_sweep(series: ResolventSeries, plan: InversionPlan,
                       config: RegularizerConfig) -> SweepReport:
     """Reconstruction-error sweep over the alpha grid with exact data.
 
-    Forms y = f(A) x_true once, then records the error
-    ||regularized_apply(..., alpha, y) - x_true|| and the data residual
-    ||f(A) x_rec - y|| for each alpha, largest first.
+    Forms y = f(A) x_true once, then records the error ||x_alpha - x_true||
+    of the regularized reconstruction x_alpha = regularized_apply(..., alpha,
+    y) and the data residual ||f(A) x_alpha - y|| for each alpha, largest
+    first.  The reconstructions are one (n, k) block on A's SVD, and their
+    residuals one block resolvent solve per pole.
     """
+    # the SVD comes before the pole LUs are factored: its LAPACK workspace
+    # is freed by then, so the two memory peaks do not add up
+    u, t, vh = _invertible_svd(A)
     x_true = np.asarray(x_true, dtype=complex)
     y = apply_series(series, A, x_true)
-    records = []
-    for alpha in config.alpha_grid:
-        x_rec = regularized_apply(plan, A, alpha, y)
-        err = float(np.linalg.norm(x_rec - x_true))
-        res = float(np.linalg.norm(apply_series(series, A, x_rec) - y))
-        records.append(SweepRecord(alpha, err, res))
+    _check_poles_off_spectrum(plan.zeros, A)
+    alphas = config.alpha_grid
+    fixed = plan.gamma * y + _apply_remainder(plan, A, y)
+    x_rec = fixed[:, None] + plan.beta * _tikhonov_columns(u, t, vh, alphas, y)
+    errors = np.linalg.norm(x_rec - x_true[:, None], axis=0)
+    residuals = np.linalg.norm(apply_series(series, A, x_rec) - y[:, None],
+                               axis=0)
+    records = tuple(SweepRecord(alpha, float(e), float(r))
+                    for alpha, e, r in zip(alphas, errors, residuals))
     improved = records[-1].error <= records[0].error
-    return SweepReport(tuple(records), improved)
+    return SweepReport(records, improved)

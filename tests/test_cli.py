@@ -224,6 +224,24 @@ class TestInvertCommand:
         assert len(calls) == 1
         capsys.readouterr()
 
+    def test_convolution_series_built_once(self, demo_dir, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        build = operators.convolution_series
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "convolution_series", counted)
+        monkeypatch.setattr(operators, "convolution_series", counted)
+        rc = main(["invert", str(demo_dir / "convolution.json"),
+                   "--input", str(demo_dir / "convolution_y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
     def test_integral_recovers_truth(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main(["invert", str(demo_dir / "integral.json"),

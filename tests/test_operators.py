@@ -9,8 +9,8 @@ from conftest import (
     matrix_with_eigenvalues,
     random_theorem_series,
 )
-from resolvinv import operators
-from resolvinv.errors import SingularResolventError
+from resolvinv import operators, tolerance
+from resolvinv.errors import EmptyInputError, SingularResolventError
 from resolvinv.operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
@@ -45,6 +45,12 @@ class TestDenseMatrixOperator:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             DenseMatrixOperator(np.ones((2, 3)))
+
+    def test_empty_rejected(self):
+        # the vectorised pole check and the SVD's singular test need one
+        # eigenvalue and one singular value
+        with pytest.raises(EmptyInputError):
+            DenseMatrixOperator(np.zeros((0, 0)))
 
     def test_spectrum_is_eigenvalues(self):
         A = DenseMatrixOperator(np.diag([1.0, 2.0, 3.0]))
@@ -234,6 +240,40 @@ class TestApplySeries:
         s = ResolventSeries(((1, 2.0),))
         with pytest.raises(SingularResolventError):
             apply_series(s, A, np.ones(2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: MultiplierOperator([1.0, 2.0, 3.0]),
+        lambda: DenseMatrixOperator(np.diag([1.0, 2.0, 3.0])),
+    ], ids=["multiplier", "dense"])
+    def test_zero_term_skipped_on_every_operator(self, make):
+        # the zero term's pole 2 lies on the spectrum; like
+        # ResolventSeries.pruned, every operator drops the term
+        s = ResolventSeries(((1, 5.0), (0, 2.0)))
+        got = apply_series(s, make(), np.ones(3))
+        np.testing.assert_allclose(got, [0.25, 1 / 3, 0.5], rtol=1e-15)
+
+    def test_dense_pole_check_matches_point_spectrum_loop(self):
+        # the vectorised check on the cached eigenvalues takes the same
+        # decision as the per-pole PointSpectrum.distance_to loop
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            A = DenseMatrixOperator(m)
+            eig = A.eigenvalues()
+            poles = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            k = rng.integers(8)
+            poles[0] = eig[k] * (1 + rng.choice([1e-11, 1e-9])
+                                 * np.exp(2j * np.pi * rng.uniform()))
+            spec = A.spectrum()
+            expect = any(tolerance.negligible(
+                spec.distance_to(complex(p)), p,
+                rtol=tolerance.SPECTRUM_EPS) for p in poles)
+            try:
+                operators._check_poles_off_spectrum(poles, A)
+                got = False
+            except SingularResolventError:
+                got = True
+            assert got == expect
 
 
 class TestApplyPlan:
