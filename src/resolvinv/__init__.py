@@ -37,6 +37,8 @@ from .operators import (
     solve_even_convolution,
     solve_exponential_volterra,
     solve_filter,
+    solve_volterra,
+    volterra_kernel,
 )
 from .rational import (
     FilterSpec,
@@ -59,6 +61,7 @@ from .series import (
     evaluate,
     evaluate_remainder,
     gamma_beta,
+    require_admissible,
     zeros,
 )
 

@@ -39,8 +39,9 @@ from .operators import (
     apply_plan,
     convolution_series,
     solve_convolution,
-    solve_exponential_volterra,
     solve_filter,
+    solve_volterra,
+    volterra_kernel,
 )
 from .rational import filter_to_series, invert_to_plan
 from .regularize import RegularizerConfig, convergence_sweep
@@ -52,7 +53,12 @@ from .serialization import (
     write_signal,
     write_sweep_csv,
 )
-from .series import caratheodory_zero_series, check_admissible, evaluate
+from .series import (
+    caratheodory_zero_series,
+    check_admissible,
+    evaluate,
+    require_admissible,
+)
 from .tolerance import DEFAULT_ROOT_TOL, EPS
 
 log = logging.getLogger("resolvinv")
@@ -62,6 +68,17 @@ EXIT_MALFORMED = 1
 EXIT_INADMISSIBLE = 2
 EXIT_SINGULAR = 3
 EXIT_NUMERICAL = 4
+
+# error class -> exit code, first match wins: InvalidInputError is a
+# MalformedSpecError, RepeatedPoleError a HypothesisError
+EXIT_CODES = (
+    (MalformedSpecError, EXIT_MALFORMED),
+    ((HypothesisError, SeparationError, ConstructionError,
+      SingularOperatorError), EXIT_INADMISSIBLE),
+    ((SingularResolventError, SingularTransferError), EXIT_SINGULAR),
+    (ConditioningError, EXIT_NUMERICAL),
+    (ResolvinvError, EXIT_MALFORMED),
+)
 
 
 def _problem_series_and_spectrum(problem):
@@ -75,10 +92,9 @@ def _problem_series_and_spectrum(problem):
     if kind == "series":
         return problem["series"], problem["spectrum"], None
     if kind == "filter":
-        series, _ = filter_to_series(problem["spec"])
-        return series, UnitCircle(), None
+        return filter_to_series(problem["spec"]), UnitCircle(), None
     if kind == "integral":
-        return problem["series"], ImaginaryAxis(), None
+        return volterra_kernel(problem["series"]), ImaginaryAxis(), None
     if kind == "convolution":
         return convolution_series(problem["terms"]), PositiveHalfLine(), None
     A = DenseMatrixOperator(problem["matrix"])
@@ -126,27 +142,20 @@ def cmd_invert(args) -> int:
 
     series, spectrum, A = _problem_series_and_spectrum(problem)
     margin = args.margin if args.margin is not None else problem["margin"]
-    report = check_admissible(series, spectrum, margin)
-    if not (report.theorem_mode_ok and report.separation_ok):
-        print("problem is not admissible", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    require_admissible(series, spectrum, margin)
 
     plan = invert_to_plan(series, tol=args.tol)
     print(_plan_summary(plan), file=sys.stderr)
 
     if kind == "matrix":
-        if y.size != A.dim:
-            raise MalformedSpecError("input length does not match the matrix")
         x = apply_plan(plan, A, y)
     elif kind == "filter":
-        # check_admissible is stricter than invert_filter's own checks
         x = solve_filter(plan, y)
     elif kind == "integral":
         grid = GridDerivativeOperator(*problem["grid"])
-        x, boundary = solve_exponential_volterra(series, y, grid, plan)
+        x, boundary = solve_volterra(plan, y, grid)
         print(f"boundary residual |y(L)| = {boundary:.6g}", file=sys.stderr)
     elif kind == "convolution":
-        # the kernel was checked when its series was built above
         x = solve_convolution(plan, y, problem["period"])
     else:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
@@ -166,8 +175,6 @@ def cmd_sweep(args) -> int:
     series = problem["series"]
     A = DenseMatrixOperator(problem["matrix"])
     x_true = read_signal(args.input)
-    if x_true.size != A.dim:
-        raise MalformedSpecError("input length does not match the matrix")
     config = RegularizerConfig(problem["alpha_grid"])
     plan = invert_to_plan(series, tol=args.tol)
     report = convergence_sweep(series, plan, A, x_true, config)
@@ -260,22 +267,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except (HypothesisError, SeparationError, ConstructionError,
-            SingularOperatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except (SingularResolventError, SingularTransferError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ConditioningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ResolvinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

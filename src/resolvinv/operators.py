@@ -6,10 +6,15 @@ Factorizations are cached per pole, so repeated solves at one pole (a
 plan applied to many vectors, a regularization sweep) reuse them; a dense
 matrix also caches its eigenvalues and its singular value decomposition.
 
-Operators diagonal in a Fourier basis (multiplier, periodic shift, the
-recursive-filter and even-convolution solvers) keep their symbol as a
-numpy array s and act elementwise on it.  A pole p is accepted against
-such a symbol when, for its nearest sample s*,
+Each backend checks a pole in its own ``resolvent_solve``, so every path
+that solves at a pole (:func:`apply_series`, :func:`apply_plan`, the
+regularized applications) raises :class:`SingularResolventError` at the
+first pole that is on or too near the spectrum, and a term with a zero
+coefficient, never solved, is never checked.  Operators diagonal in a
+Fourier basis (multiplier, periodic shift, the recursive-filter and
+even-convolution solvers) keep their symbol as a numpy array s and act
+elementwise on it.  A pole p is accepted against such a symbol when, for
+its nearest sample s*,
 
     |p - s*| > SPECTRUM_EPS * max(|p|, |s*|),
 
@@ -19,16 +24,17 @@ size of the samples far away, and there is no floor of 1, so the decision
 does not change when poles and symbol are rescaled together.  A bound
 scaled by max|s| would grow like n^2 for the convolution symbol xi^2 on
 n samples and reject well separated poles as touching the spectrum.
-Other operators check each pole p on its own: dist(p, spectrum) >
-SPECTRUM_EPS * |p|, for a dense matrix against its cached eigenvalues in
-one vectorised pass.  Only the poles that carry a nonzero coefficient are
-checked, as :meth:`ResolventSeries.pruned` keeps them, so a zero term is
-skipped alike on every operator.
+A dense matrix checks a pole against its cached eigenvalues when it first
+factors it, dist(p, eigenvalues) > SPECTRUM_EPS * |p|; d/dt on a grid
+needs Re p > SPECTRUM_EPS * |p|.
+
+The checked solvers and forward maps decide the theorem's hypotheses once,
+through :func:`resolvinv.series.require_admissible`; the plan-only solves
+(``solve_filter``, ``solve_convolution``, ``solve_volterra``) check only
+the plan's poles.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -40,7 +46,6 @@ from .errors import (
     EmptyInputError,
     HypothesisError,
     InvalidInputError,
-    SeparationError,
     SingularResolventError,
     SingularTransferError,
 )
@@ -50,8 +55,6 @@ from .geometry import (
     PositiveHalfLine,
     Spectrum,
     UnitCircle,
-    convex_hull,
-    hull_separated_from,
 )
 from .rational import (
     FilterSpec,
@@ -59,7 +62,7 @@ from .rational import (
     filter_to_series,
     invert_to_plan,
 )
-from .series import ResolventSeries, theorem_mode
+from .series import ResolventSeries, require_admissible, theorem_mode
 from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
 
 __all__ = [
@@ -70,7 +73,9 @@ __all__ = [
     "PeriodicShiftOperator",
     "apply_series",
     "apply_plan",
+    "volterra_kernel",
     "solve_exponential_volterra",
+    "solve_volterra",
     "forward_exponential_volterra",
     "convolution_series",
     "solve_even_convolution",
@@ -113,8 +118,18 @@ class DenseMatrixOperator(OperatorHandle):
         self._eigvals: np.ndarray | None = None
         self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
+    def checked_vector(self, v) -> np.ndarray:
+        """v as a complex vector of length n (or an (n, k) block of them);
+        raises :class:`InvalidInputError` for any other shape."""
+        v = np.asarray(v, dtype=complex)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise InvalidInputError(
+                f"vector of shape {v.shape} does not match the "
+                f"{self.dim}x{self.dim} matrix")
+        return v
+
     def apply(self, v):
-        return self.matrix @ np.asarray(v, dtype=complex)
+        return self.matrix @ self.checked_vector(v)
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigvals is None:
@@ -135,14 +150,20 @@ class DenseMatrixOperator(OperatorHandle):
 
     def resolvent_solve(self, alpha, v):
         """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them,
-        on the LU cached for alpha."""
+        on the LU cached for alpha; alpha is checked against the
+        eigenvalues when it is first factored."""
         alpha = complex(alpha)
+        v = self.checked_vector(v)
         lu = self._lu_cache.get(alpha)
         if lu is None:
+            gap = np.abs(alpha - self.eigenvalues()).min()
+            if negligible(gap, alpha, rtol=SPECTRUM_EPS):
+                raise SingularResolventError(
+                    f"pole {alpha} lies on or too near the spectrum")
             shifted = alpha * np.eye(self.dim, dtype=complex) - self.matrix
             lu = scipy.linalg.lu_factor(shifted)
             self._lu_cache[alpha] = lu
-        return scipy.linalg.lu_solve(lu, np.asarray(v, dtype=complex))
+        return scipy.linalg.lu_solve(lu, v)
 
 
 class MultiplierOperator(OperatorHandle):
@@ -171,7 +192,8 @@ class GridDerivativeOperator(OperatorHandle):
 
     The resolvent (alpha - d/dt)^{-1} v(t) = int_t^L exp(-alpha (s-t)) v(s) ds
     (upper limit truncated to the grid end) is computed by exact integration
-    of the piecewise-linear interpolant, cell by cell; valid for Re alpha > 0.
+    of the piecewise-linear interpolant, cell by cell; valid for
+    Re alpha > SPECTRUM_EPS * |alpha|.
     """
 
     def __init__(self, t0: float, L: float, n: int):
@@ -195,9 +217,9 @@ class GridDerivativeOperator(OperatorHandle):
 
     def resolvent_solve(self, alpha, v):
         alpha = complex(alpha)
-        if alpha.real <= 0.0:
+        if alpha.real <= SPECTRUM_EPS * abs(alpha):
             raise SingularResolventError(
-                f"resolvent of d/dt needs Re alpha > 0, got {alpha}")
+                f"pole {alpha} lies on or too near the spectrum of d/dt")
         v = np.asarray(v, dtype=complex)
         d = self.dt
         e = np.exp(-alpha * d)
@@ -258,37 +280,15 @@ def _check_symbol_gap(poles, symbol: np.ndarray):
                 f"pole {p} lies on or too near the spectrum")
 
 
-def _check_poles_off_spectrum(poles, A: OperatorHandle):
-    # a symbol is scanned by each resolvent solve, so not here as well
-    if len(poles) == 0 or isinstance(A, (MultiplierOperator,
-                                         PeriodicShiftOperator)):
-        return
-    if isinstance(A, DenseMatrixOperator):
-        p = np.asarray(poles, dtype=complex)
-        gaps = np.abs(p[:, None] - A.eigenvalues()).min(axis=1)
-        bad = np.flatnonzero(gaps <= SPECTRUM_EPS * np.abs(p))
-        if bad.size:
-            raise SingularResolventError(
-                f"pole {complex(p[bad[0]])} lies on or too near the spectrum")
-        return
-    spec = A.spectrum()
-    for p in poles:
-        p = complex(p)
-        if negligible(spec.distance_to(p), p, rtol=SPECTRUM_EPS):
-            raise SingularResolventError(
-                f"pole {p} lies on or too near the spectrum")
-
-
 def apply_series(series: ResolventSeries, A: OperatorHandle,
                  v: np.ndarray) -> np.ndarray:
     """f(A) v = sum_j a_j (alpha_j - A)^{-1} v; the terms with a zero
     coefficient are skipped, pole check included."""
-    terms = [(a, alpha) for a, alpha in series.terms if a != 0]
-    _check_poles_off_spectrum([alpha for _, alpha in terms], A)
     v = np.asarray(v, dtype=complex)
     out = np.zeros_like(v)
-    for a, alpha in terms:
-        out = out + a * A.resolvent_solve(alpha, v)
+    for a, alpha in series.terms:
+        if a != 0:
+            out = out + a * A.resolvent_solve(alpha, v)
     return out
 
 
@@ -305,7 +305,6 @@ def _apply_remainder(plan: InversionPlan, A: OperatorHandle,
 def apply_plan(plan: InversionPlan, A: OperatorHandle,
                v: np.ndarray) -> np.ndarray:
     """(gamma + beta A + h(A)) v, h as simple poles at the plan's zeros."""
-    _check_poles_off_spectrum(plan.zeros, A)
     v = np.asarray(v, dtype=complex)
     return plan.gamma * v + plan.beta * A.apply(v) + _apply_remainder(
         plan, A, v)
@@ -314,36 +313,42 @@ def apply_plan(plan: InversionPlan, A: OperatorHandle,
 # --- exponential-sum kernel equation on a half line -------------------------
 
 
-def _require_decaying_kernel(kernel: ResolventSeries):
-    if not kernel.is_theorem_mode():
-        raise HypothesisError(
-            "kernel coefficients must be nonnegative real with positive sum")
-    for _, alpha in kernel.terms:
+def volterra_kernel(series: ResolventSeries) -> ResolventSeries:
+    """``series`` as the kernel k(t) = sum_j a_j exp(-alpha_j t), which
+    must decay: raises :class:`HypothesisError` unless Re alpha_j > 0."""
+    for _, alpha in series.terms:
         if alpha.real <= 0.0:
             raise HypothesisError(
                 f"kernel exponent {alpha} must have positive real part")
+    return series
 
 
 def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
-                               grid: GridDerivativeOperator,
-                               plan: InversionPlan | None = None):
+                               grid: GridDerivativeOperator):
     """Solve int_t^L k(s-t) x(s) ds = y(t) for x on the grid.
 
     The kernel is k(t) = sum_j a_j exp(-alpha_j t) with a_j > 0 and
-    Re alpha_j > 0, so the left-hand side is f(D) x for D = d/dt and the
-    solution is x = gamma*y + beta*y' + h(D) y.  The derivative uses
-    second-order central differences (one sided at the ends).  ``plan``
-    is ``invert_to_plan(kernel)``, built here when not given.
+    Re alpha_j > 0 (:func:`volterra_kernel`), so the left-hand side is
+    f(D) x for D = d/dt and the solution is x = gamma*y + beta*y' + h(D) y.
+    The kernel must pass :func:`require_admissible` against the imaginary
+    axis; see :func:`solve_volterra` for the solve itself.
 
     Returns (x, boundary_residual) where the residual is |y(L)|, the size
     of the neglected tail at the truncated upper limit.
     """
-    _require_decaying_kernel(kernel)
+    require_admissible(volterra_kernel(kernel), grid.spectrum())
+    return solve_volterra(invert_to_plan(kernel), y, grid)
+
+
+def solve_volterra(plan: InversionPlan, y: np.ndarray,
+                   grid: GridDerivativeOperator):
+    """:func:`solve_exponential_volterra` without its checks of the
+    kernel: only the plan's poles are checked, by the grid's resolvent
+    solves.  The derivative y' uses second-order central differences (one
+    sided at the ends).  Returns (x, |y(L)|)."""
     y = np.asarray(y, dtype=complex)
     if y.shape != (grid.dim,):
         raise InvalidInputError("data length does not match the grid")
-    if plan is None:
-        plan = invert_to_plan(kernel)
     dy = np.gradient(y, grid.dt, edge_order=2)
     x = plan.gamma * y + plan.beta * dy + _apply_remainder(plan, grid, y)
     return x, float(abs(y[-1]))
@@ -351,8 +356,9 @@ def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
 
 def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
                                  grid: GridDerivativeOperator) -> np.ndarray:
-    """Forward map y(t) = int_t^L k(s-t) x(s) ds = f(D) x on the grid."""
-    _require_decaying_kernel(kernel)
+    """Forward map y(t) = int_t^L k(s-t) x(s) ds = f(D) x on the grid,
+    for a kernel that :func:`solve_exponential_volterra` accepts."""
+    require_admissible(volterra_kernel(kernel), grid.spectrum())
     return apply_series(kernel, grid, np.asarray(x, dtype=complex))
 
 
@@ -361,8 +367,9 @@ def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
 
 def convolution_series(terms) -> ResolventSeries:
     """The series {(-2i b_j beta_j, beta_j^2)} of an even kernel
-    sum_j b_j exp(-i beta_j |t|), checked against the theorem's hypotheses
-    (Im beta_j < 0, positive mapped coefficients, pole hull off [0, inf))."""
+    sum_j b_j exp(-i beta_j |t|), checked for Im beta_j < 0 and mapped
+    coefficients that pass the theorem-mode test at ``DERIVED_EPS``; the
+    pole hull is left to :func:`require_admissible`."""
     mapped = []
     for b, beta in terms:
         b = complex(b)
@@ -376,11 +383,6 @@ def convolution_series(terms) -> ResolventSeries:
     if not theorem_mode([a for a, _ in mapped], rtol=DERIVED_EPS):
         raise HypothesisError(
             "mapped coefficients -2i b_j beta_j must be real positive")
-    hull = convex_hull(series.poles)
-    ok, _ = hull_separated_from(hull, PositiveHalfLine())
-    if not ok:
-        raise SeparationError(
-            "hull of squared frequencies touches the positive real axis")
     return series
 
 
@@ -391,22 +393,20 @@ def _squared_frequencies(n: int, period: float) -> np.ndarray:
     return xi
 
 
-def solve_even_convolution(terms, y: np.ndarray, period: float,
-                           plan: InversionPlan | None = None) -> np.ndarray:
+def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
     """Solve int k1(s-t) x(s) ds = y(t) on a periodic grid.
 
     The even kernel is k1(t) = sum_j b_j exp(-i beta_j |t|) with
     Im beta_j < 0.  In frequency space the operator is f(xi^2) with the
     mapped series {(-2i b_j beta_j, beta_j^2)}, so the solution is the
     elementwise product (gamma + beta xi^2 + h(xi^2)) * fft(y), transformed
-    back.  The kernel is checked through :func:`convolution_series`;
-    ``plan`` is ``invert_to_plan`` of that series, built here when not
-    given.  See :func:`solve_convolution` for the solve itself.
+    back.  The kernel is checked through :func:`convolution_series` and
+    :func:`require_admissible` against [0, inf).  See
+    :func:`solve_convolution` for the solve itself.
     """
     series = convolution_series(terms)
-    if plan is None:
-        plan = invert_to_plan(series)
-    return solve_convolution(plan, y, period)
+    require_admissible(series, PositiveHalfLine())
+    return solve_convolution(invert_to_plan(series), y, period)
 
 
 def solve_convolution(plan: InversionPlan, y: np.ndarray,
@@ -421,8 +421,10 @@ def solve_convolution(plan: InversionPlan, y: np.ndarray,
 
 def forward_even_convolution(terms, x: np.ndarray,
                              period: float) -> np.ndarray:
-    """Forward periodic convolution: f(xi^2) * fft(x), transformed back."""
+    """Forward periodic convolution: f(xi^2) * fft(x), transformed back,
+    for a kernel that :func:`solve_even_convolution` accepts."""
     series = convolution_series(terms)
+    require_admissible(series, PositiveHalfLine())
     x = np.asarray(x, dtype=complex)
     s = _squared_frequencies(x.size, period)
     _check_symbol_gap(series.poles, s)
@@ -461,29 +463,18 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * q / p)
 
 
-def invert_filter(spec: FilterSpec, y: np.ndarray,
-                  plan: InversionPlan | None = None) -> np.ndarray:
+def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
     """Recover the input signal of a recursive filter from its output.
 
-    Requires the residue expansion of the transfer function to have
-    positive coefficients and the root hull to avoid the unit circle; then
+    The residue expansion :func:`filter_to_series` of the transfer
+    function must pass :func:`require_admissible` against the unit circle
+    (positive coefficients, root hull off the circle); then
     x = -gamma T^{-1} y - beta y - h(T) T^{-1} y with the shift T realized
-    through its DFT symbol.  ``plan`` is the inversion plan of
-    ``filter_to_series(spec)``'s series, built here when not given; see
-    :func:`solve_filter` for the solve itself.
+    through its DFT symbol.  See :func:`solve_filter` for the solve itself.
     """
-    series, report = filter_to_series(spec)
-    if not report.theorem_mode_ok:
-        raise HypothesisError(
-            "transfer-function residues are not real positive")
-    hull = convex_hull(series.poles)
-    ok, _ = hull_separated_from(hull, UnitCircle())
-    if not ok:
-        raise SeparationError(
-            "root hull of the characteristic polynomial meets the unit circle")
-    if plan is None:
-        plan = invert_to_plan(series)
-    return solve_filter(plan, y)
+    series = filter_to_series(spec)
+    require_admissible(series, UnitCircle())
+    return solve_filter(invert_to_plan(series), y)
 
 
 def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .series import (
     gamma_beta,
     numerator_coefficients,
     secular_zeros,
+    theorem_mode,
 )
 from .tolerance import (
     DEFAULT_ROOT_TOL,
@@ -51,7 +52,6 @@ __all__ = [
     "PartialFractionForm",
     "InversionPlan",
     "FilterSpec",
-    "FilterSeriesReport",
     "poly_roots",
     "series_to_rational",
     "partial_fractions",
@@ -423,22 +423,19 @@ class FilterSpec:
         return len(self.c) - 1
 
 
-@dataclass(frozen=True)
-class FilterSeriesReport:
-    theorem_mode_ok: bool
-    residues: tuple[complex, ...]
-    poles: tuple[complex, ...]
-
-
 def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL
-                     ) -> tuple[ResolventSeries, FilterSeriesReport]:
+                     ) -> ResolventSeries:
     """Residue expansion of the filter transfer function.
 
     Poles are the roots z_j of p by ``numpy.roots`` and one Newton step
     (kept where it lowers |p|); two closer than ``max(tol, EPS) * max|z_j|``
     raise :class:`RepeatedRootError`.  Coefficients are
-    a_j = (q(z)/z)|_{z_j} / p'(z_j), so that q(z)/p(z) = -z f(z).
-    ``tol`` must be finite and >= 0, as for :func:`invert_to_plan`.
+    a_j = (q(z)/z)|_{z_j} / p'(z_j), so that q(z)/p(z) = -z f(z).  When
+    they pass the theorem-mode test at :data:`DERIVED_EPS` the series keeps
+    their real parts, as :func:`resolvinv.operators.convolution_series`
+    does; otherwise they are kept as computed and the admissibility gate
+    rejects them.  ``tol`` must be finite and >= 0, as for
+    :func:`invert_to_plan`.
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidInputError("tol must be nonnegative and finite")
@@ -455,10 +452,6 @@ def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL
     z = z[np.lexsort((z.imag, z.real))]
     # q(z)/z has the ascending coefficients b, since q has no constant term
     a = npp.polyval(z, spec.b) / npp.polyval(z, dc)
-    series = ResolventSeries(tuple(zip(a, z)))
-    report = FilterSeriesReport(
-        theorem_mode_ok=series.is_theorem_mode(rtol=DERIVED_EPS),
-        residues=series.coefficients,
-        poles=series.poles,
-    )
-    return series, report
+    if theorem_mode(a, rtol=DERIVED_EPS):
+        a = a.real  # drops the rounding residue that the test tolerates
+    return ResolventSeries(tuple(zip(a, z)))

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularOperatorError
-from .operators import (
-    DenseMatrixOperator,
-    _apply_remainder,
-    _check_poles_off_spectrum,
-    apply_series,
-)
+from .operators import DenseMatrixOperator, _apply_remainder, apply_series
 from .rational import InversionPlan
 from .series import ResolventSeries
 from .tolerance import negligible
@@ -107,11 +102,11 @@ def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
     regularizer of K = A^{-1}.
 
     A must be invertible and the plan's zeros off its spectrum; the
-    remainder term reuses the resolvent path of the plan application.
+    remainder term reuses the resolvent path of the plan application,
+    which checks each zero.
     """
     u, t, vh = _invertible_svd(A)
-    _check_poles_off_spectrum(plan.zeros, A)
-    y = np.asarray(y, dtype=complex)
+    y = A.checked_vector(y)
     reg = _tikhonov_columns(u, t, vh, (alpha,), y)[:, 0]
     return plan.gamma * y + plan.beta * reg + _apply_remainder(plan, A, y)
 
@@ -143,9 +138,8 @@ def convergence_sweep(series: ResolventSeries, plan: InversionPlan,
     # the SVD comes before the pole LUs are factored: its LAPACK workspace
     # is freed by then, so the two memory peaks do not add up
     u, t, vh = _invertible_svd(A)
-    x_true = np.asarray(x_true, dtype=complex)
+    x_true = A.checked_vector(x_true)
     y = apply_series(series, A, x_true)
-    _check_poles_off_spectrum(plan.zeros, A)
     alphas = config.alpha_grid
     fixed = plan.gamma * y + _apply_remainder(plan, A, y)
     x_rec = fixed[:, None] + plan.beta * _tikhonov_columns(u, t, vh, alphas, y)

@@ -2,9 +2,9 @@
 
 The series object, its scalar evaluation, the affine part (gamma, beta) of
 its reciprocal, the remainder h(z) = 1/f(z) - gamma - beta*z, admissibility
-diagnostics against a spectrum descriptor, zero location, and the
-Caratheodory-type construction of a series vanishing at a prescribed
-interior point of the pole hull.
+diagnostics against a spectrum descriptor and the one gate that raises
+on them, zero location, and the Caratheodory-type construction of a
+series vanishing at a prescribed interior point of the pole hull.
 
 Infinite series are represented by finite truncations; the summability
 value reported by :func:`check_admissible` refers to the truncation and
@@ -24,8 +24,10 @@ from .errors import (
     ConstructionError,
     DegenerateSeriesError,
     EmptyInputError,
+    HypothesisError,
     InvalidInputError,
     PoleEvaluationError,
+    SeparationError,
     ZeroOfSeriesError,
 )
 from .geometry import (
@@ -43,6 +45,7 @@ __all__ = [
     "gamma_beta",
     "evaluate_remainder",
     "check_admissible",
+    "require_admissible",
     "theorem_mode",
     "secular_zeros",
     "zeros",
@@ -199,6 +202,20 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
         summability_value=total,
         per_term=tuple(diags),
     )
+
+
+def require_admissible(series: ResolventSeries, spectrum: Spectrum,
+                       margin: float = 0.0) -> AdmissibilityReport:
+    """:func:`check_admissible` that raises: :class:`HypothesisError`
+    unless the series is in theorem mode, then :class:`SeparationError`
+    unless its pole hull is farther than ``margin`` from the spectrum."""
+    report = check_admissible(series, spectrum, margin)
+    if not report.theorem_mode_ok:
+        raise HypothesisError(
+            "series coefficients must be nonnegative real with positive sum")
+    if not report.separation_ok:
+        raise SeparationError("pole hull is not separated from the spectrum")
+    return report
 
 
 def numerator_coefficients(series: ResolventSeries) -> np.ndarray:

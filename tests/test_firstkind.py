@@ -10,6 +10,7 @@ from resolvinv.operators import (
     convolution_series,
     forward_even_convolution,
     forward_exponential_volterra,
+    solve_convolution,
     solve_even_convolution,
     solve_exponential_volterra,
 )
@@ -189,8 +190,7 @@ class TestEvenConvolution:
                                       np.fft.fft(y)))
         got = solve_even_convolution(terms, y, period)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
-        assert np.array_equal(solve_even_convolution(terms, y, period, plan),
-                              got)
+        assert np.array_equal(solve_convolution(plan, y, period), got)
 
     @pytest.mark.parametrize("residue", [0.0, 1e-12, 1e-6])
     def test_mapped_series_built_once_and_real(self, residue, monkeypatch):

@@ -108,8 +108,8 @@ def test_filter_recovers_planted_roots_and_residues(order, seed, scale):
     rng = np.random.default_rng(seed)
     roots = _separated_roots(rng, order, scale)
     residues = rng.uniform(0.5, 1.5, order)
-    series, report = filter_to_series(planted_filter(roots, residues))
-    assert report.theorem_mode_ok
+    series = filter_to_series(planted_filter(roots, residues))
+    assert series.is_theorem_mode()
     got = dict(zip(series.poles, series.coefficients))
     for z, a in zip(roots, residues):
         near = min(got, key=lambda w: abs(w - z))
@@ -140,7 +140,7 @@ def test_filter_gap_has_no_floor_of_one():
     # (a gap floored at 1e-6 absolute merged them below scale 1e-3)
     for scale in (1e-9, 1e-6, 1.0):
         roots = scale * np.array([0.5, 0.5005])
-        series, _ = filter_to_series(planted_filter(roots, [1.0, 1.0]))
+        series = filter_to_series(planted_filter(roots, [1.0, 1.0]))
         assert len(series.terms) == 2
 
 

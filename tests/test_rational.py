@@ -345,14 +345,14 @@ class TestFilterSpec:
 class TestFilterToSeries:
     def test_first_order_hand_limit(self):
         c0, c1, b1 = -0.5, 1.0, 1.0
-        series, report = filter_to_series(FilterSpec((c0, c1), (b1,)))
+        series = filter_to_series(FilterSpec((c0, c1), (b1,)))
         assert series.poles == (pytest.approx(-c0 / c1),)
         assert series.coefficients == (pytest.approx(b1 / c1),)
-        assert report.theorem_mode_ok
+        assert series.is_theorem_mode()
 
     def test_second_order_residue_oracle(self):
         spec = FilterSpec((-2.0, 3.0, -1.0), (1.0, 1.0))
-        series, report = filter_to_series(spec)
+        series = filter_to_series(spec)
         poles = sorted(series.poles, key=lambda z: z.real)
         assert poles == [pytest.approx(1 + 0j), pytest.approx(2 + 0j)]
         # oracle: numerical residues of q / (z p) at z_j
@@ -366,7 +366,7 @@ class TestFilterToSeries:
 
         for a, zj in series.terms:
             assert a == pytest.approx(residue(zj), abs=1e-5)
-        assert not report.theorem_mode_ok  # a_2 = -3 here
+        assert not series.is_theorem_mode()  # a_2 = -3 here
 
     def test_repeated_root_rejected(self):
         # p = (z-2)^2 = 4 - 4z + z^2
@@ -377,7 +377,7 @@ class TestFilterToSeries:
         # q(z)/p(z) = -z f(z) at random points off the poles
         rng = np.random.default_rng(41)
         spec = FilterSpec((-2.0, 3.0, -1.0), (1.0, 1.0))
-        series, _ = filter_to_series(spec)
+        series = filter_to_series(spec)
         p = Polynomial(spec.c)
         q = Polynomial((0j,) + spec.b)
         for _ in range(50):

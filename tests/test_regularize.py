@@ -198,6 +198,23 @@ def test_plan_zero_on_spectrum_rejected():
                           RegularizerConfig((1e-2, 1e-4)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, plan, A, v: apply_series(s, A, v),
+    lambda s, plan, A, v: apply_plan(plan, A, v),
+    lambda s, plan, A, v: regularized_apply(plan, A, 1e-3, v),
+    lambda s, plan, A, v: convergence_sweep(s, plan, A, v,
+                                            RegularizerConfig((1e-2, 1e-4))),
+], ids=["apply_series", "apply_plan", "regularized_apply",
+        "convergence_sweep"])
+def test_wrong_length_vector_is_a_typed_error(call):
+    # regularized_apply reaches A's SVD before any resolvent solve, so the
+    # length is checked on the operator, not in one solve
+    s = ResolventSeries(((1.0, 1.0), (1.0, 3.0)))
+    A = DenseMatrixOperator(np.diag([5.0, 6.0, 7.0]))
+    with pytest.raises(InvalidInputError):
+        call(s, invert_to_plan(s), A, np.ones(4))
+
+
 class TestRegularizerConfig:
     def test_valid(self):
         cfg = RegularizerConfig((1e-2, 1e-4, 1e-6))
