@@ -172,10 +172,10 @@ def cmd_sweep(args) -> int:
         raise MalformedSpecError('sweep needs a "sweep" problem file')
     if args.input is None or args.output is None:
         raise MalformedSpecError("sweep needs --input and --output")
-    series = problem["series"]
-    A = DenseMatrixOperator(problem["matrix"])
     x_true = read_signal(args.input)
     config = RegularizerConfig(problem["alpha_grid"])
+    series, spectrum, A = _problem_series_and_spectrum(problem)
+    require_admissible(series, spectrum, problem["margin"])
     plan = invert_to_plan(series, tol=args.tol)
     report = convergence_sweep(series, plan, A, x_true, config)
     write_sweep_csv(args.output, report)

@@ -1,17 +1,25 @@
-"""Convex geometry of finite point sets in the complex plane.
+"""Convex geometry in the complex plane: pole hulls and their distance to
+an operator spectrum.
 
-Hulls, point-to-hull distances and hull-vs-spectrum separation predicates.
-Point counts are tiny (filter orders), so everything favours robustness
-over asymptotic speed.
+A hull is a short counterclockwise vertex ring built by a monotone chain.
+A spectrum is a finite point set, held as a 1-d complex array as long as a
+symbol or an eigenvalue list, or the unit circle, [0, inf) or the imaginary
+axis.  Point-to-hull distances come from one vectorised pass over all
+points and edges; the analytic sets are decided from the hull's vertices,
+since two disjoint convex sets are nearest at a vertex of one of them.  A
+distance of at most ``tolerance.EPS * max|vertex|`` counts as 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyInputError, InvalidInputError
-from .tolerance import EPS
+from .tolerance import EPS, magnitude
 
 __all__ = [
     "HullPolygon",
@@ -25,6 +33,10 @@ __all__ = [
     "hull_spectrum_distance",
     "hull_separated_from",
 ]
+
+# points x edges per pass of the distance kernel, which bounds its memory
+_BLOCK = 1 << 18
+_TINY = sys.float_info.min
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -49,20 +61,12 @@ class HullPolygon:
     def edges(self):
         """Closed edge list; empty for a point, one edge for a segment."""
         v = self.vertices
-        if len(v) == 1:
-            return []
-        if len(v) == 2:
-            return [(v[0], v[1])]
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        ring = list(zip(v, v[1:] + v[:1]))
+        return ring if len(v) > 2 else ring[:len(v) - 1]
 
     def contains(self, z: complex) -> bool:
         """Exact membership test: z in the closed hull."""
-        v = self.vertices
-        if len(v) == 1:
-            return z == v[0]
-        if len(v) == 2:
-            return _point_segment_distance(z, v[0], v[1]) == 0.0
-        return all(_cross(a, b, z) >= 0.0 for a, b in self.edges())
+        return bool(_distances(self.vertices, np.array([z], complex))[0] == 0)
 
 
 def convex_hull(points) -> HullPolygon:
@@ -111,140 +115,134 @@ def convex_hull(points) -> HullPolygon:
     return HullPolygon(tuple(ring))
 
 
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(z - a)
-    t = ((z - a).conjugate() * d).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
+def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
+    """Unrounded distances from the points z (1-d) to the hull with vertex
+    ring v: the clamped projection onto each edge (a point's one edge is 0,
+    projected to t = 0), the minimum over edges, and 0 inside."""
+    step = max(1, _BLOCK // len(v))
+    if z.size > step:
+        return np.concatenate([_distances(v, z[i:i + step])
+                               for i in range(0, z.size, step)])
+    ring = np.array(v + v[:1])
+    a = ring[:-1]
+    e = ring[1:] - a
+    dz = z[:, None] - a
+    # real part: projection onto the edge; imaginary part: the cross
+    # product, >= 0 on the inner side of the edge
+    ec = e.conj()
+    w = dz * ec
+    t = w.real / np.maximum((e * ec).real, _TINY)
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+    d = np.minimum.reduce(abs(dz - t * e), axis=1)
+    if len(v) > 2:
+        inside = np.logical_and.reduce(w.imag >= 0.0, axis=1)
+        if inside.any():
+            # on a sliver hull the signs are rounding for points on the long
+            # edges' lines, so an inside point must be in the bounding box
+            x, y = z.real, z.imag
+            inside &= ((a.real.min() <= x) & (x <= a.real.max())
+                       & (a.imag.min() <= y) & (y <= a.imag.max()))
+            d[inside] = 0.0
+    return d
 
 
-def hull_distance(hull: HullPolygon, z: complex) -> float:
-    """Euclidean distance from z to the hull as a set (0 inside or on it).
-
-    A computed distance of at most EPS * max(|z|, max|vertex|) is rounding
-    and counts as 0, so a point on an edge stays on it at every scale.
+def hull_distance(hull: HullPolygon, z):
+    """Euclidean distance from z to the hull as a set (0 inside or on it):
+    a float for a complex z, an array for a 1-d array of points.  A distance
+    of at most EPS * max|vertex| is rounding and counts as 0 (a point that
+    near has |z| <= (1 + EPS) max|vertex|, so its own scale adds nothing).
     """
-    v = hull.vertices
-    if len(v) == 1:
-        d = abs(z - v[0])
-    elif len(v) == 2:
-        d = _point_segment_distance(z, v[0], v[1])
-    elif hull.contains(z):
-        return 0.0
-    else:
-        d = min(_point_segment_distance(z, a, b) for a, b in hull.edges())
-    return 0.0 if d <= EPS * max(abs(z), max(abs(u) for u in v)) else d
-
-
-def _segment_segment_distance(a0, a1, b0, b1) -> float:
-    """Distance between two closed segments in the plane."""
-    d1 = a1 - a0
-    d2 = b1 - b0
-    r = b0 - a0
-    # solve a0 + s d1 = b0 + t d2 as a real 2x2 system
-    det = d1.real * (-d2.imag) - (-d2.real) * d1.imag
-    if det != 0.0:
-        s = (r.real * (-d2.imag) - (-d2.real) * r.imag) / det
-        t = (d1.real * r.imag - r.real * d1.imag) / det
-        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
-            return 0.0
-    return min(
-        _point_segment_distance(a0, b0, b1),
-        _point_segment_distance(a1, b0, b1),
-        _point_segment_distance(b0, a0, a1),
-        _point_segment_distance(b1, a0, a1),
-    )
+    z = np.asarray(z, dtype=complex)
+    d = _distances(hull.vertices, z.reshape(-1))
+    d[d <= EPS * magnitude(hull.vertices)] = 0.0
+    return d if z.ndim else float(d[0])
 
 
 # --- spectrum descriptors ---------------------------------------------------
+# ``distance_to`` takes a complex or an array; ``_gap`` is the hull distance
+# before the rounding rule of :func:`hull_spectrum_distance`.
 
 
 class Spectrum:
     """Geometric description of an operator spectrum."""
 
-    def distance_to(self, z: complex) -> float:
+    def distance_to(self, z):
+        raise NotImplementedError
+
+    def _gap(self, hull: HullPolygon) -> float:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSpectrum(Spectrum):
-    points: tuple[complex, ...]
+    """A finite point set, held as the 1-d complex array ``points``."""
+
+    points: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
+        pts = np.asarray(self.points, dtype=complex).reshape(-1)
+        if not pts.size:
             raise EmptyInputError("point spectrum must be nonempty")
+        object.__setattr__(self, "points", pts)
 
-    def distance_to(self, z: complex) -> float:
-        return min(abs(z - p) for p in self.points)
+    def distance_to(self, z):
+        z = np.asarray(z, dtype=complex)
+        d = np.array([abs(p - self.points).min() for p in z.reshape(-1)])
+        return d if z.ndim else d[0]
+
+    def _gap(self, hull):
+        return hull_distance(hull, self.points).min()
 
 
 @dataclass(frozen=True)
 class UnitCircle(Spectrum):
-    def distance_to(self, z: complex) -> float:
+    def distance_to(self, z):
         return abs(abs(z) - 1.0)
+
+    def _gap(self, hull):
+        rmax = magnitude(hull.vertices)
+        return 1.0 - rmax if rmax < 1.0 else max(
+            hull_distance(hull, 0j) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class PositiveHalfLine(Spectrum):
     """The closed half line [0, +inf) on the real axis."""
 
-    def distance_to(self, z: complex) -> float:
-        if z.real >= 0.0:
-            return abs(z.imag)
-        return abs(z)
+    def distance_to(self, z):
+        return np.hypot(np.minimum(z.real, 0.0), z.imag)
+
+    def _gap(self, hull):
+        v = hull.vertices
+        for a, b in hull.edges():
+            # an edge with ends strictly on either side of the real axis
+            # crosses it at x, and the ray when x >= 0
+            if (min(a.imag, b.imag) < 0.0 < max(a.imag, b.imag)
+                    and (a.real * b.imag - b.real * a.imag)
+                    / (b.imag - a.imag) >= 0.0):
+                return 0.0
+        d = min(abs(p.imag) if p.real >= 0.0 else abs(p) for p in v)
+        # the ray's own vertex 0 can be nearer, unless Re >= 0 on the hull
+        if any(p.real < 0.0 for p in v):
+            d = min(d, hull_distance(hull, 0j))
+        return d
 
 
 @dataclass(frozen=True)
 class ImaginaryAxis(Spectrum):
-    def distance_to(self, z: complex) -> float:
+    def distance_to(self, z):
         return abs(z.real)
 
-
-def _hull_circle_distance(hull: HullPolygon) -> float:
-    rmax = max(abs(v) for v in hull.vertices)
-    if rmax < 1.0:
-        return 1.0 - rmax
-    d0 = hull_distance(hull, 0j)
-    if d0 > 1.0:
-        return d0 - 1.0
-    return 0.0
-
-
-def _hull_ray_distance(hull: HullPolygon) -> float:
-    """Distance between the hull and the closed ray [0, +inf)."""
-    if hull.contains(0j):
-        return 0.0
-    v = hull.vertices
-    if len(v) == 1:
-        return PositiveHalfLine().distance_to(v[0])
-    # the hull is bounded, so a segment [0, B] stands in for the ray
-    B = 2.0 * max(abs(p) for p in v)
-    return min(_segment_segment_distance(a, b, 0j, complex(B, 0.0))
-               for a, b in hull.edges())
-
-
-def _hull_line_distance(hull: HullPolygon) -> float:
-    """Distance between the hull and the imaginary axis."""
-    re = [v.real for v in hull.vertices]
-    if min(re) <= 0.0 <= max(re):
-        return 0.0
-    return min(abs(x) for x in re)
+    def _gap(self, hull):
+        re = [p.real for p in hull.vertices]
+        return 0.0 if min(re) <= 0.0 <= max(re) else min(map(abs, re))
 
 
 def hull_spectrum_distance(hull: HullPolygon, spectrum: Spectrum) -> float:
-    """Exact set distance between a hull and a spectrum descriptor."""
-    if isinstance(spectrum, PointSpectrum):
-        return min(hull_distance(hull, p) for p in spectrum.points)
-    if isinstance(spectrum, UnitCircle):
-        return _hull_circle_distance(hull)
-    if isinstance(spectrum, PositiveHalfLine):
-        return _hull_ray_distance(hull)
-    if isinstance(spectrum, ImaginaryAxis):
-        return _hull_line_distance(hull)
-    raise TypeError(f"unknown spectrum descriptor {spectrum!r}")
+    """Set distance between a hull and a spectrum descriptor; at most
+    EPS * max|vertex| counts as 0."""
+    d = float(spectrum._gap(hull))
+    return 0.0 if d <= EPS * magnitude(hull.vertices) else d
 
 
 def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,

@@ -31,15 +31,14 @@ needs Re p > SPECTRUM_EPS * |p|.
 The checked solvers and forward maps decide the theorem's hypotheses once,
 through :func:`resolvinv.series.require_admissible`; the plan-only solves
 (``solve_filter``, ``solve_convolution``, ``solve_volterra``) check only
-the plan's poles.
+the plan's poles.  Only the dense and grid resolvent solves import scipy,
+inside the solve, so the other paths start without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-import scipy.linalg
-from scipy.linalg.lapack import ztbtrs
 
 from .errors import (
     ConditioningError,
@@ -146,12 +145,13 @@ class DenseMatrixOperator(OperatorHandle):
         return self._svd
 
     def spectrum(self) -> PointSpectrum:
-        return PointSpectrum(tuple(complex(e) for e in self.eigenvalues()))
+        return PointSpectrum(self.eigenvalues())
 
     def resolvent_solve(self, alpha, v):
         """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them,
         on the LU cached for alpha; alpha is checked against the
         eigenvalues when it is first factored."""
+        import scipy.linalg
         alpha = complex(alpha)
         v = self.checked_vector(v)
         lu = self._lu_cache.get(alpha)
@@ -180,7 +180,7 @@ class MultiplierOperator(OperatorHandle):
         return self.symbol * np.asarray(v, dtype=complex)
 
     def spectrum(self) -> PointSpectrum:
-        return PointSpectrum(tuple(complex(s) for s in self.symbol))
+        return PointSpectrum(self.symbol)
 
     def resolvent_solve(self, alpha, v):
         _check_symbol_gap((alpha,), self.symbol)
@@ -216,6 +216,7 @@ class GridDerivativeOperator(OperatorHandle):
         return ImaginaryAxis()
 
     def resolvent_solve(self, alpha, v):
+        from scipy.linalg.lapack import ztbtrs
         alpha = complex(alpha)
         if alpha.real <= SPECTRUM_EPS * abs(alpha):
             raise SingularResolventError(
@@ -259,7 +260,7 @@ class PeriodicShiftOperator(OperatorHandle):
         return np.roll(np.asarray(v, dtype=complex), -1)
 
     def spectrum(self) -> PointSpectrum:
-        return PointSpectrum(tuple(complex(s) for s in self.symbol))
+        return PointSpectrum(self.symbol)
 
     def resolvent_solve(self, alpha, v):
         _check_symbol_gap((alpha,), self.symbol)

@@ -116,8 +116,7 @@ _SPECTRA = {"unit_circle": UnitCircle, "positive_reals": PositiveHalfLine,
 def spectrum_from_json(doc) -> Spectrum:
     variant = _field(doc, "variant")
     if variant == "point_set":
-        return PointSpectrum(tuple(_pairs(_field(doc, "points"),
-                                          "points").tolist()))
+        return PointSpectrum(_pairs(_field(doc, "points"), "points"))
     if isinstance(variant, str) and variant in _SPECTRA:
         return _SPECTRA[variant]()
     raise MalformedSpecError(f"unknown spectrum variant {variant!r}")

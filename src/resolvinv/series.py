@@ -145,7 +145,8 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     if negligible(s, *series.coefficients):
         raise DegenerateSeriesError("coefficient sum vanishes")
     weighted = _fsum_complex(a * al for a, al in series.terms)
-    return weighted / (s * s), -1.0 / s
+    # two divisions: s * s underflows to 0 for sums below about 1e-154
+    return weighted / s / s, -1.0 / s
 
 
 def evaluate_remainder(series: ResolventSeries, z: complex) -> complex:
@@ -184,9 +185,9 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
+    dists = spectrum.distance_to(np.array(series.poles)).tolist()
     diags = []
-    for a, alpha in series.terms:
-        d = spectrum.distance_to(alpha)
+    for (a, alpha), d in zip(series.terms, dists):
         if d > 0.0:
             summand = abs(a) / d
         else:

@@ -11,8 +11,8 @@ Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
 
 * :data:`EPS` for quantities one step of arithmetic away from the data:
-  pole gaps, coefficient signs and sums, hull vertex merging, a point's
-  distance to the pole hull;
+  pole gaps, coefficient signs and sums, hull vertex merging, the pole
+  hull's distance to a point or a spectrum;
 * :data:`SPECTRUM_EPS` for a pole against spectrum or symbol samples
   that were themselves computed (eigenvalues, squared DFT frequencies,
   a characteristic polynomial at the roots of unity);

@@ -1,6 +1,7 @@
 """One admissibility gate: ``check``, ``invert`` and the checked library
 solvers take the same decision on every first-kind problem."""
 
+import cmath
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from resolvinv.cli import main
 from resolvinv.errors import HypothesisError, SeparationError
-from resolvinv.geometry import PointSpectrum
+from resolvinv.geometry import ImaginaryAxis, PointSpectrum, PositiveHalfLine
 from resolvinv.operators import (
     GridDerivativeOperator,
     forward_filter,
@@ -143,6 +144,29 @@ def test_check_rejects_a_growing_integral_kernel(tmp_path, capsys):
     y = np.ones(GRID[2])
     assert _check_and_invert(tmp_path, document, y) == (2, 2)
     assert "positive real part" in capsys.readouterr().err
+
+
+def test_convolution_pole_on_the_ray_up_to_rounding(tmp_path, capsys):
+    # mapped weights 1 and poles beta_j^2 = 2.25 - 4.5e-20i and -4: the
+    # first lies on [0, inf) up to rounding
+    terms = [(1j / (2 * b), b) for b in (1.5 * cmath.exp(-1e-20j), -2j)]
+    y = np.linspace(1.0, 0.0, GRID[2])
+    assert _check_and_invert(tmp_path, _document("convolution", terms),
+                             y) == (2, 2)
+    capsys.readouterr()
+    with pytest.raises(SeparationError):
+        _solve("convolution", terms, y)
+
+
+@pytest.mark.parametrize("poles, spectrum", [
+    ((-0.016549796908613374, 0.009371134310148771), PositiveHalfLine()),
+    ((1e-30 + 1j, 2.0), ImaginaryAxis()),
+])
+def test_hull_on_an_analytic_spectrum_up_to_rounding(poles, spectrum):
+    series = ResolventSeries(tuple((1.0, p) for p in poles))
+    report = check_admissible(series, spectrum)
+    assert not report.separation_ok
+    assert report.separation_distance == 0.0
 
 
 class TestRequireAdmissible:

@@ -555,6 +555,77 @@ def test_edited_demo_problem_exits_with_a_code(demo_dir, tmp_path_factory,
     assert main(_run_argv(demo_dir, work, problem)) in range(5)
 
 
+PROBLEM_KINDS = ["series", "filter", "integral", "convolution", "matrix",
+                 "sweep"]
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+    max_leaves=12)
+_number = st.floats(-10, 10) | st.floats() | st.integers(-3, 40)
+_pairs = st.lists(st.lists(_number, min_size=2, max_size=2), min_size=1,
+                  max_size=4)
+
+
+def _term_lists(x, y):
+    pair = st.lists(_number, min_size=2, max_size=2)
+    return st.lists(st.fixed_dictionaries({x: pair, y: pair}), min_size=1,
+                    max_size=4)
+
+
+# every field a problem decoder reads, with values of the expected shape
+PROBLEM_FIELDS = {
+    "terms": _term_lists("a", "alpha") | _term_lists("b", "beta"),
+    "kernel": _term_lists("a", "alpha"),
+    "spectrum": st.fixed_dictionaries({
+        "variant": st.sampled_from(["point_set", "unit_circle",
+                                    "positive_reals", "imaginary_axis"]),
+        "points": _pairs}),
+    "c": _pairs,
+    "b": _pairs,
+    "grid": st.fixed_dictionaries({"t0": _number, "L": _number,
+                                   "n": st.integers(-3, 40)}),
+    "period": _number,
+    "matrix": st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(_number, min_size=2, max_size=2), min_size=n,
+                 max_size=n), min_size=n, max_size=n)),
+    "alpha_grid": st.lists(_number, min_size=1, max_size=4),
+    "margin": st.floats(0, 1),
+}
+
+
+@st.composite
+def problem_documents(draw):
+    """Any JSON document, or a problem of a known kind whose every field
+    is, at random, of the expected shape, any JSON value or missing.
+    Integers stay small, so no document asks for a huge grid."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(json_documents)
+    doc = {"kind": draw(st.sampled_from(PROBLEM_KINDS))}
+    for name, values in PROBLEM_FIELDS.items():
+        form = draw(st.integers(0, 9))
+        if form < 8:
+            doc[name] = draw(values if form < 7 else json_documents)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=problem_documents())
+def test_random_problem_document_exits_with_a_code(demo_dir,
+                                                   tmp_path_factory, doc):
+    """``check``, ``invert`` and ``sweep`` on any JSON document end in an
+    exit code from 0 to 4, never in an exception."""
+    work = tmp_path_factory.mktemp("jsonfuzz")
+    problem = work / "problem.json"
+    problem.write_text(json.dumps(doc))
+    io = ["--input", str(demo_dir / "filter_y.csv"),
+          "--output", str(work / "out.csv")]
+    for argv in (["check", str(problem)], ["invert", str(problem)] + io,
+                 ["sweep", str(problem)] + io):
+        assert main(argv) in range(5)
+
+
 class TestSweepCommand:
     def test_improves_and_writes_csv(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -571,6 +642,22 @@ class TestSweepCommand:
         errors = [float(r[1]) for r in rows]
         assert alphas == sorted(alphas, reverse=True)
         assert errors[-1] < errors[0]
+
+    def test_hull_across_an_eigenvalue_exits_two(self, demo_dir, tmp_path,
+                                                 capsys):
+        # the pole hull [4.5+0.3i, 5.5-0.3i] crosses the eigenvalue 5
+        doc = json.loads((demo_dir / "sweep.json").read_text())
+        doc["terms"] = [{"a": [1.0, 0.0], "alpha": [4.5, 0.3]},
+                        {"a": [2.0, 0.0], "alpha": [5.5, -0.3]}]
+        problem = tmp_path / "sweep.json"
+        problem.write_text(json.dumps(doc))
+        io = ["--input", str(demo_dir / "sweep_x.csv"),
+              "--output", str(tmp_path / "o.csv")]
+        assert main(["check", str(problem)]) == 2
+        assert main(["sweep", str(problem)] + io) == 2
+        assert main(["invert", str(problem)] + io) == 2
+        assert not (tmp_path / "o.csv").exists()
+        capsys.readouterr()
 
     def test_wrong_kind_exits_one(self, demo_dir, tmp_path, capsys):
         rc = main(["sweep", str(demo_dir / "matrix.json"),
@@ -641,9 +728,10 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_cli_import_skips_heavy_scipy_modules(self):
-        # scipy.signal alone costs most of a CLI call's start-up
+        # scipy costs most of a CLI call's start-up, and only the dense
+        # matrix and grid resolvent solves need it
         proc = run_python("-c", "import sys, resolvinv.cli; print(sorted(m "
-                          "for m in ('scipy.signal', 'scipy.stats', "
-                          "'jsonschema') if m in sys.modules))")
+                          "for m in sys.modules if m == 'scipy' or "
+                          "m.startswith('scipy.') or m == 'jsonschema'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

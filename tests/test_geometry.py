@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,37 @@ def test_distance_equivariance(points, z, phi, shift):
     assert abs(d1 - d2) <= 1e-9 * scale
 
 
+def _reference_hull_distance(hull, z):
+    """Point-by-point loop: 0 inside (every edge turns left towards z, and
+    z in the vertices' bounding box), else the nearest clamped projection
+    onto an edge."""
+    v = hull.vertices
+    ring = list(zip(v, v[1:] + v[:1]))
+    cross = [((b - a).conjugate() * (z - a)).imag for a, b in ring]
+    re, im = [p.real for p in v], [p.imag for p in v]
+    if (len(v) > 2 and min(cross) >= 0 and min(re) <= z.real <= max(re)
+            and min(im) <= z.imag <= max(im)):
+        return 0.0
+    best = math.inf
+    for a, b in ring:
+        d = b - a
+        L2 = abs(d) ** 2
+        t = ((z - a).conjugate() * d).real / L2 if L2 else 0.0
+        best = min(best, abs(z - (a + min(1.0, max(0.0, t)) * d)))
+    return best
+
+
+@given(points_strategy, st.lists(finite_complex, min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_hull_distance_matches_the_point_loop(points, zs):
+    hull = convex_hull(points)
+    d = hull_distance(hull, np.array(zs))
+    scale = max(abs(p) for p in hull.vertices)
+    for got, z in zip(d, zs):
+        want = _reference_hull_distance(hull, z)
+        assert abs(got - want) <= 1e-12 * max(scale, abs(z)) + 1e-9 * want
+
+
 def test_spectrum_point_distances():
     assert UnitCircle().distance_to(0.5j) == pytest.approx(0.5)
     assert UnitCircle().distance_to(3 + 0j) == pytest.approx(2.0)
@@ -228,3 +260,71 @@ def test_degenerate_hull_spectrum_distance():
     assert hull_spectrum_distance(point, UnitCircle()) == pytest.approx(0.75)
     seg = HullPolygon((-0.5 + 0j, 0.5 + 0j))
     assert hull_spectrum_distance(seg, UnitCircle()) == pytest.approx(0.5)
+
+
+def test_sliver_hull_membership():
+    # every cross product's sign is rounding for a point on the line of
+    # this thin triangle's long edges; the point lies 6 beyond its tip
+    r = cmath.exp(2j)
+    hull = convex_hull([0j, 1.5571239624309817e-78 * r, -1j * r])
+    assert hull_distance(hull, -7j * r) == pytest.approx(6.0, rel=1e-12)
+    assert not hull.contains(-7j * r)
+
+
+@given(st.floats(-np.pi, np.pi), st.floats(-80, -10), st.floats(-3, 3),
+       st.floats(1.5, 10))
+@settings(max_examples=200, deadline=None)
+def test_thin_triangle_beyond_its_tip(phi, log_width, log_length, k):
+    rot = cmath.exp(1j * phi)
+    length = 10.0 ** log_length
+    hull = convex_hull([0j, 10.0 ** log_width * rot, -1j * length * rot])
+    d = hull_distance(hull, -1j * k * length * rot)
+    assert d == pytest.approx((k - 1) * length, rel=1e-9)
+
+
+class TestArrays:
+    HULL = convex_hull([0j, 2 + 0j, 2 + 2j, 1j])
+    POINTS = np.array([1 + 1j, 3 + 0j, -1 - 1j, 2 + 1j, 5 + 5j, 0.5j])
+
+    def test_hull_distance_of_an_array_is_elementwise(self):
+        d = hull_distance(self.HULL, self.POINTS)
+        assert isinstance(d, np.ndarray) and d.shape == self.POINTS.shape
+        assert d.tolist() == [hull_distance(self.HULL, complex(z))
+                              for z in self.POINTS]
+        assert isinstance(hull_distance(self.HULL, 1j), float)
+
+    def test_large_point_sets_match_small_blocks(self):
+        rng = np.random.default_rng(0)
+        z = 3 * (rng.standard_normal(300_001) + 1j * rng.standard_normal(
+            300_001))
+        d = hull_distance(self.HULL, z)
+        assert np.array_equal(d[-7:], hull_distance(self.HULL, z[-7:]))
+
+    @pytest.mark.parametrize("spectrum", [
+        UnitCircle(), PositiveHalfLine(), ImaginaryAxis(),
+        PointSpectrum([1j, -1j, 4 + 0j])])
+    def test_distance_to_takes_an_array(self, spectrum):
+        d = spectrum.distance_to(self.POINTS)
+        assert d.shape == self.POINTS.shape
+        assert d.tolist() == pytest.approx(
+            [spectrum.distance_to(complex(z)) for z in self.POINTS],
+            rel=1e-15)
+
+    def test_point_spectrum_holds_an_array(self):
+        spectrum = PointSpectrum((1j, 2 + 0j))
+        assert isinstance(spectrum.points, np.ndarray)
+        assert spectrum.points.dtype == complex
+        assert spectrum.points.tolist() == [1j, 2 + 0j]
+        with pytest.raises(EmptyInputError):
+            PointSpectrum(())
+
+
+def test_ray_distance_from_the_nearer_end():
+    # nearest the ray at its end 0, inside an edge of the hull
+    hull = convex_hull([-1 + 2j, -1 - 2j, -3 + 0j])
+    ok, d = hull_separated_from(hull, PositiveHalfLine())
+    assert ok and d == pytest.approx(1.0)
+    # nearest the ray at a hull vertex above it, with a vertex in Re < 0
+    hull = convex_hull([1 + 1j, 3 + 2j, -2 + 4j])
+    ok, d = hull_separated_from(hull, PositiveHalfLine())
+    assert ok and d == pytest.approx(1.0)

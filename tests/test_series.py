@@ -111,6 +111,12 @@ class TestGammaBeta:
         with pytest.raises(DegenerateSeriesError):
             gamma_beta(ResolventSeries(((1, 1.0), (-1, 2.0))))
 
+    def test_tiny_coefficients(self):
+        # the squared coefficient sum 4e-400 underflows to 0
+        g, b = gamma_beta(ResolventSeries(((1e-200, 3.0), (1e-200, 5.0))))
+        assert g == pytest.approx(2e200)
+        assert b == pytest.approx(-5e199)
+
 
 class TestRemainder:
     def test_single_term_vanishes(self):

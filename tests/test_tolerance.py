@@ -8,6 +8,7 @@ error type and every CLI exit code unchanged, and the result must scale
 exactly as the problem does.
 """
 
+import cmath
 import json
 import math
 
@@ -24,7 +25,12 @@ from resolvinv.errors import (
     RepeatedRootError,
     ResolvinvError,
 )
-from resolvinv.geometry import PointSpectrum, convex_hull, hull_distance
+from resolvinv.geometry import (
+    PointSpectrum,
+    PositiveHalfLine,
+    convex_hull,
+    hull_distance,
+)
 from resolvinv.operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
@@ -322,6 +328,49 @@ def test_rescaling_keeps_every_decision(problem, k):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert _rel(g, w) <= 1e-10, (kind, defect)
+
+
+@st.composite
+def ray_params(draw):
+    """Poles against [0, inf): anywhere, or touching the ray at a vertex,
+    with an edge through the origin, or within rounding."""
+    contact = draw(st.sampled_from(["none", "vertex", "origin_on_edge",
+                                    "rounding"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 4))
+    while True:
+        poles = rng.uniform(-3, 3, m) + 1j * rng.uniform(-3, 3, m)
+        if tolerance.min_gap(poles) > 0.1 and min(abs(poles)) > 0.1:
+            break
+    x = rng.uniform(0.5, 3.0)
+    if contact == "vertex":
+        poles[0] = x
+    elif contact == "origin_on_edge":
+        poles[1] = -rng.uniform(0.5, 2.0) * poles[0]
+    elif contact == "rounding":
+        poles[0] = x * cmath.exp(1e-14j * rng.choice([-1.0, 1.0]))
+    return contact, poles
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=ray_params(), k=st.integers(-12, 12))
+def test_ray_decision_survives_rescaling(params, k):
+    """Poles rescaled by 10^k against [0, inf): the same separation
+    decision, and the hull and term distances scale with the poles."""
+    contact, poles = params
+
+    def check(c):
+        series = ResolventSeries(tuple((1.0, c * p) for p in poles))
+        report = check_admissible(series, PositiveHalfLine())
+        distances = [report.separation_distance] + [
+            t.spectrum_distance for t in report.per_term]
+        return report.separation_ok, np.array(distances) / c
+
+    (want_ok, want), (got_ok, got) = check(1.0), check(10.0 ** k)
+    assert got_ok == want_ok, contact
+    if contact != "none":
+        assert not got_ok, contact
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 # --- the CLI under rescaling ------------------------------------------------
