@@ -124,6 +124,9 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
         return np.concatenate([_distances(v, z[i:i + step])
                                for i in range(0, z.size, step)])
     ring = np.array(v + v[:1])
+    # scale large data by 2^-k to parts < 1: exact, and nothing overflows
+    k = max(0, np.frexp(abs(np.concatenate([ring, z]).view(float)).max())[1])
+    ring, z = ring * 2.0 ** -k, z * 2.0 ** -k
     a = ring[:-1]
     e = ring[1:] - a
     dz = z[:, None] - a
@@ -143,7 +146,8 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
             inside &= ((a.real.min() <= x) & (x <= a.real.max())
                        & (a.imag.min() <= y) & (y <= a.imag.max()))
             d[inside] = 0.0
-    return d
+    with np.errstate(over="ignore"):  # inf past the float range
+        return np.ldexp(d, k)
 
 
 def hull_distance(hull: HullPolygon, z):

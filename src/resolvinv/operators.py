@@ -1,32 +1,25 @@
-"""Concrete operator backends and the application of series and plans.
+"""Operator backends, and the one way anything is applied to them.
 
-Backends expose three capabilities: apply the operator, solve resolvent
-systems (alpha*I - A) u = v, and describe the spectrum geometrically.
-Factorizations are cached per pole, so repeated solves at one pole (a
-plan applied to many vectors, a regularization sweep) reuse them; a dense
-matrix also caches its eigenvalues and its singular value decomposition.
+A backend applies A, solves resolvent systems (alpha*I - A) u = v,
+describes its spectrum geometrically, and applies a plan
+gamma + beta*A + sum_k c_k (z_k - A)^{-1} in its own ``apply_plan``.  A
+series is the plan with gamma = beta = 0, its poles and its nonzero
+coefficients (:func:`apply_series`), and each first-kind solve builds its
+operator and applies the plan to it.  The generic ``apply_plan`` makes one
+resolvent solve per zero (a dense matrix caches an LU per pole, its
+eigenvalues and its SVD) and applies A only when beta != 0; a multiplier
+and the periodic shift make one elementwise pass over their symbol, the
+shift between one FFT pair.
 
-Each backend checks a pole in its own ``resolvent_solve``, so every path
-that solves at a pole (:func:`apply_series`, :func:`apply_plan`, the
-regularized applications) raises :class:`SingularResolventError` at the
-first pole that is on or too near the spectrum, and a term with a zero
-coefficient, never solved, is never checked.  Operators diagonal in a
-Fourier basis (multiplier, periodic shift, the recursive-filter and
-even-convolution solvers) keep their symbol as a numpy array s and act
-elementwise on it.  A pole p is accepted against such a symbol when, for
-its nearest sample s*,
-
-    |p - s*| > SPECTRUM_EPS * max(|p|, |s*|),
-
-the package's one tolerance rule (:mod:`resolvinv.tolerance`): the
-rounding error of p - s* is about eps * max(|p|, |s*|), whatever the
-size of the samples far away, and there is no floor of 1, so the decision
-does not change when poles and symbol are rescaled together.  A bound
-scaled by max|s| would grow like n^2 for the convolution symbol xi^2 on
-n samples and reject well separated poles as touching the spectrum.
-A dense matrix checks a pole against its cached eigenvalues when it first
-factors it, dist(p, eigenvalues) > SPECTRUM_EPS * |p|; d/dt on a grid
-needs Re p > SPECTRUM_EPS * |p|.
+Every application checks the poles it solves at, by the package's one
+tolerance rule (:mod:`resolvinv.tolerance`), and raises
+:class:`SingularResolventError` at the first one too near the spectrum.
+Against a symbol a pole p needs |p - s*| > SPECTRUM_EPS * max(|p|, |s*|)
+for its nearest sample s*, the rounding of p - s* (a bound scaled by
+max|s| would grow like n^2 for xi^2 on n samples); a multiplier scans its
+symbol once per pole, the shift finds the nearest root of unity by angle.
+A dense matrix needs dist(p, eigenvalues) > SPECTRUM_EPS * |p|, d/dt on
+a grid Re p > SPECTRUM_EPS * |p|.
 
 The checked solvers and forward maps decide the theorem's hypotheses once,
 through :func:`resolvinv.series.require_admissible`; the plan-only solves
@@ -100,6 +93,15 @@ class OperatorHandle:
 
     def spectrum(self) -> Spectrum:
         raise NotImplementedError
+
+    def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
+        """(gamma + beta A + h(A)) v with one resolvent solve per zero of
+        the plan; A is not applied when beta = 0."""
+        v = np.asarray(v, dtype=complex)
+        out = plan.gamma * v
+        if plan.beta != 0:
+            out = out + plan.beta * self.apply(v)
+        return out + _apply_remainder(plan, self, v)
 
 
 class DenseMatrixOperator(OperatorHandle):
@@ -186,6 +188,11 @@ class MultiplierOperator(OperatorHandle):
         _check_symbol_gap((alpha,), self.symbol)
         return np.asarray(v, dtype=complex) / (complex(alpha) - self.symbol)
 
+    def apply_plan(self, plan, v):
+        """One elementwise pass: (1/f)(s) * v."""
+        _check_symbol_gap(plan.zeros, self.symbol)
+        return plan.evaluate_scalar(self.symbol) * np.asarray(v, dtype=complex)
+
 
 class GridDerivativeOperator(OperatorHandle):
     """d/dt on a uniform grid over [t0, L].
@@ -206,11 +213,10 @@ class GridDerivativeOperator(OperatorHandle):
         self.dim = n
 
     def apply(self, v):
-        v = np.asarray(v, dtype=complex)
-        out = np.empty_like(v)
-        out[:-1] = (v[1:] - v[:-1]) / self.dt
-        out[-1] = (v[-1] - v[-2]) / self.dt
-        return out
+        """v' by second-order central differences (one sided at the ends),
+        the derivative of the beta*y' term of a Volterra solve."""
+        return np.gradient(np.asarray(v, dtype=complex), self.dt, axis=0,
+                           edge_order=2)
 
     def spectrum(self) -> ImaginaryAxis:
         return ImaginaryAxis()
@@ -251,8 +257,8 @@ class PeriodicShiftOperator(OperatorHandle):
     """Cyclic shift x(k) -> x(k+1 mod n); unitary, diagonalized by the DFT."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise InvalidInputError("signal length must be at least 2")
+        if n < 1:
+            raise InvalidInputError("signal length must be at least 1")
         self.dim = n
         self.symbol = np.exp(2j * np.pi * np.arange(n) / n)
 
@@ -263,9 +269,16 @@ class PeriodicShiftOperator(OperatorHandle):
         return PointSpectrum(self.symbol)
 
     def resolvent_solve(self, alpha, v):
-        _check_symbol_gap((alpha,), self.symbol)
+        _check_symbol_gap([alpha], _nearest_unit_roots([alpha], self.symbol))
         return np.fft.ifft(np.fft.fft(np.asarray(v, dtype=complex))
                            / (complex(alpha) - self.symbol))
+
+    def apply_plan(self, plan, v):
+        """One FFT pair around the elementwise (1/f)(symbol)."""
+        zeros = plan.zeros
+        _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
+        return np.fft.ifft(plan.evaluate_scalar(self.symbol)
+                           * np.fft.fft(np.asarray(v, dtype=complex)))
 
 
 def _check_symbol_gap(poles, symbol: np.ndarray):
@@ -281,16 +294,20 @@ def _check_symbol_gap(poles, symbol: np.ndarray):
                 f"pole {p} lies on or too near the spectrum")
 
 
+def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
+    """The sample of the roots of unity ``sym`` nearest each pole: the one
+    closest in angle, found without a pass over the n samples."""
+    n = sym.size
+    turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
+    return sym[np.rint(n * turns).astype(int) % n]
+
+
 def apply_series(series: ResolventSeries, A: OperatorHandle,
                  v: np.ndarray) -> np.ndarray:
-    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v; the terms with a zero
-    coefficient are skipped, pole check included."""
-    v = np.asarray(v, dtype=complex)
-    out = np.zeros_like(v)
-    for a, alpha in series.terms:
-        if a != 0:
-            out = out + a * A.resolvent_solve(alpha, v)
-    return out
+    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v as the plan gamma = beta = 0
+    with zeros alpha_j and residues a_j, less the terms whose a_j is 0."""
+    a, alpha = np.array(series.terms).T
+    return A.apply_plan(InversionPlan(0j, 0j, alpha[a != 0], a[a != 0]), v)
 
 
 def _apply_remainder(plan: InversionPlan, A: OperatorHandle,
@@ -305,10 +322,8 @@ def _apply_remainder(plan: InversionPlan, A: OperatorHandle,
 
 def apply_plan(plan: InversionPlan, A: OperatorHandle,
                v: np.ndarray) -> np.ndarray:
-    """(gamma + beta A + h(A)) v, h as simple poles at the plan's zeros."""
-    v = np.asarray(v, dtype=complex)
-    return plan.gamma * v + plan.beta * A.apply(v) + _apply_remainder(
-        plan, A, v)
+    """(gamma + beta A + h(A)) v by the operator's own ``apply_plan``."""
+    return A.apply_plan(plan, v)
 
 
 # --- exponential-sum kernel equation on a half line -------------------------
@@ -344,15 +359,12 @@ def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
 def solve_volterra(plan: InversionPlan, y: np.ndarray,
                    grid: GridDerivativeOperator):
     """:func:`solve_exponential_volterra` without its checks of the
-    kernel: only the plan's poles are checked, by the grid's resolvent
-    solves.  The derivative y' uses second-order central differences (one
-    sided at the ends).  Returns (x, |y(L)|)."""
+    kernel: ``grid.apply_plan(plan, y)``, which checks only the plan's
+    poles and takes y' to second order.  Returns (x, |y(L)|)."""
     y = np.asarray(y, dtype=complex)
     if y.shape != (grid.dim,):
         raise InvalidInputError("data length does not match the grid")
-    dy = np.gradient(y, grid.dt, edge_order=2)
-    x = plan.gamma * y + plan.beta * dy + _apply_remainder(plan, grid, y)
-    return x, float(abs(y[-1]))
+    return grid.apply_plan(plan, y), float(abs(y[-1]))
 
 
 def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
@@ -412,12 +424,11 @@ def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
 
 def solve_convolution(plan: InversionPlan, y: np.ndarray,
                       period: float) -> np.ndarray:
-    """:func:`solve_even_convolution` without its checks of the kernel:
-    only the plan's poles are checked, against the squared frequencies."""
+    """:func:`solve_even_convolution` without its checks of the kernel: the
+    multiplier xi^2 applies the plan to fft(y), checking its poles."""
     y = np.asarray(y, dtype=complex)
-    s = _squared_frequencies(y.size, period)
-    _check_symbol_gap(plan.zeros, s)
-    return np.fft.ifft(plan.evaluate_scalar(s) * np.fft.fft(y))
+    A = MultiplierOperator(_squared_frequencies(y.size, period))
+    return np.fft.ifft(A.apply_plan(plan, np.fft.fft(y)))
 
 
 def forward_even_convolution(terms, x: np.ndarray,
@@ -427,25 +438,11 @@ def forward_even_convolution(terms, x: np.ndarray,
     series = convolution_series(terms)
     require_admissible(series, PositiveHalfLine())
     x = np.asarray(x, dtype=complex)
-    s = _squared_frequencies(x.size, period)
-    _check_symbol_gap(series.poles, s)
-    return np.fft.ifft(sum(a / (alpha - s) for a, alpha in series.terms)
-                       * np.fft.fft(x))
+    A = MultiplierOperator(_squared_frequencies(x.size, period))
+    return np.fft.ifft(apply_series(series, A, np.fft.fft(x)))
 
 
 # --- recursive filters on periodic signals ----------------------------------
-
-
-def _unit_roots(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
-    """The sample of the roots of unity ``sym`` nearest each pole: the one
-    closest in angle, found without a pass over the n samples."""
-    n = sym.size
-    turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
-    return sym[np.rint(n * turns).astype(int) % n]
 
 
 def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
@@ -455,7 +452,7 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     the characteristic polynomial must not vanish at any grid frequency.
     """
     x = np.asarray(x, dtype=complex)
-    omega = _unit_roots(x.size)
+    omega = PeriodicShiftOperator(x.size).symbol
     p = npp.polyval(omega, spec.c)
     if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
         raise SingularTransferError(
@@ -479,11 +476,7 @@ def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
 
 
 def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:
-    """:func:`invert_filter` without its checks of the filter: only the
-    plan's poles are checked, against the roots of unity."""
+    """:func:`invert_filter` without its checks of the filter: the shift T
+    applies the plan to -T^{-1} y = -roll(y, 1), checking its poles."""
     y = np.asarray(y, dtype=complex)
-    sym = _unit_roots(y.size)
-    _check_symbol_gap(plan.zeros, _nearest_unit_roots(plan.zeros, sym))
-    what = -np.fft.fft(y) / sym  # -T^{-1} y in frequency space
-    xhat = plan.evaluate_scalar(sym) * what
-    return np.fft.ifft(xhat)
+    return PeriodicShiftOperator(y.size).apply_plan(plan, -np.roll(y, 1))

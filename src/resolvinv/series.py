@@ -181,13 +181,15 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     """Diagnostics for the inversion hypotheses; never raises.
 
     Reports theorem mode, the pole hull, its separation from the spectrum,
-    and the summability value sum |a_j| / dist(alpha_j, spectrum).
+    and the summability value sum |a_j| / dist(alpha_j, spectrum), where a
+    distance of at most EPS * max|alpha| counts as 0, as the hull's does.
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
-    dists = spectrum.distance_to(np.array(series.poles)).tolist()
+    dists = np.array(spectrum.distance_to(np.array(series.poles)), float)
+    dists[dists <= EPS * series.scale] = 0.0
     diags = []
-    for (a, alpha), d in zip(series.terms, dists):
+    for (a, alpha), d in zip(series.terms, dists.tolist()):
         if d > 0.0:
             summand = abs(a) / d
         else:

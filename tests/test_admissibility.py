@@ -3,6 +3,8 @@ solvers take the same decision on every first-kind problem."""
 
 import cmath
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from resolvinv.errors import HypothesisError, SeparationError
 from resolvinv.geometry import ImaginaryAxis, PointSpectrum, PositiveHalfLine
 from resolvinv.operators import (
     GridDerivativeOperator,
+    convolution_series,
     forward_filter,
     invert_filter,
     solve_even_convolution,
@@ -156,6 +159,42 @@ def test_convolution_pole_on_the_ray_up_to_rounding(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SeparationError):
         _solve("convolution", terms, y)
+
+
+def test_per_term_distance_uses_the_hull_rounding_rule(tmp_path, capsys):
+    # the same kernel: its first pole's distance 4.5e-20 to the ray is
+    # rounding at the poles' scale 4, as the hull's distance is, so the
+    # pole's summand is inf and not 2.2e19
+    terms = [(1j / (2 * b), b) for b in (1.5 * cmath.exp(-1e-20j), -2j)]
+    report = check_admissible(convolution_series(terms), PositiveHalfLine())
+    assert report.separation_distance == 0.0
+    first = report.per_term[0]
+    assert (first.spectrum_distance, first.summand) == (0.0, math.inf)
+    assert report.summability_value == math.inf
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_document("convolution", terms)))
+    assert main(["check", str(problem)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["per_term"][0]["summand"] == math.inf
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308])
+def test_separation_near_the_float_range(scale, tmp_path, capsys):
+    # poles scale and -i scale, spectrum {0}: the hull is a segment at
+    # distance scale / sqrt(2), which the distance kernel reaches without
+    # squaring anything past the float range
+    document = {"kind": "series",
+                "spectrum": {"variant": "point_set", "points": [[0.0, 0.0]]},
+                "terms": [{"a": [1.0, 0.0], "alpha": alpha}
+                          for alpha in ([scale, 0.0], [0.0, -scale])]}
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(problem)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["separation_distance"] == pytest.approx(scale / math.sqrt(2),
+                                                       rel=1e-15)
 
 
 @pytest.mark.parametrize("poles, spectrum", [

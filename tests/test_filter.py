@@ -142,11 +142,11 @@ class TestInvertFilter:
 def test_nearest_unit_root_matches_a_full_scan(n):
     # invert_filter's gap check looks up each pole's nearest root of unity
     # by angle instead of scanning the n samples
-    from resolvinv.operators import _nearest_unit_roots, _unit_roots
+    from resolvinv.operators import PeriodicShiftOperator, _nearest_unit_roots
 
     rng = np.random.default_rng(n)
     poles = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    sym = _unit_roots(n)
+    sym = PeriodicShiftOperator(n).symbol
     got = np.abs(poles - _nearest_unit_roots(poles, sym))
     want = np.min(np.abs(poles[:, None] - sym[None, :]), axis=1)
     assert np.array_equal(got, want)

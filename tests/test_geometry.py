@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,3 +329,18 @@ def test_ray_distance_from_the_nearer_end():
     hull = convex_hull([1 + 1j, 3 + 2j, -2 + 4j])
     ok, d = hull_separated_from(hull, PositiveHalfLine())
     assert ok and d == pytest.approx(1.0)
+
+
+def test_hull_distance_near_the_float_range():
+    # the kernel squares edge lengths and projections: in the data's own
+    # scale they stay finite, and only a distance past the float range is
+    # inf, never NaN, with no warning
+    hull = convex_hull([1e308 + 0j, -1e308j])
+    z = np.array([0j, -1e308 - 1e308j, 1.7e308 + 1.7e308j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = hull_distance(hull, z)
+        assert hull_distance(hull, 0j) == d[0]
+    np.testing.assert_allclose(d[:2], [1e308 / math.sqrt(2), 1e308],
+                               rtol=1e-15)
+    assert d[2] == math.inf

@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assemble_plan,
@@ -10,7 +12,11 @@ from conftest import (
     random_theorem_series,
 )
 from resolvinv import operators, tolerance
-from resolvinv.errors import EmptyInputError, SingularResolventError
+from resolvinv.errors import (
+    EmptyInputError,
+    InvalidInputError,
+    SingularResolventError,
+)
 from resolvinv.operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
@@ -18,6 +24,8 @@ from resolvinv.operators import (
     PeriodicShiftOperator,
     apply_plan,
     apply_series,
+    solve_filter,
+    solve_volterra,
 )
 from resolvinv.rational import invert_to_plan
 from resolvinv.series import ResolventSeries, caratheodory_zero_series
@@ -333,3 +341,104 @@ class TestPlantedNullVector:
         x = q[:, 0].astype(complex)
         fx = apply_series(s, A, x)
         assert np.linalg.norm(fx) <= 1e-10 * np.linalg.norm(x)
+
+
+# --- one application path ----------------------------------------------------
+# Every backend has one ``apply_plan``; a series is the plan gamma = beta = 0.
+# The reference is the per-term loop every application used to run: one
+# resolvent solve per pole, accumulated term by term.
+
+N = 12
+# the drawn poles lie in Re [1.5, 4], Im [-2, 2]: off the imaginary axis,
+# outside the unit circle, and away from these eigenvalues and symbol
+BACKENDS = {
+    "dense": lambda: DenseMatrixOperator(
+        np.diag(-1.0 - np.arange(N) / N) + np.diag(0.1 * np.ones(N - 1), 1)),
+    "multiplier": lambda: MultiplierOperator(
+        -1.0 - np.arange(N) / N + 0.5j * np.sin(np.arange(N))),
+    "grid": lambda: GridDerivativeOperator(0.0, 2.0, N),
+    "shift": lambda: PeriodicShiftOperator(N),
+}
+
+
+def _loop_apply(gamma, beta, poles, residues, A, v):
+    """gamma v + beta A v + sum_k c_k (p_k - A)^{-1} v, term by term, and
+    the sum of the terms' norms, the scale of any summation's rounding."""
+    out = gamma * v
+    scale = np.linalg.norm(out)
+    if beta != 0:
+        out = out + beta * A.apply(v)
+        scale += np.linalg.norm(beta * A.apply(v))
+    for c, p in zip(residues, poles):
+        if c != 0:
+            term = c * A.resolvent_solve(p, v)
+            out = out + term
+            scale += np.linalg.norm(term)
+    return out, scale
+
+
+theorem_series = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+              st.floats(1.5, 4.0), st.floats(-2.0, 2.0)),
+    min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@given(terms=theorem_series, seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_series_and_plan_match_the_term_loop(backend, terms, seed):
+    poles = [complex(re, im) for _, re, im in terms]
+    assume(all(abs(p - q) > 0.2 for i, p in enumerate(poles)
+               for q in poles[i + 1:]))
+    assume(sum(a for a, _, _ in terms) > 0)
+    series = ResolventSeries(tuple(zip((a for a, _, _ in terms), poles)))
+    plan = invert_to_plan(series)
+    A = BACKENDS[backend]()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+
+    want, scale = _loop_apply(0.0, 0.0, series.poles, series.coefficients,
+                              A, v)
+    assert np.linalg.norm(apply_series(series, A, v) - want) <= 1e-12 * scale
+    want, scale = _loop_apply(plan.gamma, plan.beta, plan.zeros,
+                              plan.residues, A, v)
+    assert np.linalg.norm(apply_plan(plan, A, v) - want) <= 1e-12 * scale
+    if backend == "grid":
+        # the Volterra solve is this application, bit for bit
+        x, _ = solve_volterra(plan, v, A)
+        assert np.array_equal(apply_plan(plan, A, v), x)
+
+
+def test_volterra_solve_keeps_its_second_order_derivative():
+    # the Volterra solve used np.gradient for y' before it became the grid's
+    # apply_plan: the same expression, bit for bit
+    g = GridDerivativeOperator(0.0, 3.0, 50)
+    plan = invert_to_plan(ResolventSeries(((1.0, 1.0), (2.0, 2.5 + 1j))))
+    y = np.exp(-g.t) * np.cos(3 * g.t) + 1j * g.t
+    want = plan.gamma * y + plan.beta * np.gradient(y, g.dt, edge_order=2)
+    for zk, ck in zip(plan.zeros, plan.residues):
+        want += ck * g.resolvent_solve(zk, y)
+    x, _ = solve_volterra(plan, y, g)
+    np.testing.assert_array_equal(x, want)
+
+
+def test_series_never_applies_the_operator(monkeypatch):
+    # beta = 0 for a series: no derivative pass on a grid, and no 0 * inf
+    def no_apply(self, v):
+        raise AssertionError("A applied for a zero beta")
+
+    monkeypatch.setattr(GridDerivativeOperator, "apply", no_apply)
+    g = GridDerivativeOperator(0.0, 1.0, 8)
+    got = apply_series(ResolventSeries(((1.0, 2.0),)), g, np.ones(8))
+    np.testing.assert_allclose(got, g.resolvent_solve(2.0, np.ones(8)))
+
+
+def test_one_sample_shift():
+    # a 1-sample signal is its own shift: f(T) = f(1) and the filter solve
+    # is the scalar 1/f(1) times -y
+    with pytest.raises(InvalidInputError):
+        PeriodicShiftOperator(0)
+    T = PeriodicShiftOperator(1)
+    np.testing.assert_array_equal(T.apply([3.0]), [3.0])
+    plan = invert_to_plan(ResolventSeries(((1.0, 2.0),)))
+    np.testing.assert_allclose(solve_filter(plan, [4.0]), [-4.0], rtol=1e-15)
