@@ -115,6 +115,14 @@ def convex_hull(points) -> HullPolygon:
     return HullPolygon(tuple(ring))
 
 
+def _ldexp(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x * 2^k, part by part, for complex x: exact unless it underflows."""
+    out = np.empty(np.broadcast_shapes(x.shape, k.shape), dtype=complex)
+    out.real = np.ldexp(x.real, k)
+    out.imag = np.ldexp(x.imag, k)
+    return out
+
+
 def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
     """Unrounded distances from the points z (1-d) to the hull with vertex
     ring v: the clamped projection onto each edge (a point's one edge is 0,
@@ -123,12 +131,17 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
     if z.size > step:
         return np.concatenate([_distances(v, z[i:i + step])
                                for i in range(0, z.size, step)])
+    # each point's row (the point and the ring) is scaled by 2^-k to
+    # largest part in [1/2, 1): exact, nothing overflows, and the hull's
+    # squared edge lengths underflow only when they are negligible against
+    # that point's own distance, whatever the other points' scale
     ring = np.array(v + v[:1])
-    # scale large data by 2^-k to parts < 1: exact, and nothing overflows
-    k = max(0, np.frexp(abs(np.concatenate([ring, z]).view(float)).max())[1])
-    ring, z = ring * 2.0 ** -k, z * 2.0 ** -k
-    a = ring[:-1]
-    e = ring[1:] - a
+    k = np.frexp(np.maximum(abs(ring.view(float)).max(),
+                            np.maximum(abs(z.real), abs(z.imag))))[1]
+    ring = _ldexp(ring, -k[:, None])
+    z = _ldexp(z, -k)
+    a = ring[:, :-1]
+    e = ring[:, 1:] - a
     dz = z[:, None] - a
     # real part: projection onto the edge; imaginary part: the cross
     # product, >= 0 on the inner side of the edge
@@ -143,8 +156,8 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
             # on a sliver hull the signs are rounding for points on the long
             # edges' lines, so an inside point must be in the bounding box
             x, y = z.real, z.imag
-            inside &= ((a.real.min() <= x) & (x <= a.real.max())
-                       & (a.imag.min() <= y) & (y <= a.imag.max()))
+            inside &= ((a.real.min(axis=1) <= x) & (x <= a.real.max(axis=1))
+                       & (a.imag.min(axis=1) <= y) & (y <= a.imag.max(axis=1)))
             d[inside] = 0.0
     with np.errstate(over="ignore"):  # inf past the float range
         return np.ldexp(d, k)

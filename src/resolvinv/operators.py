@@ -6,10 +6,12 @@ gamma + beta*A + sum_k c_k (z_k - A)^{-1} in its own ``apply_plan``.  A
 series is the plan with gamma = beta = 0, its poles and its nonzero
 coefficients (:func:`apply_series`), and each first-kind solve builds its
 operator and applies the plan to it.  The generic ``apply_plan`` makes one
-resolvent solve per zero (a dense matrix caches an LU per pole, its
-eigenvalues and its SVD) and applies A only when beta != 0; a multiplier
+resolvent solve per zero and applies A only when beta != 0; a multiplier
 and the periodic shift make one elementwise pass over their symbol, the
-shift between one FFT pair.
+shift between one FFT pair.  A dense matrix checks the vector once and
+makes one LAPACK ``zgetrs`` per zero, on the LU of alpha*I - A that
+``zgetrf`` factors once per shift alpha and caches on the operator, with
+its eigenvalues and its SVD.
 
 Every application checks the poles it solves at, by the package's one
 tolerance rule (:mod:`resolvinv.tolerance`), and raises
@@ -18,8 +20,10 @@ Against a symbol a pole p needs |p - s*| > SPECTRUM_EPS * max(|p|, |s*|)
 for its nearest sample s*, the rounding of p - s* (a bound scaled by
 max|s| would grow like n^2 for xi^2 on n samples); a multiplier scans its
 symbol once per pole, the shift finds the nearest root of unity by angle.
-A dense matrix needs dist(p, eigenvalues) > SPECTRUM_EPS * |p|, d/dt on
-a grid Re p > SPECTRUM_EPS * |p|.
+A dense matrix needs dist(p, eigenvalues) > SPECTRUM_EPS * |p|, checked
+when p is first factored, and raises the same error for an exactly zero
+pivot; it raises :class:`InvalidInputError` for a pole or a vector entry
+that is not finite.  d/dt on a grid needs Re p > SPECTRUM_EPS * |p|.
 
 The checked solvers and forward maps decide the theorem's hypotheses once,
 through :func:`resolvinv.series.require_admissible`; the plan-only solves
@@ -98,14 +102,18 @@ class OperatorHandle:
         """(gamma + beta A + h(A)) v with one resolvent solve per zero of
         the plan; A is not applied when beta = 0."""
         v = np.asarray(v, dtype=complex)
+        h = np.zeros_like(v)
+        for zk, ck in zip(plan.zeros, plan.residues):
+            h += ck * self.resolvent_solve(zk, v)
         out = plan.gamma * v
         if plan.beta != 0:
             out = out + plan.beta * self.apply(v)
-        return out + _apply_remainder(plan, self, v)
+        return out + h
 
 
 class DenseMatrixOperator(OperatorHandle):
-    """A as an explicit n x n complex matrix; resolvents by cached LU."""
+    """A as an explicit n x n complex matrix; resolvents on one LU of
+    alpha*I - A per shift alpha, factored by LAPACK ``zgetrf`` and cached."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -115,18 +123,21 @@ class DenseMatrixOperator(OperatorHandle):
             raise EmptyInputError("matrix must be nonempty")
         self.matrix = m
         self.dim = m.shape[0]
-        self._lu_cache: dict[complex, tuple] = {}
+        self._lu_cache: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
         self._eigvals: np.ndarray | None = None
         self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def checked_vector(self, v) -> np.ndarray:
-        """v as a complex vector of length n (or an (n, k) block of them);
-        raises :class:`InvalidInputError` for any other shape."""
+        """v as a finite complex vector of length n (or an (n, k) block of
+        them); raises :class:`InvalidInputError` for any other shape or a
+        NaN or infinite entry."""
         v = np.asarray(v, dtype=complex)
         if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise InvalidInputError(
                 f"vector of shape {v.shape} does not match the "
                 f"{self.dim}x{self.dim} matrix")
+        if not np.isfinite(v).all():
+            raise InvalidInputError("vector has a NaN or infinite entry")
         return v
 
     def apply(self, v):
@@ -149,23 +160,53 @@ class DenseMatrixOperator(OperatorHandle):
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.eigenvalues())
 
-    def resolvent_solve(self, alpha, v):
-        """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them,
-        on the LU cached for alpha; alpha is checked against the
-        eigenvalues when it is first factored."""
-        import scipy.linalg
-        alpha = complex(alpha)
-        v = self.checked_vector(v)
+    def _factor(self, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The LU factors (lu, piv) of alpha*I - A, factored once per alpha.
+
+        At its first factorisation alpha is checked against the
+        eigenvalues, and an exactly zero pivot raises too."""
         lu = self._lu_cache.get(alpha)
         if lu is None:
+            from scipy.linalg.lapack import zgetrf
+            if not np.isfinite(alpha):
+                raise InvalidInputError(f"pole {alpha} is not finite")
             gap = np.abs(alpha - self.eigenvalues()).min()
             if negligible(gap, alpha, rtol=SPECTRUM_EPS):
                 raise SingularResolventError(
                     f"pole {alpha} lies on or too near the spectrum")
-            shifted = alpha * np.eye(self.dim, dtype=complex) - self.matrix
-            lu = scipy.linalg.lu_factor(shifted)
-            self._lu_cache[alpha] = lu
-        return scipy.linalg.lu_solve(lu, v)
+            # -A in Fortran order, alpha added on its diagonal in place:
+            # zgetrf then factors it without a copy
+            shifted = np.negative(self.matrix, order="F")
+            shifted.ravel(order="K")[::self.dim + 1] += alpha
+            lu, piv, info = zgetrf(shifted, overwrite_a=True)
+            if info > 0:
+                raise SingularResolventError(
+                    f"pole {alpha} makes alpha*I - A exactly singular")
+            lu = self._lu_cache[alpha] = (lu, piv)
+        return lu
+
+    def _solve(self, alpha: complex, v: np.ndarray) -> np.ndarray:
+        """(alpha*I - A)^{-1} v for a checked v, by ``zgetrs`` on the
+        cached factors."""
+        from scipy.linalg.lapack import zgetrs
+        lu, piv = self._factor(complex(alpha))
+        return zgetrs(lu, piv, v)[0]
+
+    def resolvent_solve(self, alpha, v):
+        """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them."""
+        return self._solve(alpha, self.checked_vector(v))
+
+    def apply_plan(self, plan, v):
+        """gamma*v + beta*A v + h(A) v for a checked v: one ``zgetrs`` per
+        zero, on the cached factors, summed as the generic method does."""
+        v = self.checked_vector(v)
+        h = np.zeros_like(v)
+        for zk, ck in zip(plan.zeros, plan.residues):
+            h += ck * self._solve(zk, v)
+        out = plan.gamma * v
+        if plan.beta != 0:
+            out = out + plan.beta * (self.matrix @ v)
+        return out + h
 
 
 class MultiplierOperator(OperatorHandle):
@@ -308,16 +349,6 @@ def apply_series(series: ResolventSeries, A: OperatorHandle,
     with zeros alpha_j and residues a_j, less the terms whose a_j is 0."""
     a, alpha = np.array(series.terms).T
     return A.apply_plan(InversionPlan(0j, 0j, alpha[a != 0], a[a != 0]), v)
-
-
-def _apply_remainder(plan: InversionPlan, A: OperatorHandle,
-                     v: np.ndarray) -> np.ndarray:
-    """h(A) v: one resolvent solve per zero of the plan."""
-    v = np.asarray(v, dtype=complex)
-    out = np.zeros_like(v)
-    for zk, ck in zip(plan.zeros, plan.residues):
-        out += ck * A.resolvent_solve(zk, v)
-    return out
 
 
 def apply_plan(plan: InversionPlan, A: OperatorHandle,

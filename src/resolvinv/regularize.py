@@ -24,12 +24,12 @@ rescaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, SingularOperatorError
-from .operators import DenseMatrixOperator, _apply_remainder, apply_series
+from .operators import DenseMatrixOperator, apply_series
 from .rational import InversionPlan
 from .series import ResolventSeries
 from .tolerance import negligible
@@ -108,7 +108,7 @@ def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
     u, t, vh = _invertible_svd(A)
     y = A.checked_vector(y)
     reg = _tikhonov_columns(u, t, vh, (alpha,), y)[:, 0]
-    return plan.gamma * y + plan.beta * reg + _apply_remainder(plan, A, y)
+    return A.apply_plan(replace(plan, beta=0j), y) + plan.beta * reg
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def convergence_sweep(series: ResolventSeries, plan: InversionPlan,
     x_true = A.checked_vector(x_true)
     y = apply_series(series, A, x_true)
     alphas = config.alpha_grid
-    fixed = plan.gamma * y + _apply_remainder(plan, A, y)
+    fixed = A.apply_plan(replace(plan, beta=0j), y)
     x_rec = fixed[:, None] + plan.beta * _tikhonov_columns(u, t, vh, alphas, y)
     errors = np.linalg.norm(x_rec - x_true[:, None], axis=0)
     residuals = np.linalg.norm(apply_series(series, A, x_rec) - y[:, None],

@@ -219,8 +219,21 @@ def test_distance_equivariance(points, z, phi, shift):
 def _reference_hull_distance(hull, z):
     """Point-by-point loop: 0 inside (every edge turns left towards z, and
     z in the vertices' bounding box), else the nearest clamped projection
-    onto an edge."""
-    v = hull.vertices
+    onto an edge.  It runs in the frame the kernel gives z, the data
+    scaled by 2^-k to largest part of the hull and z in [1/2, 1): the
+    scaling is exact, and without it the squared edge length of tiny data
+    underflows."""
+    parts = [abs(x) for p in hull.vertices + (z,) for x in (p.real, p.imag)]
+    k = math.frexp(max(parts))[1]
+
+    def scaled(p):
+        return complex(math.ldexp(p.real, -k), math.ldexp(p.imag, -k))
+
+    return math.ldexp(_scaled_reference(
+        [scaled(p) for p in hull.vertices], scaled(z)), k)
+
+
+def _scaled_reference(v, z):
     ring = list(zip(v, v[1:] + v[:1]))
     cross = [((b - a).conjugate() * (z - a)).imag for a, b in ring]
     re, im = [p.real for p in v], [p.imag for p in v]
@@ -261,6 +274,24 @@ def test_degenerate_hull_spectrum_distance():
     assert hull_spectrum_distance(point, UnitCircle()) == pytest.approx(0.75)
     seg = HullPolygon((-0.5 + 0j, 0.5 + 0j))
     assert hull_spectrum_distance(seg, UnitCircle()) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("k", range(-1060, 1020, 53))
+def test_segment_distance_at_every_scale(k):
+    # below about 2^-530 the squared edge length of the unscaled data
+    # underflows, and the point 0 on the segment got the distance of an end
+    seg = convex_hull([-5.03 * 2.0 ** k + 0j, 0.0183 * 2.0 ** k + 0j])
+    assert hull_distance(seg, 0j) == 0.0
+    assert hull_distance(seg, 1j * 2.0 ** k) == 2.0 ** k
+
+
+def test_tiny_hull_distance_ignores_the_other_points_scale():
+    # the point 1 in the same call must not move 0 into a frame where the
+    # tiny segment's squared length underflows
+    seg = convex_hull([6.8631999012018e-200 + 0j, 4.0112641230263976e-200j])
+    alone = hull_distance(seg, 0j)
+    assert alone == pytest.approx(3.4631462666173655e-200, rel=1e-12, abs=0)
+    assert hull_distance(seg, np.array([0j, 1 + 0j]))[0] == alone
 
 
 def test_sliver_hull_membership():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -294,7 +294,7 @@ class TestConvergenceSweep:
 
 
 class TestSweepStructure:
-    """What one sweep computes, counted at the numpy/scipy calls: one SVD,
+    """What one sweep computes, counted at the numpy/LAPACK calls: one SVD,
     no inverse, one LU per pole and zero, and per-pole solves that do not
     grow with the number of alphas."""
 
@@ -312,7 +312,7 @@ class TestSweepStructure:
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.inv called")
 
-        solve = DenseMatrixOperator.resolvent_solve
+        solve = DenseMatrixOperator._solve
 
         def counted_solve(self, alpha, v):
             solved[complex(alpha)] += 1
@@ -321,10 +321,9 @@ class TestSweepStructure:
         monkeypatch.setattr(np.linalg, "svd",
                             counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "inv", refuse)
-        monkeypatch.setattr(scipy.linalg, "lu_factor",
-                            counted("lu_factor", scipy.linalg.lu_factor))
-        monkeypatch.setattr(DenseMatrixOperator, "resolvent_solve",
-                            counted_solve)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
+                            counted("zgetrf", scipy.linalg.lapack.zgetrf))
+        monkeypatch.setattr(DenseMatrixOperator, "_solve", counted_solve)
         return counts, solved
 
     @pytest.mark.parametrize("k", [1, 3, 9])
@@ -340,7 +339,7 @@ class TestSweepStructure:
         poles = [complex(p) for p in s.poles]
         zeros = [complex(z) for z in plan.zeros]
         assert counts["svd"] == 1
-        assert counts["lu_factor"] == len(set(poles + zeros))
+        assert counts["zgetrf"] == len(set(poles + zeros))
         # y = f(A) x once, then every residual in one block solve per pole
         assert solved == Counter({**{p: 2 for p in poles},
                                   **{z: 1 for z in zeros}})
