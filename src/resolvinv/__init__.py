@@ -59,10 +59,8 @@ from .series import (
     caratheodory_zero_series,
     check_admissible,
     evaluate,
-    evaluate_remainder,
     gamma_beta,
     require_admissible,
-    zeros,
 )
 
 __version__ = "0.1.0"

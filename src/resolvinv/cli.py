@@ -142,9 +142,11 @@ def cmd_invert(args) -> int:
 
     series, spectrum, A = _problem_series_and_spectrum(problem)
     margin = args.margin if args.margin is not None else problem["margin"]
-    require_admissible(series, spectrum, margin)
+    gate = require_admissible(series, spectrum, margin)
+    log.debug("separation distance %.6g", gate.separation_distance)
 
     plan = invert_to_plan(series, tol=args.tol)
+    log.debug("plan zeros: %d", plan.zeros.size)
     print(_plan_summary(plan), file=sys.stderr)
 
     if kind == "matrix":
@@ -175,8 +177,10 @@ def cmd_sweep(args) -> int:
     x_true = read_signal(args.input)
     config = RegularizerConfig(problem["alpha_grid"])
     series, spectrum, A = _problem_series_and_spectrum(problem)
-    require_admissible(series, spectrum, problem["margin"])
+    gate = require_admissible(series, spectrum, problem["margin"])
+    log.debug("separation distance %.6g", gate.separation_distance)
     plan = invert_to_plan(series, tol=args.tol)
+    log.debug("plan zeros: %d", plan.zeros.size)
     report = convergence_sweep(series, plan, A, x_true, config)
     write_sweep_csv(args.output, report)
     print(json.dumps({"improved": report.improved,

@@ -22,10 +22,6 @@ class DegenerateSeriesError(ResolvinvError):
     """The coefficient sum vanishes, so no affine inverse part exists."""
 
 
-class ZeroOfSeriesError(ResolvinvError):
-    """The series value vanishes at the requested point."""
-
-
 class HypothesisError(ResolvinvError):
     """Inputs violate the hypotheses of the inversion theorem
     (nonnegative real coefficients with positive sum, distinct poles, ...)."""
@@ -55,10 +51,6 @@ class ConditioningError(ResolvinvError):
         self.residual = residual
         self.condition = condition
         super().__init__(message)
-
-
-class UnsupportedShapeError(ResolvinvError):
-    """A rational function has a polynomial part of degree above one."""
 
 
 class MalformedSpecError(ResolvinvError):

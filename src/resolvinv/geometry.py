@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidInputError
-from .tolerance import EPS, magnitude
+from .tolerance import EPS, magnitude, unit_frame
 
 __all__ = [
     "HullPolygon",
@@ -74,6 +74,9 @@ def convex_hull(points) -> HullPolygon:
 
     Exactly collinear points interior to an edge are dropped; duplicate
     inputs are merged at ``tolerance.EPS`` relative to their own modulus.
+    The tests run on the points scaled by one exact power of two (see
+    :func:`tolerance.unit_frame`), so they neither overflow nor depend on
+    the scale; the vertices are input points.
     """
     pts = list(points)
     if not pts:
@@ -81,26 +84,29 @@ def convex_hull(points) -> HullPolygon:
     for p in pts:
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise InvalidInputError(f"non-finite point {p}")
+    w = unit_frame(pts)[0].tolist()
     # near-duplicates need not be adjacent in the sort (e.g. tiny real
     # parts with different signs), so merge against every kept point. The
     # merge radius is relative to the pair, not to the spread of the set:
     # a dropped point then lies within EPS*|p| of the hull, where a
     # spread-relative radius could cut a small extreme point off it.
-    uniq: list[complex] = []
-    for p in sorted(pts, key=lambda w: (w.real, w.imag)):
-        if all(abs(p - q) > EPS * max(abs(p), abs(q)) for q in uniq):
-            uniq.append(p)
+    uniq: list[int] = []
+    for i in sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag)):
+        if all(abs(w[i] - w[j]) > EPS * max(abs(w[i]), abs(w[j]))
+               for j in uniq):
+            uniq.append(i)
     if len(uniq) == 1:
-        return HullPolygon((uniq[0],))
+        return HullPolygon((pts[uniq[0]],))
 
     # exact-sign popping: a tolerance here mistakes far points for collinear
     # ones whenever the chain base is much shorter than the point spread
     def chain(seq):
-        out: list[complex] = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and _cross(w[out[-2]], w[out[-1]],
+                                           w[i]) <= 0.0:
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
     lower = chain(uniq)
@@ -109,10 +115,9 @@ def convex_hull(points) -> HullPolygon:
     if len(ring) <= 2:
         # collinear input: the sort order can hide the true extent (a tiny
         # real spread with a large imaginary one), so keep the farthest pair
-        a, b = max(((p, q) for i, p in enumerate(uniq)
-                    for q in uniq[i + 1:]), key=lambda pq: abs(pq[0] - pq[1]))
-        return HullPolygon((a, b))
-    return HullPolygon(tuple(ring))
+        ring = max(((i, j) for n, i in enumerate(uniq) for j in uniq[n + 1:]),
+                   key=lambda ij: abs(w[ij[0]] - w[ij[1]]))
+    return HullPolygon(tuple(pts[i] for i in ring))
 
 
 def _ldexp(x: np.ndarray, k: np.ndarray) -> np.ndarray:

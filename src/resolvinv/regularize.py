@@ -76,7 +76,9 @@ def tikhonov_apply(K: np.ndarray, alpha: float, y: np.ndarray) -> np.ndarray:
     """Minimizer of ||K x - y||^2 + alpha ||x||^2.
 
     Unique for alpha > 0; with K = P diag(t) Q^H it is
-    Q diag(t / (t^2 + alpha)) P^H y.
+    Q diag(t / (t^2 + alpha)) P^H y.  No package code calls it: the
+    benchmark's span tracer (``perfbench/spans.py``) wraps it by name,
+    which keeps it here.
     """
     p, t, qh = np.linalg.svd(np.asarray(K, dtype=complex),
                              full_matrices=False)

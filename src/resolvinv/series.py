@@ -1,10 +1,10 @@
 """Finite resolvent series f(z) = sum_j a_j / (alpha_j - z).
 
 The series object, its scalar evaluation, the affine part (gamma, beta) of
-its reciprocal, the remainder h(z) = 1/f(z) - gamma - beta*z, admissibility
-diagnostics against a spectrum descriptor and the one gate that raises
-on them, zero location, and the Caratheodory-type construction of a
-series vanishing at a prescribed interior point of the pole hull.
+its reciprocal, admissibility diagnostics against a spectrum descriptor
+and the one gate that raises on them, the zeros of f, and the
+Caratheodory-type construction of a series vanishing at a prescribed
+interior point of the pole hull.
 
 Infinite series are represented by finite truncations; the summability
 value reported by :func:`check_admissible` refers to the truncation and
@@ -28,7 +28,6 @@ from .errors import (
     InvalidInputError,
     PoleEvaluationError,
     SeparationError,
-    ZeroOfSeriesError,
 )
 from .geometry import (
     HullPolygon,
@@ -43,12 +42,10 @@ __all__ = [
     "AdmissibilityReport",
     "evaluate",
     "gamma_beta",
-    "evaluate_remainder",
     "check_admissible",
     "require_admissible",
     "theorem_mode",
     "secular_zeros",
-    "zeros",
     "caratheodory_zero_series",
 ]
 
@@ -149,15 +146,6 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     return weighted / s / s, -1.0 / s
 
 
-def evaluate_remainder(series: ResolventSeries, z: complex) -> complex:
-    """h(z) = 1/f(z) - gamma - beta*z."""
-    gamma, beta = gamma_beta(series)
-    fz = evaluate(series, z)
-    if fz == 0:
-        raise ZeroOfSeriesError(f"f vanishes at {z}")
-    return 1.0 / fz - gamma - beta * z
-
-
 @dataclass(frozen=True)
 class TermDiagnostic:
     coefficient: complex
@@ -224,8 +212,10 @@ def require_admissible(series: ResolventSeries, spectrum: Spectrum,
 def numerator_coefficients(series: ResolventSeries) -> np.ndarray:
     """Ascending coefficients of sum_j a_j * prod_{i != j} (alpha_i - z).
 
-    Not used to find zeros (see :func:`secular_zeros`): the monomial
-    basis loses accuracy quickly as the number of terms grows.
+    No package code calls it: the benchmark's span tracer
+    (``perfbench/spans.py``) wraps it by name, which keeps it here.  It is
+    not used to find zeros (see :func:`secular_zeros`): the monomial basis
+    loses accuracy quickly as the number of terms grows.
     """
     m = len(series.terms)
     total = np.zeros(m, dtype=complex)
@@ -273,17 +263,6 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
         raise ConditioningError("series terms overflow the zero solve")
     z = np.linalg.eigvals(block) + shift
     return z[np.lexsort((z.imag, z.real))]
-
-
-def zeros(series: ResolventSeries) -> list[complex]:
-    """All zeros of f (with multiplicity), sorted by (real, imag).
-
-    Terms with a zero coefficient are dropped first; a single-term series
-    has none.  See :func:`secular_zeros`.
-    """
-    active = series.pruned()
-    return [complex(z) for z in
-            secular_zeros(active.coefficients, active.poles)]
 
 
 def _barycentric_pair(lam, a0, a1):

@@ -5,7 +5,10 @@ scale of the data that produced it.  Rounding error is relative to the
 size of the operands, so the scale is never floored at 1: a floor would
 make every decision change when poles, spectrum and grid are rescaled
 together.  Where one operand's scale can vanish (a pole at the origin),
-the scale comes from the other operand.
+the scale comes from the other operand.  Pole gaps (and the hull tests of
+:mod:`resolvinv.geometry`) are taken on the points scaled by one exact
+power of two (:func:`unit_frame`), so that no difference or product of
+two points overflows near the top of the float range.
 
 Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
@@ -42,6 +45,7 @@ __all__ = [
     "negligible",
     "min_gap",
     "require_distinct",
+    "unit_frame",
 ]
 
 EPS = 1e-12
@@ -60,6 +64,17 @@ def negligible(x, *scales, rtol: float = EPS) -> bool:
     return bool(abs(x) <= rtol * max(map(abs, scales)))
 
 
+def unit_frame(points) -> tuple[np.ndarray, int]:
+    """(points * 2^-k, k), with k such that the largest real or imaginary
+    part lies in [1/2, 1) (k = 0 without a nonzero part).  The scaling is
+    exact except for parts more than 2^1021 times smaller than the largest,
+    which lose bits as subnormals, and no difference or product of two
+    scaled points overflows."""
+    parts = np.ascontiguousarray(points, dtype=complex).view(float)
+    k = math.frexp(abs(parts).max(initial=0.0))[1]
+    return np.ldexp(parts, -k).view(complex), k
+
+
 def _gaps(z: np.ndarray) -> np.ndarray:
     """Pairwise distances, with inf on the diagonal: one vectorised pass."""
     gaps = np.abs(z[:, None] - z)
@@ -68,19 +83,26 @@ def _gaps(z: np.ndarray) -> np.ndarray:
 
 
 def min_gap(points) -> float:
-    """Smallest distance between two of the points (inf for fewer)."""
-    z = np.asarray(points, dtype=complex)
-    return float(_gaps(z).min()) if z.size > 1 else math.inf
+    """Smallest distance between two of the points (inf for fewer, or
+    past the float range)."""
+    z, k = unit_frame(points)
+    if z.size < 2:
+        return math.inf
+    try:
+        return math.ldexp(_gaps(z).min(), k)
+    except OverflowError:
+        return math.inf
 
 
 def require_distinct(points) -> None:
     """Raise :class:`RepeatedPoleError` unless every two poles are more
     than ``EPS * max|pole|`` apart."""
-    z = np.asarray(points, dtype=complex)
+    z, _ = unit_frame(points)
     if z.size < 2:
         return
     gaps = _gaps(z)
     k = gaps.argmin()
     if gaps.flat[k] <= EPS * np.abs(z).max():
         i, j = divmod(k, z.size)
-        raise RepeatedPoleError(f"poles {z[i]} and {z[j]} are not distinct")
+        p = np.asarray(points, dtype=complex)
+        raise RepeatedPoleError(f"poles {p[i]} and {p[j]} are not distinct")

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
-from resolvinv import ResolventSeries
+from resolvinv import FilterSpec, ResolventSeries
 
 # `pytest --hypothesis-profile=ci` prints the reproducer blob of a failing
 # example, so a random CI failure can be replayed with @reproduce_failure
@@ -55,3 +55,14 @@ def assemble_plan(plan, a_matrix):
     for zk, ck in zip(plan.zeros, plan.residues):
         out += ck * np.linalg.inv(zk * eye - a_matrix)
     return out
+
+
+def planted_filter(roots, residues) -> FilterSpec:
+    """Filter whose characteristic roots and transfer residues are the
+    given ones: q~(z) = sum_j a_j prod_{i != j} (z - z_i), so that
+    q~(z_j) / p'(z_j) = a_j.  Built with numpy alone."""
+    roots = np.asarray(roots, dtype=complex)
+    qt = np.zeros(roots.size, dtype=complex)
+    for j, a in enumerate(residues):
+        qt += a * np.atleast_1d(np.poly(np.delete(roots, j)))[::-1]
+    return FilterSpec(tuple(np.poly(roots)[::-1]), tuple(qt))

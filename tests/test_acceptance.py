@@ -16,6 +16,7 @@ from conftest import (
     assemble_plan,
     assemble_series,
     matrix_with_eigenvalues,
+    planted_filter,
     random_theorem_series,
 )
 from resolvinv.demos import write_demo_files
@@ -31,13 +32,13 @@ from resolvinv.operators import (
     solve_even_convolution,
     solve_exponential_volterra,
 )
-from resolvinv.rational import FilterSpec, Polynomial, invert_to_plan
+from resolvinv.rational import FilterSpec, invert_to_plan
 from resolvinv.regularize import RegularizerConfig, convergence_sweep
 from resolvinv.series import (
     caratheodory_zero_series,
     evaluate,
     gamma_beta,
-    zeros,
+    secular_zeros,
 )
 
 
@@ -77,7 +78,7 @@ def test_zeros_confined_to_pole_hull():
     for _ in range(1000):
         series = random_theorem_series(rng, 2, 8)
         hull = convex_hull(series.poles)
-        for z in zeros(series):
+        for z in secular_zeros(series.coefficients, series.poles):
             d = hull_distance(hull, z)
             worst = max(worst, d)
             assert d <= 1e-8
@@ -126,16 +127,7 @@ def _random_stable_filter(rng, order):
         if all(abs(roots[i] - roots[j]) > 0.05
                for i in range(order) for j in range(i + 1, order)):
             break
-    a = rng.uniform(0.2, 1.0, order)
-    p = Polynomial.from_roots(roots)
-    qt = Polynomial((0.0,))
-    for j in range(order):
-        term = Polynomial((a[j],))
-        for i in range(order):
-            if i != j:
-                term = term * Polynomial((-roots[i], 1.0))
-        qt = qt + term
-    return FilterSpec(p.coeffs, qt.coeffs)
+    return planted_filter(roots, rng.uniform(0.2, 1.0, order))
 
 
 def test_filter_round_trip():

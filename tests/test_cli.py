@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from resolvinv.geometry import (
     PositiveHalfLine,
     UnitCircle,
 )
-from resolvinv.series import ResolventSeries
+from resolvinv.series import ResolventSeries, check_admissible
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -624,6 +625,49 @@ def test_random_problem_document_exits_with_a_code(demo_dir,
     for argv in (["check", str(problem)], ["invert", str(problem)] + io,
                  ["sweep", str(problem)] + io):
         assert main(argv) in range(5)
+
+
+class TestDebugLog:
+    RUNS = {"invert": ("matrix.json", "matrix_y.csv"),
+            "sweep": ("sweep.json", "sweep_x.csv")}
+
+    def _run(self, command, demo_dir, tmp_path):
+        problem, signal = self.RUNS[command]
+        return main([command, str(demo_dir / problem),
+                     "--input", str(demo_dir / signal),
+                     "--output", str(tmp_path / "out.csv")])
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_separation_and_zero_count(self, command, demo_dir, tmp_path,
+                                       caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="resolvinv")
+        assert self._run(command, demo_dir, tmp_path) == 0
+        series, spectrum, _ = cli._problem_series_and_spectrum(
+            load_problem(demo_dir / self.RUNS[command][0]))
+        distance = check_admissible(series, spectrum).separation_distance
+        assert [r.getMessage() for r in caplog.records] == [
+            f"separation distance {distance:.6g}",
+            f"plan zeros: {len(series.terms) - 1}"]
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_default_level_logs_nothing(self, command, demo_dir, tmp_path,
+                                        caplog, capsys):
+        assert self._run(command, demo_dir, tmp_path) == 0
+        assert caplog.records == []
+
+    def test_environment_variable_turns_it_on(self, demo_dir, tmp_path,
+                                              monkeypatch):
+        problem, signal = self.RUNS["invert"]
+        argv = ["-m", "resolvinv.cli", "invert", str(demo_dir / problem),
+                "--input", str(demo_dir / signal),
+                "--output", str(tmp_path / "out.csv")]
+        monkeypatch.delenv("RESOLVENT_INV_LOG", raising=False)
+        quiet = run_python(*argv)
+        monkeypatch.setenv("RESOLVENT_INV_LOG", "DEBUG")
+        loud = run_python(*argv)
+        assert "DEBUG" not in quiet.stderr
+        assert "DEBUG:resolvinv:separation distance" in loud.stderr
+        assert loud.stdout == quiet.stdout
 
 
 class TestSweepCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import planted_filter
 from resolvinv.errors import (
     HypothesisError,
     SeparationError,
@@ -8,7 +9,7 @@ from resolvinv.errors import (
     SingularTransferError,
 )
 from resolvinv.operators import forward_filter, invert_filter, solve_filter
-from resolvinv.rational import FilterSpec, Polynomial, invert_to_plan
+from resolvinv.rational import FilterSpec, invert_to_plan
 from resolvinv.series import ResolventSeries
 
 
@@ -21,17 +22,7 @@ def random_invertible_filter(rng, order):
         if all(abs(roots[i] - roots[j]) > 0.05
                for i in range(order) for j in range(i + 1, order)):
             break
-    a = rng.uniform(0.2, 1.0, order)
-    p = Polynomial.from_roots(roots)
-    # q~(z) = sum_j a_j prod_{i != j} (z - z_i), so q~(z_j)/p'(z_j) = a_j
-    qt = Polynomial((0.0,))
-    for j in range(order):
-        term = Polynomial((a[j],))
-        for i in range(order):
-            if i != j:
-                term = term * Polynomial((-roots[i], 1.0))
-        qt = qt + term
-    return FilterSpec(p.coeffs, qt.coeffs)
+    return planted_filter(roots, rng.uniform(0.2, 1.0, order))
 
 
 def circulant_filter_matrix(spec, n):

@@ -1,13 +1,16 @@
 """The flat inversion plan, the numpy filter path, and the isolation of the
-polynomial layer from every live path."""
+names that only the benchmark's tracer keeps from every live path."""
 
 import dataclasses
+import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import planted_filter
 from resolvinv import tolerance
 from resolvinv.cli import main
 from resolvinv.errors import (
@@ -35,18 +38,7 @@ from resolvinv.rational import (
     invert_to_plan,
 )
 from resolvinv.regularize import RegularizerConfig, convergence_sweep
-from resolvinv.series import ResolventSeries, zeros
-
-
-def planted_filter(roots, residues) -> FilterSpec:
-    """Filter whose characteristic roots and transfer residues are the
-    given ones: q~(z) = sum_j a_j prod_{i != j} (z - z_i), so that
-    q~(z_j) / p'(z_j) = a_j.  Built with numpy alone."""
-    roots = np.asarray(roots, dtype=complex)
-    qt = np.zeros(roots.size, dtype=complex)
-    for j, a in enumerate(residues):
-        qt += a * np.atleast_1d(np.poly(np.delete(roots, j)))[::-1]
-    return FilterSpec(tuple(np.poly(roots)[::-1]), tuple(qt))
+from resolvinv.series import ResolventSeries, secular_zeros, theorem_mode
 
 
 def _rel(got, want) -> float:
@@ -81,12 +73,13 @@ def test_flat_plan_is_the_closed_form(series):
         return
     m = len(series.terms)
     assert plan.zeros.shape == plan.residues.shape == (m - 1,)
-    assert np.array_equal(plan.zeros, np.array(zeros(series), dtype=complex))
+    assert np.array_equal(plan.zeros,
+                          secular_zeros(series.coefficients, series.poles))
     a = np.array(series.coefficients)
     alpha = np.array(series.poles)
     fprime = np.sum(a / (alpha - plan.zeros[:, None]) ** 2, axis=1)
     np.testing.assert_allclose(plan.residues, -1.0 / fprime, rtol=1e-12)
-    pts = _fit_sample_points(np.concatenate([alpha, plan.zeros]), count=16)
+    pts = _fit_sample_points(np.concatenate([alpha, plan.zeros]))
     scalar = [plan.evaluate_scalar(complex(z)) for z in pts]
     np.testing.assert_allclose(plan.evaluate_scalar(pts), scalar,
                                rtol=1e-13)
@@ -144,15 +137,78 @@ def test_filter_gap_has_no_floor_of_one():
         assert len(series.terms) == 2
 
 
-# --- the polynomial layer has no caller --------------------------------------
+def _reference_filter_to_series(spec, tol=tolerance.DEFAULT_ROOT_TOL):
+    """The filter path with its root step and residues inline, and the
+    root gap taken unscaled: the reference for poly_roots and
+    partial_fractions."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError("tol must be nonnegative and finite")
+    c = np.asarray(spec.c)
+    dc = npp.polyder(c)
+    z = np.roots(c[::-1])
+    pz = npp.polyval(z, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = z - pz / npp.polyval(z, dc)
+        z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
+    gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
+    gap = gaps.min() if z.size > 1 else math.inf
+    if gap <= max(tol, tolerance.EPS) * tolerance.magnitude(z):
+        raise RepeatedRootError(
+            "characteristic polynomial has a repeated root")
+    z = z[np.lexsort((z.imag, z.real))]
+    a = npp.polyval(z, spec.b) / npp.polyval(z, dc)
+    if theorem_mode(a, rtol=tolerance.DERIVED_EPS):
+        a = a.real
+    return ResolventSeries(tuple(zip(a, z)))
 
 
+@st.composite
+def filter_specs(draw):
+    """Random complex or real coefficients, or planted roots with positive
+    residues (theorem mode), or planted roots with a near-double one."""
+    kind = draw(st.sampled_from(["complex", "real", "planted", "repeated"]))
+    order = draw(st.integers(1, 7))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("complex", "real"):
+        c, b = (rng.standard_normal(k) for k in (order + 1, order))
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal(order + 1)
+            b = b + 1j * rng.standard_normal(order)
+        spec = FilterSpec(tuple(c * scale ** -np.arange(order + 1)),
+                          tuple(b))
+    else:
+        roots = _separated_roots(rng, order, scale)
+        if kind == "repeated" and order > 1:
+            roots[1] = roots[0] * (1.0 + 10.0 ** rng.uniform(-14.0, -6.0))
+        spec = planted_filter(roots, rng.uniform(0.5, 1.5, order))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-6, 1e-3, 1e-3,
+                               float("nan"), -1.0]))
+    return spec, tol
+
+
+def _terms_or_error(fn):
+    try:
+        return fn().terms
+    except Exception as exc:  # the error class is the outcome compared
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=filter_specs())
+def test_filter_path_matches_the_inline_reference(params):
+    spec, tol = params
+    got = _terms_or_error(lambda: filter_to_series(spec, tol))
+    want = _terms_or_error(lambda: _reference_filter_to_series(spec, tol))
+    assert got == want
+
+
+# --- names no live path calls ------------------------------------------------
+
+# the benchmark's span tracer keeps them by name
 POLYNOMIAL_LAYER = {
-    "resolvinv.rational": ("Polynomial", "RationalFunction", "PoleGroup",
-                           "PartialFractionForm", "poly_roots",
-                           "partial_fractions", "series_to_rational",
-                           "numerator_coefficients"),
     "resolvinv.series": ("numerator_coefficients",),
+    "resolvinv.regularize": ("tikhonov_apply",),
 }
 
 

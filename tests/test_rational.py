@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,161 +15,121 @@ from resolvinv.errors import (
     HypothesisError,
     MalformedSpecError,
     RepeatedRootError,
-    UnsupportedShapeError,
 )
-from resolvinv.series import ResolventSeries, evaluate, evaluate_remainder
+from resolvinv.series import (
+    ResolventSeries,
+    evaluate,
+    gamma_beta,
+    numerator_coefficients,
+)
 from resolvinv.rational import (
     FilterSpec,
-    PartialFractionForm,
-    Polynomial,
-    RationalFunction,
     _fit_sample_points,
     filter_to_series,
     invert_to_plan,
     partial_fractions,
     poly_roots,
-    series_to_rational,
 )
-
-
-class TestPolynomial:
-    def test_normalization(self):
-        p = Polynomial((1.0, 2.0, 0.0, 0.0))
-        assert p.coeffs == (1 + 0j, 2 + 0j)
-        assert p.degree == 1
-
-    def test_zero_polynomial(self):
-        assert Polynomial(()).is_zero
-        assert Polynomial((0.0, 0.0)).is_zero
-
-    def test_arithmetic(self):
-        p = Polynomial((1.0, 1.0))   # 1 + z
-        q = Polynomial((-1.0, 1.0))  # -1 + z
-        assert (p * q).coeffs == (-1 + 0j, 0j, 1 + 0j)
-        quot, rem = (p * q).divmod(p)
-        assert quot.coeffs == pytest.approx(q.coeffs)
-        assert rem.is_zero
-
-    def test_from_roots_monic(self):
-        p = Polynomial.from_roots([1.0, -1.0])
-        assert p.coeffs == pytest.approx((-1 + 0j, 0j, 1 + 0j))
 
 
 class TestPolyRoots:
     def test_quadratic(self):
-        roots = poly_roots(Polynomial((-1.0, 0.0, 1.0)))
-        assert [(pytest.approx(r), m) for r, m in roots] == [
-            (pytest.approx(-1 + 0j), 1), (pytest.approx(1 + 0j), 1)]
+        roots = poly_roots([-1.0, 0.0, 1.0])
+        assert roots.tolist() == [pytest.approx(-1 + 0j), pytest.approx(1 + 0j)]
 
     def test_double_root(self):
-        roots = poly_roots(Polynomial((4.0, -4.0, 1.0)))
-        assert len(roots) == 1
-        r, m = roots[0]
-        assert m == 2 and r == pytest.approx(2 + 0j, abs=1e-7)
+        with pytest.raises(RepeatedRootError):
+            poly_roots([4.0, -4.0, 1.0])
 
     def test_cube_roots_of_unity_vs_companion_oracle(self):
         # oracle: eigenvalues of the hand-built companion matrix of z^3 - 1
         companion = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
         expected = sorted(np.linalg.eigvals(companion),
                           key=lambda w: (w.real, w.imag))
-        roots = poly_roots(Polynomial((-1.0, 0.0, 0.0, 1.0)))
-        assert all(m == 1 for _, m in roots)
-        got = [r for r, _ in roots]
-        assert got == pytest.approx(expected, abs=1e-10)
+        roots = poly_roots([-1.0, 0.0, 0.0, 1.0])
+        assert roots.tolist() == pytest.approx(expected, abs=1e-10)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            poly_roots(Polynomial((0.0,)))
+            poly_roots([0.0])
 
     def test_root_coefficient_round_trip(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
             deg = int(rng.integers(1, 13))
             true_roots = rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg)
-            p = Polynomial.from_roots(true_roots)
-            found = poly_roots(p, tol=1e-6)
-            expanded = []
-            for r, m in found:
-                expanded += [r] * m
-            rebuilt = Polynomial.from_roots(expanded)
-            err = np.max(np.abs(np.subtract(rebuilt.coeffs, p.coeffs)))
-            scale = np.max(np.abs(p.coeffs))
-            assert err <= 1e-9 * max(1.0, scale)
+            p = npp.polyfromroots(true_roots)
+            rebuilt = npp.polyfromroots(poly_roots(p, tol=1e-6))
+            err = np.max(np.abs(rebuilt - p))
+            assert err <= 1e-9 * max(1.0, np.max(np.abs(p)))
+
+
+def _denominator(series) -> np.ndarray:
+    """Ascending coefficients of prod_j (alpha_j - z)."""
+    return npp.polyfromroots(series.poles) * (-1) ** len(series.terms)
 
 
 class TestSeriesToRational:
+    """f = num/den, num from numerator_coefficients, den = prod (alpha_j - z)."""
+
     def test_hand_expansion(self):
-        r = series_to_rational(ResolventSeries(((1, 1.0), (1, -1.0))))
-        assert r.num.coeffs == pytest.approx((0j, -2 + 0j))
-        # (1-z)(-1-z) = -1 + z^2... expanded: z^2 - 1
-        assert r.den.coeffs == pytest.approx((-1 + 0j, 0j, 1 + 0j))
+        s = ResolventSeries(((1, 1.0), (1, -1.0)))
+        assert numerator_coefficients(s).tolist() == pytest.approx([0j, -2])
+        # (1-z)(-1-z) = z^2 - 1
+        assert _denominator(s).tolist() == pytest.approx([-1, 0j, 1])
 
     def test_single_term(self):
         alpha, a = 0.3 - 1j, 2.5
-        r = series_to_rational(ResolventSeries(((a, alpha),)))
-        assert r.num.coeffs == pytest.approx((a + 0j,))
-        assert r.den.coeffs == pytest.approx((alpha, -1 + 0j))
+        s = ResolventSeries(((a, alpha),))
+        assert numerator_coefficients(s).tolist() == pytest.approx([a])
+        assert _denominator(s).tolist() == pytest.approx([alpha, -1])
 
     def test_pointwise_agreement(self):
         rng = np.random.default_rng(23)
         s = random_theorem_series(rng, 4, 4)
-        r = series_to_rational(s)
+        num, den = numerator_coefficients(s), _denominator(s)
         for _ in range(20):
             z = complex(rng.uniform(-3, 3), rng.uniform(2, 5))
             ref = evaluate(s, z)
-            assert abs(r(z) - ref) <= 1e-11 * max(1.0, abs(ref))
+            got = npp.polyval(z, num) / npp.polyval(z, den)
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 class TestPartialFractions:
     def test_two_simple_poles(self):
-        # 2z / ((z-1)(z+1))
-        r = RationalFunction(Polynomial((0.0, 2.0)),
-                             Polynomial((-1.0, 0.0, 1.0)))
-        form = partial_fractions(r)
-        assert form.gamma == pytest.approx(0.0)
-        assert form.beta == pytest.approx(0.0)
-        groups = sorted(form.groups, key=lambda g: g.pole.real)
-        assert groups[0].pole == pytest.approx(-1 + 0j)
-        # residue oracle: num(z_j) / den'(z_j), then flip to (pole-z) form
-        den_prime = r.den.derivative()
-        for g in groups:
-            residue = complex(r.num(g.pole)) / complex(den_prime(g.pole))
-            assert g.coeffs[0] == pytest.approx(-residue)
-            assert g.coeffs[0] == pytest.approx(-1 + 0j, abs=1e-10)
+        # 2z / ((z-1)(z+1)) = 1/(z+1) + 1/(z-1)
+        num, den = [0.0, 2.0], [-1.0, 0.0, 1.0]
+        poles, residues = partial_fractions(num, den)
+        assert poles.tolist() == [pytest.approx(-1 + 0j), pytest.approx(1 + 0j)]
+        # oracle: the limit of (z - pole) num(z)/den(z) at the pole
+        for pole, residue in zip(poles, residues):
+            z = pole + 1e-7
+            limit = (z - pole) * npp.polyval(z, num) / npp.polyval(z, den)
+            assert residue == pytest.approx(limit, abs=1e-6)
+            assert residue == pytest.approx(1 + 0j, abs=1e-10)
 
     def test_single_pole(self):
+        # 1/(alpha - z) = -1/(z - alpha)
         alpha = 1.5 + 0.5j
-        r = RationalFunction(Polynomial((1.0,)), Polynomial((alpha, -1.0)))
-        form = partial_fractions(r)
-        assert len(form.groups) == 1
-        g = form.groups[0]
-        assert g.pole == pytest.approx(alpha)
-        assert g.coeffs == (pytest.approx(1 + 0j),)
+        poles, residues = partial_fractions([1.0], [alpha, -1.0])
+        assert poles.tolist() == [pytest.approx(alpha)]
+        assert residues.tolist() == [pytest.approx(-1 + 0j)]
 
     def test_double_pole(self):
         alpha = 0.5 - 1j
-        den = Polynomial((alpha, -1.0)) * Polynomial((alpha, -1.0))
-        form = partial_fractions(RationalFunction(Polynomial((1.0,)), den))
-        assert len(form.groups) == 1
-        g = form.groups[0]
-        assert g.multiplicity == 2
-        assert g.coeffs[0] == pytest.approx(0j, abs=1e-8)
-        assert g.coeffs[1] == pytest.approx(1 + 0j)
+        den = npp.polyfromroots([alpha, alpha])
+        with pytest.raises(RepeatedRootError):
+            partial_fractions([1.0], den)
 
     def test_affine_part(self):
-        # (z^2 + 1) / z = z + 1/z
-        r = RationalFunction(Polynomial((1.0, 0.0, 1.0)),
-                             Polynomial((0.0, 1.0)))
-        form = partial_fractions(r)
-        assert form.beta == pytest.approx(1.0)
-        assert form.gamma == pytest.approx(0.0)
-        assert form.groups[0].coeffs[0] == pytest.approx(-1 + 0j)
-
-    def test_degree_two_polynomial_part_rejected(self):
-        r = RationalFunction(Polynomial((0.0, 0.0, 0.0, 1.0)),
-                             Polynomial((1.0, 1.0)))
-        with pytest.raises(UnsupportedShapeError):
-            partial_fractions(r)
+        # (z^2 + 1) / z = z + 1/z: the residue at 0 beside the affine part
+        num, den = [1.0, 0.0, 1.0], [0.0, 1.0]
+        poles, residues = partial_fractions(num, den)
+        assert poles.tolist() == [pytest.approx(0j)]
+        assert residues.tolist() == [pytest.approx(1 + 0j)]
+        for z in (2.0, 1j, -3 + 1j):
+            rest = npp.polyval(z, num) / npp.polyval(z, den) - residues[0] / z
+            assert rest == pytest.approx(z)
 
     def test_reconstruction_random_proper(self):
         rng = np.random.default_rng(31)
@@ -179,18 +140,16 @@ class TestPartialFractions:
                 if all(abs(poles[i] - poles[j]) > 0.2
                        for i in range(deg) for j in range(i + 1, deg)):
                     break
-            den = Polynomial((1.0,))
-            for p in poles:
-                den = den * Polynomial((p, -1.0))
-            num = Polynomial(tuple(
-                rng.standard_normal(deg) + 1j * rng.standard_normal(deg)))
-            form = partial_fractions(RationalFunction(num, den))
+            den = npp.polyfromroots(poles)
+            num = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
+            found, residues = partial_fractions(num, den)
             for _ in range(100):
                 z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
                 if min(abs(z - p) for p in poles) < 0.3:
                     continue
-                ref = complex(num(z)) / complex(den(z))
-                assert abs(form(z) - ref) <= 1e-10 * (1.0 + abs(ref))
+                ref = npp.polyval(z, num) / npp.polyval(z, den)
+                got = np.sum(residues / (z - found))
+                assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 class TestInvertToPlan:
@@ -210,7 +169,9 @@ class TestInvertToPlan:
         # oracle: numerical residue of h at the pole, in (pole - z) form:
         # c11 = lim_{z->2} (2 - z) h(z)
         eps = 1e-7
-        approx = (2 - (2 + eps)) * evaluate_remainder(s, 2 + eps)
+        gamma, beta = gamma_beta(s)
+        z = 2 + eps
+        approx = (2 - z) * (1.0 / evaluate(s, z) - gamma - beta * z)
         c11 = plan.residues[0]
         assert c11 == pytest.approx(approx, abs=1e-6)
         assert c11 == pytest.approx(-0.5)
@@ -231,34 +192,25 @@ class TestInvertToPlan:
             invert_to_plan(ResolventSeries(((-1, 1.0), (2, 2.0))))
 
     def test_polynomial_identity(self):
-        # num(f) * num(g) - den(f) * den(g) ~ 0 for the reconstructed plan
+        # dense oracle: plan(A) f(A) = I, both assembled with np.linalg.inv
         rng = np.random.default_rng(37)
         for _ in range(10):
             s = random_theorem_series(rng, 2, 6)
             plan = invert_to_plan(s)
-            rat = series_to_rational(s)
-            # reconstruct plan as a rational function over prod (z_k - z)
-            den_g = Polynomial((1.0,))
-            for zk in plan.zeros:
-                den_g = den_g * Polynomial((zk, -1.0))
-            num_g = Polynomial((plan.gamma, plan.beta)) * den_g
-            for k, ck in enumerate(plan.residues):
-                term = Polynomial((ck,))
-                for i, zi in enumerate(plan.zeros):
-                    if i != k:
-                        term = term * Polynomial((zi, -1.0))
-                num_g = num_g + term
-            ident = (rat.num * num_g) - (rat.den * den_g)
-            coeffs = np.array(ident.coeffs)
-            scale = max(np.max(np.abs(rat.num.coeffs)) *
-                        max(1.0, np.max(np.abs(num_g.coeffs))), 1.0)
-            assert np.max(np.abs(coeffs)) <= 1e-9 * scale
+            n = 8
+            eigs = 0.5 + 0.5j + rng.uniform(1.5, 3.0, n) * np.exp(
+                2j * np.pi * rng.uniform(0, 1, n))
+            a_matrix = matrix_with_eigenvalues(rng, eigs)
+            f_a = assemble_series(s, a_matrix)
+            defect = np.linalg.norm(assemble_plan(plan, a_matrix) @ f_a
+                                    - np.eye(n))
+            assert defect <= 1e-9 * np.linalg.cond(f_a)
 
 
 def _identity_residual(series, plan):
     """max |f(z) (gamma + beta z + h(z)) - 1|, term by term, at the points
     on which invert_to_plan checks the plan itself."""
-    pts = _fit_sample_points(list(series.poles) + list(plan.zeros), count=50)
+    pts = _fit_sample_points(list(series.poles) + list(plan.zeros))
     return max(abs(evaluate(series, z) * complex(plan.evaluate_scalar(z))
                    - 1.0) for z in pts)
 
@@ -355,14 +307,12 @@ class TestFilterToSeries:
         series = filter_to_series(spec)
         poles = sorted(series.poles, key=lambda z: z.real)
         assert poles == [pytest.approx(1 + 0j), pytest.approx(2 + 0j)]
-        # oracle: numerical residues of q / (z p) at z_j
-        p = Polynomial(spec.c)
-        q = Polynomial((0j,) + spec.b)
+        # oracle: numerical residues of q / (z p) at z_j, q(z) = z b(z)
 
         def residue(zj):
-            eps = 1e-7
-            z = zj + eps
-            return complex(q(z)) / (z * complex(p(z))) * (z - zj)
+            z = zj + 1e-7
+            return (npp.polyval(z, spec.b) / npp.polyval(z, spec.c)
+                    * (z - zj))
 
         for a, zj in series.terms:
             assert a == pytest.approx(residue(zj), abs=1e-5)
@@ -378,12 +328,10 @@ class TestFilterToSeries:
         rng = np.random.default_rng(41)
         spec = FilterSpec((-2.0, 3.0, -1.0), (1.0, 1.0))
         series = filter_to_series(spec)
-        p = Polynomial(spec.c)
-        q = Polynomial((0j,) + spec.b)
         for _ in range(50):
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if min(abs(z - zj) for zj in series.poles) < 0.3:
                 continue
-            lhs = complex(q(z)) / complex(p(z))
+            lhs = z * npp.polyval(z, spec.b) / npp.polyval(z, spec.c)
             rhs = -z * evaluate(series, z)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))

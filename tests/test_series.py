@@ -18,14 +18,14 @@ from resolvinv.geometry import (
     convex_hull,
     hull_distance,
 )
+from resolvinv.rational import invert_to_plan
 from resolvinv.series import (
     ResolventSeries,
     caratheodory_zero_series,
     check_admissible,
     evaluate,
-    evaluate_remainder,
     gamma_beta,
-    zeros,
+    secular_zeros,
 )
 
 
@@ -118,21 +118,27 @@ class TestGammaBeta:
         assert b == pytest.approx(-5e199)
 
 
+def _remainder(series, z):
+    """h(z) = 1/f(z) - gamma - beta*z, from the plan."""
+    plan = invert_to_plan(series)
+    return plan.evaluate_scalar(z) - plan.gamma - plan.beta * z
+
+
 class TestRemainder:
     def test_single_term_vanishes(self):
         s = ResolventSeries(((1, 0.7 - 0.3j),))
         for z in (0.0, 2j, 5 - 1j):
-            assert abs(evaluate_remainder(s, z)) < 1e-14
+            assert abs(_remainder(s, z)) < 1e-14
 
     def test_hand_value(self):
         s = ResolventSeries(((1, 1.0), (1, -1.0)))
         # 1/f(2i) - gamma - beta*2i = 1/(0.8i) + i = -0.25i
         # sanity: f * (gamma + beta*z + h) = 0.8i * (-1.25i) = 1
-        assert evaluate_remainder(s, 2j) == pytest.approx(-0.25j)
+        assert _remainder(s, 2j) == pytest.approx(-0.25j)
 
     def test_strictly_proper_at_infinity(self):
         s = ResolventSeries(((1, 1.0), (1, 3.0)))
-        assert abs(evaluate_remainder(s, 1e6)) < 1e-4
+        assert abs(_remainder(s, 1e6)) < 1e-4
 
 
 class TestAdmissibility:
@@ -170,14 +176,14 @@ class TestAdmissibility:
 class TestZeros:
     def test_two_symmetric_poles(self):
         s = ResolventSeries(((1, 1.0), (1, -1.0)))
-        assert zeros(s) == [pytest.approx(0j)]
+        assert invert_to_plan(s).zeros.tolist() == [pytest.approx(0j)]
 
     def test_single_term_no_zeros(self):
-        assert zeros(ResolventSeries(((1, 0.3j),))) == []
+        assert invert_to_plan(ResolventSeries(((1, 0.3j),))).zeros.size == 0
 
     def test_zero_coefficient_pruned(self):
         s = ResolventSeries(((1, 1.0), (0, 5.0), (1, -1.0)))
-        zs = zeros(s)
+        zs = invert_to_plan(s).zeros
         assert len(zs) == 1 and abs(zs[0]) < 1e-12
 
     def test_zeros_in_hull_random(self):
@@ -185,7 +191,7 @@ class TestZeros:
         for _ in range(100):
             s = random_theorem_series(rng, 2, 8)
             hull = convex_hull(s.poles)
-            for z in zeros(s):
+            for z in secular_zeros(s.coefficients, s.poles):
                 assert hull_distance(hull, z) <= 1e-8 * s.scale
 
 
@@ -230,7 +236,7 @@ class TestProperties:
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = random_theorem_series(rng, 2, 6)
-            g, b = gamma_beta(s)
+            plan = invert_to_plan(s)
             hull = convex_hull(s.poles)
             count = 0
             trials = 0
@@ -240,9 +246,8 @@ class TestProperties:
                 if hull_distance(hull, z) < 0.3:
                     continue
                 count += 1
-                f = evaluate(s, z)
-                h = evaluate_remainder(s, z)
-                assert abs(f * (g + b * z + h) - 1.0) <= 1e-10
+                assert abs(evaluate(s, z) * plan.evaluate_scalar(z)
+                           - 1.0) <= 1e-10
 
     def test_asymptotic_limits(self):
         rng = np.random.default_rng(5)
@@ -262,7 +267,7 @@ class TestProperties:
         g1, b1 = gamma_beta(s)
         g2, b2 = gamma_beta(s2)
         assert abs(g1 - g2) <= 1e-14 and abs(b1 - b2) <= 1e-14
-        z1 = zeros(s)
-        z2 = [z for z in zeros(s2)]
+        z1 = invert_to_plan(s).zeros
+        z2 = invert_to_plan(s2).zeros
         assert len(z1) == len(z2)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(z1, z2))

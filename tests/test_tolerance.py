@@ -42,7 +42,7 @@ from resolvinv.operators import (
     solve_even_convolution,
     solve_exponential_volterra,
 )
-from resolvinv.rational import PartialFractionForm, PoleGroup, invert_to_plan
+from resolvinv.rational import invert_to_plan
 from resolvinv.serialization import read_signal
 from resolvinv.series import ResolventSeries, check_admissible
 
@@ -74,11 +74,13 @@ class TestRule:
         with pytest.raises(RepeatedPoleError):
             tolerance.require_distinct(c * np.array([1.0, 1.0 + 1e-13, 2j]))
 
-    def test_partial_fraction_form_shares_the_check(self):
-        groups = (PoleGroup(1e-12, (1.0,)), PoleGroup(1.1e-12, (1.0,)))
-        assert PartialFractionForm(0j, 0j, groups).poles == (1e-12, 1.1e-12)
-        with pytest.raises(ValueError):
-            PartialFractionForm(0j, 0j, groups + (PoleGroup(1e-12, (2.0,)),))
+    def test_require_distinct_names_the_input_poles(self):
+        # the gaps are taken on the poles scaled by a power of two; the
+        # message names the poles as given
+        tolerance.require_distinct([1e-12, 1.1e-12])
+        with pytest.raises(RepeatedPoleError,
+                           match=r"poles \(1e-12\+0j\) and \(1e-12\+0j\)"):
+            tolerance.require_distinct([1e-12, 1.1e-12, 1e-12])
 
     @pytest.mark.parametrize("k", EXPONENTS)
     def test_point_on_a_hull_edge_at_every_scale(self, k):
@@ -93,6 +95,31 @@ class TestRule:
         hull = convex_hull([0j, 1e-12 + 0j, 1e-12j])
         assert hull.contains(2e-13 + 2e-13j)
         assert not hull.contains(-1e-30 + 2e-13j)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    """Pole checks whose differences or products of points pass the float
+    range unless taken on the points scaled by a power of two."""
+
+    def test_distinct_poles_near_the_float_range(self):
+        poles = [1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j]
+        tolerance.require_distinct(poles)
+        assert tolerance.min_gap(poles) == math.inf  # 3.4e308
+        with pytest.raises(RepeatedPoleError):
+            tolerance.require_distinct(poles + [poles[0] * (1 + 1e-13)])
+
+    def test_hull_near_the_float_range(self):
+        hull = convex_hull([c * 1e308 for c in (1 + 1j, -1 - 1j, 1 - 1j)])
+        assert hull.vertices == (-1e308 - 1e308j, 1e308 - 1e308j,
+                                 1e308 + 1e308j)
+        assert hull_distance(hull, -1e308 + 1e308j) == pytest.approx(
+            math.sqrt(2) * 1e308, rel=1e-15)
+
+    def test_hull_of_a_pole_past_the_float_range(self):
+        # |1.7e308 (1 + i)| exceeds the float range
+        hull = convex_hull([1.7e308 + 1.7e308j, 0j])
+        assert hull.vertices == (0j, 1.7e308 + 1.7e308j)
 
 
 # --- the 6-term problem ------------------------------------------------------
