@@ -122,9 +122,7 @@ def cmd_check(args) -> int:
     margin = args.margin if args.margin is not None else problem["margin"]
     report = check_admissible(series, spectrum, margin)
     print(json.dumps(_report_json(report), sort_keys=True))
-    admissible = (report.theorem_mode_ok and report.separation_ok
-                  and report.summability_value < float("inf"))
-    return EXIT_OK if admissible else EXIT_INADMISSIBLE
+    return EXIT_OK if report.rejection() is None else EXIT_INADMISSIBLE
 
 
 def _plan_summary(plan) -> str:

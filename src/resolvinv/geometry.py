@@ -120,31 +120,33 @@ def convex_hull(points) -> HullPolygon:
     return HullPolygon(tuple(pts[i] for i in ring))
 
 
-def _ldexp(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """x * 2^k, part by part, for complex x: exact unless it underflows."""
-    out = np.empty(np.broadcast_shapes(x.shape, k.shape), dtype=complex)
-    out.real = np.ldexp(x.real, k)
-    out.imag = np.ldexp(x.imag, k)
-    return out
+def _framed(kernel, ring: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``kernel(rings, zs)``, one distance per point of z (1-d), with each
+    point's row (the point and ``ring``) scaled by 2^-k to largest part in
+    [1/2, 1): exact, nothing overflows, and the ring's squared edge lengths
+    underflow only when they are negligible against that point's own
+    distance, whatever the other points' scale.  The distances are scaled
+    back (inf past the float range); the rows go in blocks of about
+    _BLOCK entries, which bounds the memory."""
+    # the parts as floats: one ldexp scales a row's real and imaginary parts
+    ring = np.ascontiguousarray(ring, dtype=complex).view(float)
+    z = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    k = -np.frexp(np.maximum(abs(ring).max(), abs(z).max(axis=1)))[1][:, None]
+    d = np.empty(z.shape[0])
+    step = max(1, 2 * _BLOCK // ring.size)
+    for i in range(0, d.size, step):
+        s = slice(i, i + step)
+        d[s] = kernel(np.ldexp(ring, k[s]).view(complex),
+                      np.ldexp(z[s], k[s]).view(complex)[:, 0])
+    with np.errstate(over="ignore"):
+        return np.ldexp(d, -k[:, 0])
 
 
-def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
-    """Unrounded distances from the points z (1-d) to the hull with vertex
-    ring v: the clamped projection onto each edge (a point's one edge is 0,
-    projected to t = 0), the minimum over edges, and 0 inside."""
-    step = max(1, _BLOCK // len(v))
-    if z.size > step:
-        return np.concatenate([_distances(v, z[i:i + step])
-                               for i in range(0, z.size, step)])
-    # each point's row (the point and the ring) is scaled by 2^-k to
-    # largest part in [1/2, 1): exact, nothing overflows, and the hull's
-    # squared edge lengths underflow only when they are negligible against
-    # that point's own distance, whatever the other points' scale
-    ring = np.array(v + v[:1])
-    k = np.frexp(np.maximum(abs(ring.view(float)).max(),
-                            np.maximum(abs(z.real), abs(z.imag))))[1]
-    ring = _ldexp(ring, -k[:, None])
-    z = _ldexp(z, -k)
+def _hull_rows(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Distances from the points z to the hulls whose closed vertex rings
+    are the rows of ``ring``: the clamped projection onto each edge (a
+    point's one edge is 0, projected to t = 0), the minimum over edges,
+    and 0 inside."""
     a = ring[:, :-1]
     e = ring[:, 1:] - a
     dz = z[:, None] - a
@@ -155,7 +157,7 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
     t = w.real / np.maximum((e * ec).real, _TINY)
     np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
     d = np.minimum.reduce(abs(dz - t * e), axis=1)
-    if len(v) > 2:
+    if a.shape[1] > 2:
         inside = np.logical_and.reduce(w.imag >= 0.0, axis=1)
         if inside.any():
             # on a sliver hull the signs are rounding for points on the long
@@ -164,8 +166,18 @@ def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
             inside &= ((a.real.min(axis=1) <= x) & (x <= a.real.max(axis=1))
                        & (a.imag.min(axis=1) <= y) & (y <= a.imag.max(axis=1)))
             d[inside] = 0.0
-    with np.errstate(over="ignore"):  # inf past the float range
-        return np.ldexp(d, k)
+    return d
+
+
+def _nearest_rows(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Distance from each point z to the nearest point of its row."""
+    return abs(z[:, None] - points).min(axis=1)
+
+
+def _distances(v: tuple[complex, ...], z: np.ndarray) -> np.ndarray:
+    """Unrounded distances from the points z (1-d) to the hull with vertex
+    ring v, 0 inside."""
+    return _framed(_hull_rows, np.array(v + v[:1]), z)
 
 
 def hull_distance(hull: HullPolygon, z):
@@ -176,7 +188,7 @@ def hull_distance(hull: HullPolygon, z):
     """
     z = np.asarray(z, dtype=complex)
     d = _distances(hull.vertices, z.reshape(-1))
-    d[d <= EPS * magnitude(hull.vertices)] = 0.0
+    d[d <= magnitude(hull.vertices, EPS)] = 0.0
     return d if z.ndim else float(d[0])
 
 
@@ -208,8 +220,11 @@ class PointSpectrum(Spectrum):
         object.__setattr__(self, "points", pts)
 
     def distance_to(self, z):
+        """Distance from z to the nearest point, each row taken in its
+        own power-of-two frame as the hull distances are: inf past the
+        float range, with no warning."""
         z = np.asarray(z, dtype=complex)
-        d = np.array([abs(p - self.points).min() for p in z.reshape(-1)])
+        d = _framed(_nearest_rows, self.points, z.reshape(-1))
         return d if z.ndim else d[0]
 
     def _gap(self, hull):
@@ -264,7 +279,7 @@ def hull_spectrum_distance(hull: HullPolygon, spectrum: Spectrum) -> float:
     """Set distance between a hull and a spectrum descriptor; at most
     EPS * max|vertex| counts as 0."""
     d = float(spectrum._gap(hull))
-    return 0.0 if d <= EPS * magnitude(hull.vertices) else d
+    return 0.0 if d <= magnitude(hull.vertices, EPS) else d
 
 
 def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,

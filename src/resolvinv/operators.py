@@ -8,10 +8,15 @@ coefficients (:func:`apply_series`), and each first-kind solve builds its
 operator and applies the plan to it.  The generic ``apply_plan`` makes one
 resolvent solve per zero and applies A only when beta != 0; a multiplier
 and the periodic shift make one elementwise pass over their symbol, the
-shift between one FFT pair.  A dense matrix checks the vector once and
-makes one LAPACK ``zgetrs`` per zero, on the LU of alpha*I - A that
-``zgetrf`` factors once per shift alpha and caches on the operator, with
-its eigenvalues and its SVD.
+shift between one FFT pair and in the array the forward FFT returns.  The
+pass runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples,
+whose temporaries stay in cache, with the bits of the whole-array
+product.  The shift's roots of unity beyond the first 4096 are that many
+tabulated roots turned by each block's first root, one complex product
+per sample instead of one complex exponential.  A dense matrix checks
+the vector once and makes one LAPACK ``zgetrs`` per zero, on the LU of
+alpha*I - A that ``zgetrf`` factors once per shift alpha and caches on
+the operator, with its eigenvalues and its SVD.
 
 Every application checks the poles it solves at, by the package's one
 tolerance rule (:mod:`resolvinv.tolerance`), and raises
@@ -60,6 +65,10 @@ from .rational import (
 )
 from .series import ResolventSeries, require_admissible, theorem_mode
 from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
+
+# samples per block of a Fourier-diagonal pass: a block's temporaries
+# (64 KiB each) stay in cache, and the unit roots are built block by block
+_BLOCK = 4096
 
 __all__ = [
     "OperatorHandle",
@@ -230,9 +239,10 @@ class MultiplierOperator(OperatorHandle):
         return np.asarray(v, dtype=complex) / (complex(alpha) - self.symbol)
 
     def apply_plan(self, plan, v):
-        """One elementwise pass: (1/f)(s) * v."""
+        """One blocked elementwise pass: (1/f)(s) * v."""
         _check_symbol_gap(plan.zeros, self.symbol)
-        return plan.evaluate_scalar(self.symbol) * np.asarray(v, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        return _plan_product(plan, self.symbol, v, np.empty_like(v))
 
 
 class GridDerivativeOperator(OperatorHandle):
@@ -301,7 +311,7 @@ class PeriodicShiftOperator(OperatorHandle):
         if n < 1:
             raise InvalidInputError("signal length must be at least 1")
         self.dim = n
-        self.symbol = np.exp(2j * np.pi * np.arange(n) / n)
+        self.symbol = _unit_roots(n)
 
     def apply(self, v):
         return np.roll(np.asarray(v, dtype=complex), -1)
@@ -315,11 +325,51 @@ class PeriodicShiftOperator(OperatorHandle):
                            / (complex(alpha) - self.symbol))
 
     def apply_plan(self, plan, v):
-        """One FFT pair around the elementwise (1/f)(symbol)."""
+        """One FFT pair around the blocked (1/f)(symbol) pass, all three in
+        the array the forward FFT returns."""
         zeros = plan.zeros
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
-        return np.fft.ifft(plan.evaluate_scalar(self.symbol)
-                           * np.fft.fft(np.asarray(v, dtype=complex)))
+        spectrum = np.fft.fft(np.asarray(v, dtype=complex))
+        _plan_product(plan, self.symbol, spectrum, spectrum)
+        return np.fft.ifft(spectrum, out=spectrum)
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for k < n.  Up to _BLOCK of them are ``np.exp``'s,
+    bit for bit.  Past that, each block of _BLOCK is
+    a table of the first roots turned by the block's first root, one
+    complex product per sample, and every angle past a half turn is taken
+    as 2 pi (k - n) / n, whose rounding is half as large: each root is
+    then within 4 eps of the exact one (``np.exp``'s are up to 7 eps off)."""
+    if n <= _BLOCK:
+        return np.exp(2j * np.pi * np.arange(n) / n)
+
+    def roots(k):
+        return np.exp(1j * (2.0 * np.pi * np.where(2 * k > n, k - n, k) / n))
+
+    table = roots(np.arange(_BLOCK))
+    out = np.empty(n, dtype=complex)
+    for i, turn in zip(range(0, n, _BLOCK), roots(np.arange(0, n, _BLOCK))):
+        np.multiply(table[:n - i], turn, out=out[i:i + _BLOCK])
+    return out
+
+
+def _plan_product(plan: InversionPlan, symbol: np.ndarray, v: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """out = (1/f)(symbol) * v along the last axis (``out`` may be v), by
+    ``plan.evaluate_scalar`` on blocks of _BLOCK samples, whose temporaries
+    stay in cache.  Each sample meets the same operations in the same
+    order as on the whole array, so the bits are those of
+    ``plan.evaluate_scalar(symbol) * v``.  That needs two guards, since
+    numpy rounds an in-place product of one element differently from its
+    vector loop: no block has one sample unless the array does (a last
+    one joins the block before it), and the product is formed apart from
+    ``out``."""
+    edges = [0, *range(_BLOCK, symbol.size - 1, _BLOCK), symbol.size]
+    for lo, hi in zip(edges, edges[1:]):
+        s = slice(lo, hi)
+        out[..., s] = plan.evaluate_scalar(symbol[s]) * v[..., s]
+    return out
 
 
 def _check_symbol_gap(poles, symbol: np.ndarray):
@@ -459,7 +509,8 @@ def solve_convolution(plan: InversionPlan, y: np.ndarray,
     multiplier xi^2 applies the plan to fft(y), checking its poles."""
     y = np.asarray(y, dtype=complex)
     A = MultiplierOperator(_squared_frequencies(y.size, period))
-    return np.fft.ifft(A.apply_plan(plan, np.fft.fft(y)))
+    x = A.apply_plan(plan, np.fft.fft(y))
+    return np.fft.ifft(x, out=x)
 
 
 def forward_even_convolution(terms, x: np.ndarray,
@@ -508,6 +559,10 @@ def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
 
 def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:
     """:func:`invert_filter` without its checks of the filter: the shift T
-    applies the plan to -T^{-1} y = -roll(y, 1), checking its poles."""
+    applies the plan to -T^{-1} y = -roll(y, 1), checking its poles.  The
+    sign goes on the plan (gamma, beta and the residues), which gives the
+    same bits as negating the signal, without a pass over it."""
     y = np.asarray(y, dtype=complex)
-    return PeriodicShiftOperator(y.size).apply_plan(plan, -np.roll(y, 1))
+    negated = InversionPlan(-plan.gamma, -plan.beta, plan.zeros,
+                            -plan.residues)
+    return PeriodicShiftOperator(y.size).apply_plan(negated, np.roll(y, 1))

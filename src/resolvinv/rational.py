@@ -84,9 +84,10 @@ class InversionPlan:
         """1/f at a scalar (or array) argument, via the plan, accumulated
         in place: two temporaries of an array's size for any m."""
         out = self.gamma + self.beta * z
+        r = np.empty_like(out)
         for zk, ck in zip(self.zeros, self.residues):
-            r = zk - z
-            r **= -1
+            np.subtract(zk, z, out=r)
+            np.reciprocal(r, out=r)
             r *= ck
             out += r
         return out
@@ -122,7 +123,7 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     a = np.asarray(active.coefficients)
     alpha = np.asarray(active.poles)
     z = secular_zeros(a, alpha)
-    if min_gap(z) <= max(tol, EPS) * magnitude(alpha):
+    if min_gap(z) <= magnitude(alpha, max(tol, EPS)):
         raise RepeatedRootError("f has a repeated zero")
     c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
 
@@ -183,7 +184,7 @@ def poly_roots(c, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = z - pz / npp.polyval(z, dc)
         z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
-    if min_gap(z) <= max(tol, EPS) * magnitude(z):
+    if min_gap(z) <= magnitude(z, max(tol, EPS)):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
     return z[np.lexsort((z.imag, z.real))]

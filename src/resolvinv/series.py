@@ -27,6 +27,7 @@ from .errors import (
     HypothesisError,
     InvalidInputError,
     PoleEvaluationError,
+    ResolvinvError,
     SeparationError,
 )
 from .geometry import (
@@ -35,7 +36,13 @@ from .geometry import (
     convex_hull,
     hull_separated_from,
 )
-from .tolerance import EPS, magnitude, negligible, require_distinct
+from .tolerance import (
+    EPS,
+    SPECTRUM_EPS,
+    magnitude,
+    negligible,
+    require_distinct,
+)
 
 __all__ = [
     "ResolventSeries",
@@ -163,21 +170,44 @@ class AdmissibilityReport:
     summability_value: float
     per_term: tuple[TermDiagnostic, ...]
 
+    def rejection(self) -> ResolvinvError | None:
+        """The error :func:`require_admissible` raises on this report:
+        :class:`HypothesisError` unless the series is in theorem mode,
+        then :class:`SeparationError` unless the pole hull is separated
+        from the spectrum and the summability value is finite (no pole
+        with a nonzero coefficient on the spectrum by the per-term rule);
+        None when the hypotheses hold."""
+        if not self.theorem_mode_ok:
+            return HypothesisError("series coefficients must be nonnegative "
+                                   "real with positive sum")
+        if not self.separation_ok:
+            return SeparationError(
+                "pole hull is not separated from the spectrum")
+        if self.summability_value == math.inf:
+            return SeparationError("a pole lies on or too near the spectrum "
+                                   "(infinite summability)")
+        return None
+
 
 def check_admissible(series: ResolventSeries, spectrum: Spectrum,
                      margin: float = 0.0) -> AdmissibilityReport:
     """Diagnostics for the inversion hypotheses; never raises.
 
     Reports theorem mode, the pole hull, its separation from the spectrum,
-    and the summability value sum |a_j| / dist(alpha_j, spectrum), where a
-    distance of at most EPS * max|alpha| counts as 0, as the hull's does.
+    and the summability value sum |a_j| / dist(alpha_j, spectrum).  A
+    distance of at most max(EPS * max|alpha|, SPECTRUM_EPS * |alpha_j|)
+    counts as 0: the hull's rule, or the rule every resolvent solve
+    applies to its pole, whichever is wider.  Both bounds come from
+    :func:`magnitude`, so that they stay finite for any finite poles.
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
     dists = np.array(spectrum.distance_to(np.array(series.poles)), float)
-    dists[dists <= EPS * series.scale] = 0.0
+    hull_floor = magnitude(series.poles, EPS)
     diags = []
     for (a, alpha), d in zip(series.terms, dists.tolist()):
+        if d <= max(hull_floor, magnitude((alpha,), SPECTRUM_EPS)):
+            d = 0.0
         if d > 0.0:
             summand = abs(a) / d
         else:
@@ -197,15 +227,13 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
 
 def require_admissible(series: ResolventSeries, spectrum: Spectrum,
                        margin: float = 0.0) -> AdmissibilityReport:
-    """:func:`check_admissible` that raises: :class:`HypothesisError`
-    unless the series is in theorem mode, then :class:`SeparationError`
-    unless its pole hull is farther than ``margin`` from the spectrum."""
+    """:func:`check_admissible` that raises its report's
+    :meth:`~AdmissibilityReport.rejection`, the decision ``resolvinv
+    check`` reports too."""
     report = check_admissible(series, spectrum, margin)
-    if not report.theorem_mode_ok:
-        raise HypothesisError(
-            "series coefficients must be nonnegative real with positive sum")
-    if not report.separation_ok:
-        raise SeparationError("pole hull is not separated from the spectrum")
+    error = report.rejection()
+    if error is not None:
+        raise error
     return report
 
 

@@ -54,9 +54,23 @@ DERIVED_EPS = 1e-9
 DEFAULT_ROOT_TOL = 1e-6
 
 
-def magnitude(values) -> float:
-    """max |v| over a short sequence: the scale of that data (0 if empty)."""
-    return max(map(abs, values), default=0.0)
+def magnitude(values, rtol: float = 1.0) -> float:
+    """rtol * max |v| over a short sequence (0 if empty): the scale of that
+    data, or with rtol < 1 a rounding threshold relative to it.  A modulus
+    past the float range is taken in the frame of :func:`unit_frame`, so
+    that a threshold such as ``magnitude(poles, EPS)`` stays finite for
+    any finite poles; only a result past the float range is inf."""
+    try:
+        scale = max(map(abs, values), default=0.0)
+    except OverflowError:  # abs of a Python complex past the float range
+        scale = math.inf
+    if scale < math.inf:
+        return rtol * scale
+    w, k = unit_frame(values)
+    try:
+        return math.ldexp(rtol * float(np.abs(w).max()), k)
+    except OverflowError:
+        return math.inf
 
 
 def negligible(x, *scales, rtol: float = EPS) -> bool:

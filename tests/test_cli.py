@@ -512,6 +512,26 @@ class TestOutOfDomainInput:
              "--output", str(tmp_path / "o.csv")],
             capsys, f"non-finite point in signal {y}")
 
+    @pytest.mark.parametrize("alphas", [
+        [[1.7e308, 1.7e308], [-1.7e308, 1.7e308]],
+        [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+        [[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]],
+    ], ids=["above", "across", "triangle"])
+    def test_poles_near_the_float_limit_exit_without_traceback(
+            self, tmp_path, alphas):
+        # the threshold EPS * max|alpha| overflowed in abs (OverflowError)
+        # and the per-pole distances warned; run with warnings as errors
+        problem = tmp_path / "huge.json"
+        problem.write_text(json.dumps({
+            "kind": "series",
+            "spectrum": {"variant": "point_set", "points": [[10.0, 0.0]]},
+            "terms": [{"a": [1.0, 0.0], "alpha": a} for a in alphas]}))
+        proc = run_python("-W", "error", "-m", "resolvinv.cli", "check",
+                          str(problem))
+        assert proc.returncode in (0, 2)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["theorem_mode_ok"]
+
     def test_subprocess_prints_no_traceback(self, demo_dir, tmp_path):
         y = tmp_path / "short.csv"
         write_signal(y, read_signal(demo_dir / "integral_y.csv")[:-1])
@@ -702,6 +722,34 @@ class TestSweepCommand:
         assert main(["invert", str(problem)] + io) == 2
         assert not (tmp_path / "o.csv").exists()
         capsys.readouterr()
+
+    def test_pole_within_the_resolvent_rule_exits_two_everywhere(
+            self, demo_dir, tmp_path, capsys):
+        # the pole 5 + 5e-11i is 5e-11 from the eigenvalue 5: past the
+        # hull's EPS * max|alpha| = 5e-12, within the resolvent rule's
+        # SPECTRUM_EPS * |alpha| = 5e-10, at which the sweep's solve
+        # stops; check used to exit 0 and sweep 3
+        doc = json.loads((demo_dir / "sweep.json").read_text())
+        doc["terms"] = [{"a": [1.0, 0.0], "alpha": [1.0, 0.0]},
+                        {"a": [1.0, 0.0], "alpha": [5.0, 5e-11]}]
+        problem = tmp_path / "sweep.json"
+        problem.write_text(json.dumps(doc))
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({**doc, "kind": "matrix"}))
+        io = ["--input", str(demo_dir / "sweep_x.csv"),
+              "--output", str(tmp_path / "o.csv")]
+        codes = [main(["check", str(problem)]),
+                 main(["invert", str(problem)] + io),
+                 main(["sweep", str(problem)] + io),
+                 main(["check", str(matrix)]),
+                 main(["invert", str(matrix)] + io)]
+        assert codes == [2] * 5
+        assert not (tmp_path / "o.csv").exists()
+        out = capsys.readouterr()
+        report = json.loads(out.out.splitlines()[0])
+        assert report["separation_ok"] and report["per_term"][1][
+            "distance"] == 0.0
+        assert "infinite summability" in out.err
 
     def test_wrong_kind_exits_one(self, demo_dir, tmp_path, capsys):
         rc = main(["sweep", str(demo_dir / "matrix.json"),

@@ -442,3 +442,152 @@ def test_one_sample_shift():
     np.testing.assert_array_equal(T.apply([3.0]), [3.0])
     plan = invert_to_plan(ResolventSeries(((1.0, 2.0),)))
     np.testing.assert_allclose(solve_filter(plan, [4.0]), [-4.0], rtol=1e-15)
+
+
+# --- the blocked Fourier-diagonal pass ---------------------------------------
+# A multiplier and the shift multiply (1/f)(symbol) into the vector in blocks
+# of operators._BLOCK samples.  The references below are the whole-array
+# expressions the two used before: ``r **= -1`` in the plan's evaluation and
+# one product over every sample.
+
+# 4097 and 8193 end in a one-sample remainder, which numpy would round
+# differently in place (in about a third of draws, so each size takes 20)
+BLOCK_SIZES = [1, 4095, 4096, 4097, 8193, 3 * 4096 + 17]
+EPS = np.finfo(float).eps
+
+
+def _whole_array_product(plan, symbol, v):
+    g = plan.gamma + plan.beta * symbol
+    for zk, ck in zip(plan.zeros, plan.residues):
+        r = zk - symbol
+        r **= -1
+        r *= ck
+        g += r
+    return g * v
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def _plan_for_blocks():
+    series = ResolventSeries(((1.0, 2.0 + 0.5j), (0.5, 3.0 - 1j),
+                              (2.0, 2.5 + 2j)))
+    return invert_to_plan(series)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_product_matches_the_whole_array_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    plan = _plan_for_blocks()
+    for _ in range(20):
+        symbol = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = _bits(_whole_array_product(plan, symbol, v))
+        np.testing.assert_array_equal(
+            _bits(MultiplierOperator(symbol).apply_plan(plan, v)), want)
+        # in place, as the shift runs it on its spectrum
+        operators._plan_product(plan, symbol, v, v)
+        np.testing.assert_array_equal(_bits(v), want)
+
+
+def test_blocked_product_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(3)
+    plan = _plan_for_blocks()
+    symbol = rng.standard_normal(4097) + 1j * rng.standard_normal(4097)
+    v = rng.standard_normal((2, 4097)) + 1j * rng.standard_normal((2, 4097))
+    np.testing.assert_array_equal(
+        _bits(MultiplierOperator(symbol).apply_plan(plan, v)),
+        _bits(_whole_array_product(plan, symbol, v)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300, 1e-160, 1e160])
+@pytest.mark.parametrize("n", [1, 5000])
+def test_reciprocal_is_the_inverse_power_bit_for_bit(scale, n):
+    # in place, as the plan's evaluation takes it
+    rng = np.random.default_rng(7)
+    z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    z[:4] = [scale, -scale, 1j * scale, -1j * scale][:n]
+    want = z.copy()
+    want **= -1
+    np.reciprocal(z, out=z)
+    np.testing.assert_array_equal(_bits(z), _bits(want))
+
+
+def test_plan_evaluates_a_scalar_as_the_array_does():
+    plan = _plan_for_blocks()
+    pts = np.array([0.3 + 0.1j, -2.0, 5j])
+    np.testing.assert_array_equal(
+        _bits([plan.evaluate_scalar(complex(p)) for p in pts]),
+        _bits(plan.evaluate_scalar(pts)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 4095, 4096])
+def test_unit_roots_up_to_one_block_are_np_exp(n):
+    np.testing.assert_array_equal(
+        _bits(PeriodicShiftOperator(n).symbol),
+        _bits(np.exp(2j * np.pi * np.arange(n) / n)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("n", [4097, 6143, 8191, 3 * 4096 + 17, 2 ** 16,
+                               2 ** 20])
+def test_unit_roots_past_one_block_are_within_4_eps(n):
+    # the exact roots, from the angles 2 pi k / n in extended precision;
+    # np.exp's own roots are up to 7.4 eps off them (at n = 12305), since
+    # its angle 2 pi k * (1/n) carries two roundings of up to 2 pi eps
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    theta = two_pi * np.arange(n, dtype=np.longdouble) / n
+    exact_re, exact_im = np.cos(theta), np.sin(theta)
+    got = PeriodicShiftOperator(n).symbol
+    err = np.hypot((got.real - exact_re).astype(float),
+                   (got.imag - exact_im).astype(float))
+    assert err.max() <= 4 * EPS
+    ref = np.exp(2j * np.pi * np.arange(n) / n)
+    assert np.abs(got - ref).max() <= 12 * EPS
+
+
+def _parent_filter_solve(plan, y):
+    n = y.size
+    symbol = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.fft.ifft(_whole_array_product(
+        plan, symbol, np.fft.fft(-np.roll(y, 1))))
+
+
+@pytest.mark.parametrize("n", [1, 64, 4095, 4096, 4097, 3 * 4096 + 17,
+                               2 ** 16])
+def test_filter_solve_matches_the_whole_array_expression(n):
+    # bit for bit while the roots are np.exp's (n <= 4096), and to the
+    # rounding of the table's roots beyond
+    rng = np.random.default_rng(n)
+    plan = _plan_for_blocks()
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = solve_filter(plan, y)
+    want = _parent_filter_solve(plan, y)
+    if n <= 4096:
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    else:
+        assert (np.linalg.norm(got - want)
+                <= 1e-15 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("n", [64, 4097, 3 * 4096 + 17, 2 ** 16])
+def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
+    rng = np.random.default_rng(n)
+    plan = _plan_for_blocks()
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    period = 8.0
+    xi = np.fft.fftfreq(n, d=period / (2.0 * np.pi * n))
+    want = np.fft.ifft(_whole_array_product(plan, xi * xi, np.fft.fft(y)))
+    np.testing.assert_array_equal(
+        _bits(operators.solve_convolution(plan, y, period)), _bits(want))
+
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    kernel = ResolventSeries(((1.0, 1.0), (0.5, 2.0 + 0.5j)))
+    vplan = invert_to_plan(kernel)
+    want = vplan.gamma * y + vplan.beta * np.gradient(y, g.dt, edge_order=2)
+    for zk, ck in zip(vplan.zeros, vplan.residues):
+        want += ck * g.resolvent_solve(zk, y)
+    x, _ = solve_volterra(vplan, y, g)
+    np.testing.assert_array_equal(_bits(x), _bits(want))

@@ -121,6 +121,45 @@ class TestFloatRange:
         hull = convex_hull([1.7e308 + 1.7e308j, 0j])
         assert hull.vertices == (0j, 1.7e308 + 1.7e308j)
 
+    def test_thresholds_of_poles_past_the_float_range(self):
+        # EPS * max|pole| is finite although max|pole| is not: it was an
+        # OverflowError from abs of a Python complex
+        poles = (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j)
+        assert tolerance.magnitude(poles, tolerance.EPS) == pytest.approx(
+            tolerance.EPS * math.sqrt(2) * 1.7e308, rel=1e-15)
+        assert tolerance.magnitude(np.array(poles)) == math.inf
+        series = ResolventSeries(tuple((1.0, p) for p in poles))
+        report = check_admissible(series, PointSpectrum([10.0]))
+        # the horizontal hull is 1.7e308 from 10, and each pole farther
+        # than the float range: finite distances stay finite, and no
+        # distance is rounded to 0
+        assert report.separation_ok
+        assert report.separation_distance == 1.7e308
+        assert [t.spectrum_distance for t in report.per_term] == [math.inf] * 2
+        assert report.summability_value == 0.0
+        assert report.rejection() is None
+
+    def test_point_distances_past_the_float_range(self):
+        # the per-pole loop formed p - points unscaled and warned
+        poles = np.array([1 + 1j, -1 - 1j, 1 - 1j]) * 1e308
+        spectrum = PointSpectrum([-1e308 + 1e308j])
+        assert spectrum.distance_to(poles).tolist() == [math.inf] * 3
+        near = PointSpectrum([-1e308 + 1e308j, 0.5e308 + 0.5e308j])
+        np.testing.assert_allclose(near.distance_to(poles),
+                                   [math.sqrt(0.5) * 1e308, math.inf,
+                                    math.sqrt(2.5) * 1e308], rtol=1e-15)
+
+    def test_point_distances_in_range_are_the_direct_ones(self):
+        rng = np.random.default_rng(5)
+        points = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        for scale in (1e-300, 1.0, 1e300):
+            want = [abs(p - scale * points).min() for p in scale * z]
+            got = PointSpectrum(scale * points).distance_to(scale * z)
+            np.testing.assert_array_equal(got, want)
+            assert PointSpectrum(scale * points).distance_to(
+                scale * z[0]) == want[0]
+
 
 # --- the 6-term problem ------------------------------------------------------
 
