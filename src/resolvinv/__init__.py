@@ -37,12 +37,12 @@ from .operators import (
     solve_even_convolution,
     solve_exponential_volterra,
     solve_filter,
-    solve_volterra,
     volterra_kernel,
 )
 from .rational import (
     FilterSpec,
     InversionPlan,
+    checked_plan,
     filter_to_series,
     invert_to_plan,
 )

@@ -32,7 +32,7 @@ from .errors import (
     SingularResolventError,
     SingularTransferError,
 )
-from .geometry import ImaginaryAxis, PositiveHalfLine, UnitCircle
+from .geometry import PositiveHalfLine, UnitCircle
 from .operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
@@ -40,10 +40,9 @@ from .operators import (
     convolution_series,
     solve_convolution,
     solve_filter,
-    solve_volterra,
     volterra_kernel,
 )
-from .rational import filter_to_series, invert_to_plan
+from .rational import checked_plan, filter_to_series
 from .regularize import RegularizerConfig, convergence_sweep
 from .serialization import (
     _pair,
@@ -53,15 +52,8 @@ from .serialization import (
     write_signal,
     write_sweep_csv,
 )
-from .series import (
-    caratheodory_zero_series,
-    check_admissible,
-    evaluate,
-    require_admissible,
-)
+from .series import caratheodory_zero_series, check_admissible, evaluate
 from .tolerance import DEFAULT_ROOT_TOL, EPS
-
-log = logging.getLogger("resolvinv")
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -81,24 +73,27 @@ EXIT_CODES = (
 )
 
 
-def _problem_series_and_spectrum(problem):
-    """Series, spectrum descriptor and operator of a decoded problem.
-
-    The operator is the ``DenseMatrixOperator`` of ``matrix`` and ``sweep``
-    problems (its eigenvalues give the spectrum, so solving with it needs
-    no second eigenvalue computation) and ``None`` for the other kinds.
-    """
+def _problem_solver(problem):
+    """Series, spectrum and plan-only ``solve(plan, y)`` of a decoded
+    problem, ``None`` for the kinds ``invert`` refuses; any grid or matrix
+    is built here, for ``check`` too, its eigenvalues computed once."""
     kind = problem["kind"]
     if kind == "series":
         return problem["series"], problem["spectrum"], None
     if kind == "filter":
-        return filter_to_series(problem["spec"]), UnitCircle(), None
-    if kind == "integral":
-        return volterra_kernel(problem["series"]), ImaginaryAxis(), None
+        return filter_to_series(problem["spec"]), UnitCircle(), solve_filter
     if kind == "convolution":
-        return convolution_series(problem["terms"]), PositiveHalfLine(), None
-    A = DenseMatrixOperator(problem["matrix"])
-    return problem["series"], A.spectrum(), A
+        return (convolution_series(problem["terms"]), PositiveHalfLine(),
+                lambda plan, y: solve_convolution(plan, y, problem["period"]))
+    if kind == "integral":
+        series = volterra_kernel(problem["series"])
+        A = GridDerivativeOperator(*problem["grid"])
+    else:
+        series = problem["series"]
+        A = DenseMatrixOperator(problem["matrix"])
+    solve = None if kind == "sweep" else (
+        lambda plan, y: apply_plan(plan, A, y))
+    return series, A.spectrum(), solve
 
 
 def _report_json(report) -> dict:
@@ -118,7 +113,7 @@ def _report_json(report) -> dict:
 
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
-    series, spectrum, _ = _problem_series_and_spectrum(problem)
+    series, spectrum, _ = _problem_solver(problem)
     margin = args.margin if args.margin is not None else problem["margin"]
     report = check_admissible(series, spectrum, margin)
     print(json.dumps(_report_json(report), sort_keys=True))
@@ -137,31 +132,20 @@ def cmd_invert(args) -> int:
         raise MalformedSpecError("invert needs --input and --output")
     y = read_signal(args.input)
     kind = problem["kind"]
-
-    series, spectrum, A = _problem_series_and_spectrum(problem)
+    series, spectrum, solve = _problem_solver(problem)
     margin = args.margin if args.margin is not None else problem["margin"]
-    gate = require_admissible(series, spectrum, margin)
-    log.debug("separation distance %.6g", gate.separation_distance)
-
-    plan = invert_to_plan(series, tol=args.tol)
-    log.debug("plan zeros: %d", plan.zeros.size)
+    plan = checked_plan(series, spectrum, margin, tol=args.tol)
     print(_plan_summary(plan), file=sys.stderr)
-
-    if kind == "matrix":
-        x = apply_plan(plan, A, y)
-    elif kind == "filter":
-        x = solve_filter(plan, y)
-    elif kind == "integral":
-        grid = GridDerivativeOperator(*problem["grid"])
-        x, boundary = solve_volterra(plan, y, grid)
-        print(f"boundary residual |y(L)| = {boundary:.6g}", file=sys.stderr)
-    elif kind == "convolution":
-        x = solve_convolution(plan, y, problem["period"])
-    else:
+    if solve is None:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
-
+    with np.errstate(all="ignore"):
+        x = solve(plan, y)
+    if not np.isfinite(x).all():
+        raise ConditioningError("solution exceeds the float range")
+    if kind == "integral":
+        print(f"boundary residual |y(L)| = {abs(y[-1]):.6g}", file=sys.stderr)
     write_signal(args.output, x)
-    print(json.dumps({"kind": kind, "samples": int(np.asarray(x).size),
+    print(json.dumps({"kind": kind, "samples": int(x.size),
                       "output": str(args.output)}, sort_keys=True))
     return EXIT_OK
 
@@ -174,11 +158,9 @@ def cmd_sweep(args) -> int:
         raise MalformedSpecError("sweep needs --input and --output")
     x_true = read_signal(args.input)
     config = RegularizerConfig(problem["alpha_grid"])
-    series, spectrum, A = _problem_series_and_spectrum(problem)
-    gate = require_admissible(series, spectrum, problem["margin"])
-    log.debug("separation distance %.6g", gate.separation_distance)
-    plan = invert_to_plan(series, tol=args.tol)
-    log.debug("plan zeros: %d", plan.zeros.size)
+    series = problem["series"]
+    A = DenseMatrixOperator(problem["matrix"])
+    plan = checked_plan(series, A.spectrum(), problem["margin"], tol=args.tol)
     report = convergence_sweep(series, plan, A, x_true, config)
     write_sweep_csv(args.output, report)
     print(json.dumps({"improved": report.improved,

@@ -2,21 +2,18 @@
 
 A backend applies A, solves resolvent systems (alpha*I - A) u = v,
 describes its spectrum geometrically, and applies a plan
-gamma + beta*A + sum_k c_k (z_k - A)^{-1} in its own ``apply_plan``.  A
-series is the plan with gamma = beta = 0, its poles and its nonzero
-coefficients (:func:`apply_series`), and each first-kind solve builds its
-operator and applies the plan to it.  The generic ``apply_plan`` makes one
-resolvent solve per zero and applies A only when beta != 0; a multiplier
-and the periodic shift make one elementwise pass over their symbol, the
-shift between one FFT pair and in the array the forward FFT returns.  The
-pass runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples,
-whose temporaries stay in cache, with the bits of the whole-array
-product.  The shift's roots of unity beyond the first 4096 are that many
-tabulated roots turned by each block's first root, one complex product
-per sample instead of one complex exponential.  A dense matrix checks
-the vector once and makes one LAPACK ``zgetrs`` per zero, on the LU of
-alpha*I - A that ``zgetrf`` factors once per shift alpha and caches on
-the operator, with its eigenvalues and its SVD.
+gamma + beta*A + sum_k c_k (z_k - A)^{-1} in ``apply_plan``, after its
+``checked_vector`` has rejected a vector of the wrong length.  A series
+is the plan with gamma = beta = 0, its poles and its nonzero coefficients
+(:func:`apply_series`).  The generic ``apply_plan`` makes one resolvent
+solve per zero and applies A only when beta != 0; a dense matrix inherits
+it, each solve one LAPACK ``zgetrs`` on the LU of alpha*I - A that
+``zgetrf`` factors once per alpha and caches, with the eigenvalues and
+the SVD.  A multiplier and the periodic shift make one elementwise pass
+over their symbol, the shift between one FFT pair and in the array the
+forward FFT returns.  The pass runs ``InversionPlan.evaluate_scalar`` on
+blocks of 4096 samples, whose temporaries stay in cache, with the bits of
+the whole-array product; the shift's roots of unity come from one table.
 
 Every application checks the poles it solves at, by the package's one
 tolerance rule (:mod:`resolvinv.tolerance`), and raises
@@ -30,11 +27,12 @@ when p is first factored, and raises the same error for an exactly zero
 pivot; it raises :class:`InvalidInputError` for a pole or a vector entry
 that is not finite.  d/dt on a grid needs Re p > SPECTRUM_EPS * |p|.
 
-The checked solvers and forward maps decide the theorem's hypotheses once,
-through :func:`resolvinv.series.require_admissible`; the plan-only solves
-(``solve_filter``, ``solve_convolution``, ``solve_volterra``) check only
-the plan's poles.  Only the dense and grid resolvent solves import scipy,
-inside the solve, so the other paths start without it.
+The checked solvers take their plan from
+:func:`resolvinv.rational.checked_plan`, and the forward maps run the same
+gate; the plan-only solves (``solve_filter``, ``solve_convolution``, and
+``apply_plan(plan, grid, y)`` for Volterra) check only the plan's poles.
+Only the dense and grid resolvent solves import scipy, inside the solve,
+so the other paths start without it.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ from .geometry import (
 from .rational import (
     FilterSpec,
     InversionPlan,
+    checked_plan,
     filter_to_series,
-    invert_to_plan,
 )
 from .series import ResolventSeries, require_admissible, theorem_mode
 from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
@@ -80,7 +78,6 @@ __all__ = [
     "apply_plan",
     "volterra_kernel",
     "solve_exponential_volterra",
-    "solve_volterra",
     "forward_exponential_volterra",
     "convolution_series",
     "solve_even_convolution",
@@ -107,13 +104,26 @@ class OperatorHandle:
     def spectrum(self) -> Spectrum:
         raise NotImplementedError
 
-    def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
-        """(gamma + beta A + h(A)) v with one resolvent solve per zero of
-        the plan; A is not applied when beta = 0."""
+    def checked_vector(self, v) -> np.ndarray:
+        """v as a complex array with the dim samples on its last axis."""
         v = np.asarray(v, dtype=complex)
+        if v.shape[-1:] != (self.dim,):
+            raise InvalidInputError(
+                f"vector of shape {v.shape} does not match the {self.dim} "
+                "samples of the operator")
+        return v
+
+    def _solve(self, alpha: complex, v: np.ndarray) -> np.ndarray:
+        """(alpha*I - A)^{-1} v for a checked v."""
+        return self.resolvent_solve(alpha, v)
+
+    def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
+        """(gamma + beta A + h(A)) v for a checked v, with one resolvent
+        solve per zero of the plan; A is not applied when beta = 0."""
+        v = self.checked_vector(v)
         h = np.zeros_like(v)
         for zk, ck in zip(plan.zeros, plan.residues):
-            h += ck * self.resolvent_solve(zk, v)
+            h += ck * self._solve(zk, v)
         out = plan.gamma * v
         if plan.beta != 0:
             out = out + plan.beta * self.apply(v)
@@ -205,18 +215,6 @@ class DenseMatrixOperator(OperatorHandle):
         """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them."""
         return self._solve(alpha, self.checked_vector(v))
 
-    def apply_plan(self, plan, v):
-        """gamma*v + beta*A v + h(A) v for a checked v: one ``zgetrs`` per
-        zero, on the cached factors, summed as the generic method does."""
-        v = self.checked_vector(v)
-        h = np.zeros_like(v)
-        for zk, ck in zip(plan.zeros, plan.residues):
-            h += ck * self._solve(zk, v)
-        out = plan.gamma * v
-        if plan.beta != 0:
-            out = out + plan.beta * (self.matrix @ v)
-        return out + h
-
 
 class MultiplierOperator(OperatorHandle):
     """Diagonal action (A v)_k = s_k v_k by the symbol samples s."""
@@ -229,19 +227,19 @@ class MultiplierOperator(OperatorHandle):
         self.dim = s.size
 
     def apply(self, v):
-        return self.symbol * np.asarray(v, dtype=complex)
+        return self.symbol * self.checked_vector(v)
 
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.symbol)
 
     def resolvent_solve(self, alpha, v):
         _check_symbol_gap((alpha,), self.symbol)
-        return np.asarray(v, dtype=complex) / (complex(alpha) - self.symbol)
+        return self.checked_vector(v) / (complex(alpha) - self.symbol)
 
     def apply_plan(self, plan, v):
         """One blocked elementwise pass: (1/f)(s) * v."""
         _check_symbol_gap(plan.zeros, self.symbol)
-        v = np.asarray(v, dtype=complex)
+        v = self.checked_vector(v)
         return _plan_product(plan, self.symbol, v, np.empty_like(v))
 
 
@@ -263,11 +261,17 @@ class GridDerivativeOperator(OperatorHandle):
         self.dt = float(self.t[1] - self.t[0])
         self.dim = n
 
+    def checked_vector(self, v) -> np.ndarray:
+        """v as a complex vector of shape (n,)."""
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.dim,):
+            raise InvalidInputError("data length does not match the grid")
+        return v
+
     def apply(self, v):
         """v' by second-order central differences (one sided at the ends),
         the derivative of the beta*y' term of a Volterra solve."""
-        return np.gradient(np.asarray(v, dtype=complex), self.dt, axis=0,
-                           edge_order=2)
+        return np.gradient(self.checked_vector(v), self.dt, edge_order=2)
 
     def spectrum(self) -> ImaginaryAxis:
         return ImaginaryAxis()
@@ -278,7 +282,7 @@ class GridDerivativeOperator(OperatorHandle):
         if alpha.real <= SPECTRUM_EPS * abs(alpha):
             raise SingularResolventError(
                 f"pole {alpha} lies on or too near the spectrum of d/dt")
-        v = np.asarray(v, dtype=complex)
+        v = self.checked_vector(v)
         d = self.dt
         e = np.exp(-alpha * d)
         i0 = (1.0 - e) / alpha
@@ -314,14 +318,14 @@ class PeriodicShiftOperator(OperatorHandle):
         self.symbol = _unit_roots(n)
 
     def apply(self, v):
-        return np.roll(np.asarray(v, dtype=complex), -1)
+        return np.roll(self.checked_vector(v), -1, axis=-1)
 
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.symbol)
 
     def resolvent_solve(self, alpha, v):
         _check_symbol_gap([alpha], _nearest_unit_roots([alpha], self.symbol))
-        return np.fft.ifft(np.fft.fft(np.asarray(v, dtype=complex))
+        return np.fft.ifft(np.fft.fft(self.checked_vector(v))
                            / (complex(alpha) - self.symbol))
 
     def apply_plan(self, plan, v):
@@ -329,7 +333,7 @@ class PeriodicShiftOperator(OperatorHandle):
         the array the forward FFT returns."""
         zeros = plan.zeros
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
-        spectrum = np.fft.fft(np.asarray(v, dtype=complex))
+        spectrum = np.fft.fft(self.checked_vector(v))
         _plan_product(plan, self.symbol, spectrum, spectrum)
         return np.fft.ifft(spectrum, out=spectrum)
 
@@ -393,12 +397,16 @@ def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
     return sym[np.rint(n * turns).astype(int) % n]
 
 
+def _series_plan(series: ResolventSeries) -> InversionPlan:
+    """f as the plan gamma = beta = 0, zeros alpha_j and residues a_j != 0."""
+    a, alpha = np.array(series.terms).T
+    return InversionPlan(0j, 0j, alpha[a != 0], a[a != 0])
+
+
 def apply_series(series: ResolventSeries, A: OperatorHandle,
                  v: np.ndarray) -> np.ndarray:
-    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v as the plan gamma = beta = 0
-    with zeros alpha_j and residues a_j, less the terms whose a_j is 0."""
-    a, alpha = np.array(series.terms).T
-    return A.apply_plan(InversionPlan(0j, 0j, alpha[a != 0], a[a != 0]), v)
+    """f(A) v = sum_j a_j (alpha_j - A)^{-1} v, the series as a plan."""
+    return A.apply_plan(_series_plan(series), v)
 
 
 def apply_plan(plan: InversionPlan, A: OperatorHandle,
@@ -427,25 +435,14 @@ def solve_exponential_volterra(kernel: ResolventSeries, y: np.ndarray,
     The kernel is k(t) = sum_j a_j exp(-alpha_j t) with a_j > 0 and
     Re alpha_j > 0 (:func:`volterra_kernel`), so the left-hand side is
     f(D) x for D = d/dt and the solution is x = gamma*y + beta*y' + h(D) y.
-    The kernel must pass :func:`require_admissible` against the imaginary
-    axis; see :func:`solve_volterra` for the solve itself.
+    The plan is :func:`checked_plan` against the imaginary axis; without
+    those checks the solve is ``apply_plan(plan, grid, y)``.
 
     Returns (x, boundary_residual) where the residual is |y(L)|, the size
     of the neglected tail at the truncated upper limit.
     """
-    require_admissible(volterra_kernel(kernel), grid.spectrum())
-    return solve_volterra(invert_to_plan(kernel), y, grid)
-
-
-def solve_volterra(plan: InversionPlan, y: np.ndarray,
-                   grid: GridDerivativeOperator):
-    """:func:`solve_exponential_volterra` without its checks of the
-    kernel: ``grid.apply_plan(plan, y)``, which checks only the plan's
-    poles and takes y' to second order.  Returns (x, |y(L)|)."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (grid.dim,):
-        raise InvalidInputError("data length does not match the grid")
-    return grid.apply_plan(plan, y), float(abs(y[-1]))
+    plan = checked_plan(volterra_kernel(kernel), grid.spectrum())
+    return apply_plan(plan, grid, y), float(abs(y[-1]))
 
 
 def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
@@ -453,7 +450,7 @@ def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
     """Forward map y(t) = int_t^L k(s-t) x(s) ds = f(D) x on the grid,
     for a kernel that :func:`solve_exponential_volterra` accepts."""
     require_admissible(volterra_kernel(kernel), grid.spectrum())
-    return apply_series(kernel, grid, np.asarray(x, dtype=complex))
+    return apply_series(kernel, grid, x)
 
 
 # --- even exponential-sum convolution on a periodic grid --------------------
@@ -488,19 +485,15 @@ def _squared_frequencies(n: int, period: float) -> np.ndarray:
 
 
 def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
-    """Solve int k1(s-t) x(s) ds = y(t) on a periodic grid.
+    """Solve int k1(s-t) x(s) ds = y(t) on a periodic grid, for the even
+    kernel k1(t) = sum_j b_j exp(-i beta_j |t|) with Im beta_j < 0.
 
-    The even kernel is k1(t) = sum_j b_j exp(-i beta_j |t|) with
-    Im beta_j < 0.  In frequency space the operator is f(xi^2) with the
-    mapped series {(-2i b_j beta_j, beta_j^2)}, so the solution is the
-    elementwise product (gamma + beta xi^2 + h(xi^2)) * fft(y), transformed
-    back.  The kernel is checked through :func:`convolution_series` and
-    :func:`require_admissible` against [0, inf).  See
-    :func:`solve_convolution` for the solve itself.
-    """
-    series = convolution_series(terms)
-    require_admissible(series, PositiveHalfLine())
-    return solve_convolution(invert_to_plan(series), y, period)
+    In frequency space the operator is f(xi^2) for the mapped series
+    :func:`convolution_series`, so x is (1/f)(xi^2) * fft(y) transformed
+    back: :func:`solve_convolution` on its :func:`checked_plan` against
+    [0, inf)."""
+    plan = checked_plan(convolution_series(terms), PositiveHalfLine())
+    return solve_convolution(plan, y, period)
 
 
 def solve_convolution(plan: InversionPlan, y: np.ndarray,
@@ -516,12 +509,11 @@ def solve_convolution(plan: InversionPlan, y: np.ndarray,
 def forward_even_convolution(terms, x: np.ndarray,
                              period: float) -> np.ndarray:
     """Forward periodic convolution: f(xi^2) * fft(x), transformed back,
-    for a kernel that :func:`solve_even_convolution` accepts."""
+    for a kernel that :func:`solve_even_convolution` accepts; the
+    series as a plan, through :func:`solve_convolution`."""
     series = convolution_series(terms)
     require_admissible(series, PositiveHalfLine())
-    x = np.asarray(x, dtype=complex)
-    A = MultiplierOperator(_squared_frequencies(x.size, period))
-    return np.fft.ifft(apply_series(series, A, np.fft.fft(x)))
+    return solve_convolution(_series_plan(series), x, period)
 
 
 # --- recursive filters on periodic signals ----------------------------------
@@ -544,17 +536,11 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
 
 
 def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
-    """Recover the input signal of a recursive filter from its output.
-
-    The residue expansion :func:`filter_to_series` of the transfer
-    function must pass :func:`require_admissible` against the unit circle
-    (positive coefficients, root hull off the circle); then
-    x = -gamma T^{-1} y - beta y - h(T) T^{-1} y with the shift T realized
-    through its DFT symbol.  See :func:`solve_filter` for the solve itself.
-    """
-    series = filter_to_series(spec)
-    require_admissible(series, UnitCircle())
-    return solve_filter(invert_to_plan(series), y)
+    """Recover the input signal of a recursive filter from its output:
+    x = -gamma T^{-1} y - beta y - h(T) T^{-1} y for the shift T, by
+    :func:`solve_filter` on the :func:`checked_plan` of the residue
+    expansion :func:`filter_to_series` against the unit circle."""
+    return solve_filter(checked_plan(filter_to_series(spec), UnitCircle()), y)
 
 
 def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:

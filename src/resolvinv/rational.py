@@ -14,6 +14,7 @@ simple here too.  Coefficients are ascending.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .errors import (
 from .series import (
     ResolventSeries,
     gamma_beta,
+    require_admissible,
     secular_zeros,
     theorem_mode,
 )
@@ -47,8 +49,11 @@ __all__ = [
     "poly_roots",
     "partial_fractions",
     "invert_to_plan",
+    "checked_plan",
     "filter_to_series",
 ]
+
+log = logging.getLogger("resolvinv")
 
 
 def _fit_sample_points(points) -> np.ndarray:
@@ -108,7 +113,8 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     double zero near the origin splits into two computed zeros whose
     modulus says nothing about the size of the problem.  The identity
     f(z) * (gamma + beta z + h(z)) = 1 is verified at sample points on a
-    circle around the poles and zeros before the plan is returned.
+    circle around the poles and zeros before the plan is returned; residues
+    that leave the float range raise :class:`ConditioningError`.
     ``tol`` must be finite and >= 0; every comparison is relative to the
     data, so rescaling poles and operator together by any factor leaves
     the decision unchanged (see :mod:`resolvinv.tolerance`).
@@ -125,7 +131,10 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     z = secular_zeros(a, alpha)
     if min_gap(z) <= magnitude(alpha, max(tol, EPS)):
         raise RepeatedRootError("f has a repeated zero")
-    c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
+    with np.errstate(all="ignore"):
+        c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
+    if not np.isfinite(c).all():
+        raise ConditioningError("residues of 1/f leave the float range")
 
     pts = _fit_sample_points(np.concatenate([series.poles, z]))
     fz = np.sum(a / (alpha - pts[:, None]), axis=1)
@@ -135,6 +144,18 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
     return InversionPlan(gamma, beta, z, c)
+
+
+def checked_plan(series: ResolventSeries, spectrum, margin: float = 0.0,
+                 tol: float = DEFAULT_ROOT_TOL) -> InversionPlan:
+    """The one way a solve gets its plan: :func:`require_admissible`
+    against ``spectrum`` with ``margin``, then :func:`invert_to_plan`.  The
+    separation distance and the number of zeros are logged at DEBUG."""
+    gate = require_admissible(series, spectrum, margin)
+    log.debug("separation distance %.6g", gate.separation_distance)
+    plan = invert_to_plan(series, tol=tol)
+    log.debug("plan zeros: %d", plan.zeros.size)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -168,8 +189,9 @@ def poly_roots(c, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
     """Roots of p(z) = sum_k c_k z^k, all simple, sorted by (real, imag).
 
     ``numpy.roots`` (companion-matrix eigenvalues), then one Newton step,
-    kept wherever it lowers |p|.  Two roots closer than
-    ``max(tol, EPS) * max|root|`` raise :class:`RepeatedRootError`.  The
+    kept wherever it is finite and lowers |p|.  Two roots closer than
+    ``max(tol, EPS) * max|root|`` raise :class:`RepeatedRootError`, and a
+    ratio c_k / c_N past the float range :class:`ConditioningError`.  The
     top coefficient c_N must be nonzero, and ``tol`` finite and >= 0, as
     for :func:`invert_to_plan`.
     """
@@ -178,12 +200,15 @@ def poly_roots(c, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     if not c.size or c[-1] == 0:
         raise InvalidInputError("top coefficient must be nonzero")
-    dc = npp.polyder(c)
-    z = np.roots(c[::-1])
-    pz = npp.polyval(z, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = z - pz / npp.polyval(z, dc)
-        z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(c / c[-1]).all():
+            raise ConditioningError(
+                "coefficients over the top one exceed the float range")
+        z = np.roots(c[::-1])
+        pz = npp.polyval(z, c)
+        newton = z - pz / npp.polyval(z, npp.polyder(c))
+        better = np.abs(npp.polyval(newton, c)) <= np.abs(pz)
+    z = np.where(np.isfinite(newton) & better, newton, z)
     if min_gap(z) <= magnitude(z, max(tol, EPS)):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
@@ -195,11 +220,17 @@ def partial_fractions(num, den, tol: float = DEFAULT_ROOT_TOL
     """Poles and residues of num/den, from ascending coefficient arrays.
 
     The poles are :func:`poly_roots` of den (with its checks and ``tol``),
-    the residues num(z_k) / den'(z_k).  When num has the lower degree,
+    the residues num(z_k) / den'(z_k); :class:`ConditioningError` when
+    either value leaves the float range.  When num has the lower degree,
     num(z)/den(z) = sum_k residues[k] / (z - poles[k]).
     """
     z = poly_roots(den, tol)
-    return z, npp.polyval(z, num) / npp.polyval(z, npp.polyder(den))
+    with np.errstate(all="ignore"):
+        parts = npp.polyval(z, num), npp.polyval(z, npp.polyder(den))
+        residues = parts[0] / parts[1]
+    if not np.isfinite([*parts, residues]).all():
+        raise ConditioningError("residues leave the float range")
+    return z, residues
 
 
 def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL

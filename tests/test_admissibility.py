@@ -149,6 +149,16 @@ def test_check_rejects_a_growing_integral_kernel(tmp_path, capsys):
     assert "positive real part" in capsys.readouterr().err
 
 
+def test_check_and_invert_reject_an_empty_grid(tmp_path, capsys):
+    # grid end equal to grid start: both commands build the grid, so an
+    # admissible kernel does not let check accept what invert rejects
+    document = _document("integral", CASES["integral"]["admissible"])
+    document["grid"]["L"] = document["grid"]["t0"]
+    assert _check_and_invert(tmp_path, document, np.ones(GRID[2])) == (1, 1)
+    assert capsys.readouterr().err.count(
+        "error: grid end must exceed grid start") == 2
+
+
 def test_convolution_pole_on_the_ray_up_to_rounding(tmp_path, capsys):
     # mapped weights 1 and poles beta_j^2 = 2.25 - 4.5e-20i and -4: the
     # first lies on [0, inf) up to rounding

@@ -336,18 +336,16 @@ class TestInvertCommand:
                                       "convolution"])
     def test_builds_one_plan_with_the_given_tol(self, kind, demo_dir,
                                                 tmp_path, capsys, monkeypatch):
-        import resolvinv.cli as cli_module
-        import resolvinv.operators as operators_module
-        from resolvinv.rational import invert_to_plan
+        import resolvinv.rational as rational_module
 
+        invert_to_plan = rational_module.invert_to_plan
         tols = []
 
         def counting(*args, **kwargs):
             tols.append(kwargs.get("tol"))
             return invert_to_plan(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "invert_to_plan", counting)
-        monkeypatch.setattr(operators_module, "invert_to_plan", counting)
+        monkeypatch.setattr(rational_module, "invert_to_plan", counting)
         rc = main(["invert", str(demo_dir / f"{kind}.json"),
                    "--input", str(demo_dir / f"{kind}_y.csv"),
                    "--output", str(tmp_path / "x.csv"), "--tol", "1e-5"])
@@ -647,6 +645,35 @@ def test_random_problem_document_exits_with_a_code(demo_dir,
         assert main(argv) in range(5)
 
 
+def test_filter_whose_companion_matrix_overflows_exits_four(tmp_path,
+                                                            capsys):
+    # c_2 / c_3 is past the float range: numpy.roots would end in a
+    # LinAlgError traceback, found by the fuzz test above
+    problem = tmp_path / "filter.json"
+    problem.write_text(json.dumps({
+        "kind": "filter",
+        "c": [[0.0, 0.0], [0.0, 0.0], [0.0, 1.5937870441849192e57],
+              [0.0, 8.865734720108314e-252]],
+        "b": [[0.0, 0.0]] * 3}))
+    assert main(["check", str(problem)]) == 4
+    assert "float range" in capsys.readouterr().err
+
+
+def test_solution_past_the_float_range_exits_four(demo_dir, tmp_path,
+                                                  capsys):
+    # one pole at 0 with a = 1/1.12e307: beta = -1.12e307 takes the demo
+    # signal past the float range, which is an error, not an inf in the CSV
+    problem = tmp_path / "filter.json"
+    problem.write_text(json.dumps({
+        "kind": "filter", "c": [[0.0, 0.0], [0.0, 1.1235410651512325e307]],
+        "b": [[0.0, 1.0]]}))
+    out = tmp_path / "x.csv"
+    assert main(["invert", str(problem), "--input",
+                 str(demo_dir / "filter_y.csv"), "--output", str(out)]) == 4
+    assert "error: solution exceeds the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDebugLog:
     RUNS = {"invert": ("matrix.json", "matrix_y.csv"),
             "sweep": ("sweep.json", "sweep_x.csv")}
@@ -662,7 +689,7 @@ class TestDebugLog:
                                        caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="resolvinv")
         assert self._run(command, demo_dir, tmp_path) == 0
-        series, spectrum, _ = cli._problem_series_and_spectrum(
+        series, spectrum, _ = cli._problem_solver(
             load_problem(demo_dir / self.RUNS[command][0]))
         distance = check_admissible(series, spectrum).separation_distance
         assert [r.getMessage() for r in caplog.records] == [

@@ -17,17 +17,29 @@ from resolvinv.errors import (
     InvalidInputError,
     SingularResolventError,
 )
+from resolvinv.geometry import ImaginaryAxis, PositiveHalfLine, UnitCircle
 from resolvinv.operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
     MultiplierOperator,
+    OperatorHandle,
     PeriodicShiftOperator,
     apply_plan,
     apply_series,
+    convolution_series,
+    forward_even_convolution,
+    invert_filter,
+    solve_convolution,
+    solve_even_convolution,
+    solve_exponential_volterra,
     solve_filter,
-    solve_volterra,
 )
-from resolvinv.rational import invert_to_plan
+from resolvinv.rational import (
+    FilterSpec,
+    checked_plan,
+    filter_to_series,
+    invert_to_plan,
+)
 from resolvinv.series import ResolventSeries, caratheodory_zero_series
 
 
@@ -403,10 +415,6 @@ def test_series_and_plan_match_the_term_loop(backend, terms, seed):
     want, scale = _loop_apply(plan.gamma, plan.beta, plan.zeros,
                               plan.residues, A, v)
     assert np.linalg.norm(apply_plan(plan, A, v) - want) <= 1e-12 * scale
-    if backend == "grid":
-        # the Volterra solve is this application, bit for bit
-        x, _ = solve_volterra(plan, v, A)
-        assert np.array_equal(apply_plan(plan, A, v), x)
 
 
 def test_volterra_solve_keeps_its_second_order_derivative():
@@ -418,8 +426,7 @@ def test_volterra_solve_keeps_its_second_order_derivative():
     want = plan.gamma * y + plan.beta * np.gradient(y, g.dt, edge_order=2)
     for zk, ck in zip(plan.zeros, plan.residues):
         want += ck * g.resolvent_solve(zk, y)
-    x, _ = solve_volterra(plan, y, g)
-    np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(apply_plan(plan, g, y), want)
 
 
 def test_series_never_applies_the_operator(monkeypatch):
@@ -431,6 +438,16 @@ def test_series_never_applies_the_operator(monkeypatch):
     g = GridDerivativeOperator(0.0, 1.0, 8)
     got = apply_series(ResolventSeries(((1.0, 2.0),)), g, np.ones(8))
     np.testing.assert_allclose(got, g.resolvent_solve(2.0, np.ones(8)))
+
+
+def test_shift_acts_on_each_signal_of_a_block():
+    # checked_vector takes the n samples on the last axis, so A and the plan
+    # act row by row; a roll of the flattened block would mix the rows
+    T = PeriodicShiftOperator(3)
+    v = np.arange(6.0).reshape(2, 3)
+    plan = invert_to_plan(ResolventSeries(((1.0, 3.0), (1.0, 4.0))))
+    for apply in (T.apply, lambda w: T.apply_plan(plan, w)):
+        np.testing.assert_array_equal(apply(v), [apply(v[0]), apply(v[1])])
 
 
 def test_one_sample_shift():
@@ -589,5 +606,65 @@ def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
     want = vplan.gamma * y + vplan.beta * np.gradient(y, g.dt, edge_order=2)
     for zk, ck in zip(vplan.zeros, vplan.residues):
         want += ck * g.resolvent_solve(zk, y)
-    x, _ = solve_volterra(vplan, y, g)
-    np.testing.assert_array_equal(_bits(x), _bits(want))
+    np.testing.assert_array_equal(_bits(apply_plan(vplan, g, y)), _bits(want))
+
+
+# --- one checked solve path -------------------------------------------------
+
+
+def test_checked_solvers_are_their_plan_only_expressions_bit_for_bit():
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+
+    # characteristic roots 0.5 and -0.3, both transfer residues 1
+    spec = FilterSpec((-0.15, -0.2, 1.0), (-0.2, 2.0))
+    plan = checked_plan(filter_to_series(spec), UnitCircle())
+    np.testing.assert_array_equal(_bits(invert_filter(spec, y)),
+                                  _bits(solve_filter(plan, y)))
+
+    terms = [(-0.5, -1j), (0.25j / (1.5 - 0.5j), 1.5 - 0.5j)]
+    plan = checked_plan(convolution_series(terms), PositiveHalfLine())
+    np.testing.assert_array_equal(
+        _bits(solve_even_convolution(terms, y, 8.0)),
+        _bits(solve_convolution(plan, y, 8.0)))
+
+    grid = GridDerivativeOperator(0.0, 10.0, 64)
+    kernel = ResolventSeries(((1.0, 1.0), (0.5, 2.0 + 0.5j)))
+    plan = checked_plan(kernel, ImaginaryAxis())
+    x, boundary = solve_exponential_volterra(kernel, y, grid)
+    np.testing.assert_array_equal(_bits(x), _bits(apply_plan(plan, grid, y)))
+    assert boundary == abs(y[-1])
+
+
+def test_forward_convolution_is_the_series_applied_to_the_spectrum():
+    # the forward map is solve_convolution of the series as a plan: the
+    # bits of the multiplier's apply_series between an FFT pair
+    terms = [(-0.5, -1j), (0.25j / (1.5 - 0.5j), 1.5 - 0.5j)]
+    x = np.cos(np.arange(100) / 7.0) + 0.5j * np.sin(np.arange(100) / 3.0)
+    xi = np.fft.fftfreq(100, d=8.0 / (2.0 * np.pi * 100))
+    want = np.fft.ifft(apply_series(convolution_series(terms),
+                                    MultiplierOperator(xi * xi),
+                                    np.fft.fft(x)))
+    np.testing.assert_array_equal(_bits(forward_even_convolution(terms, x,
+                                                                 8.0)),
+                                  _bits(want))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_dense_apply_plan_is_the_inherited_method(k):
+    assert "apply_plan" not in vars(DenseMatrixOperator)
+    assert DenseMatrixOperator.apply_plan is OperatorHandle.apply_plan
+    n = 9
+    rng = np.random.default_rng(k)
+    A = DenseMatrixOperator(matrix_with_eigenvalues(
+        rng, -1.0 - np.arange(n) / n))
+    plan = invert_to_plan(ResolventSeries(((1.0, 2.0), (0.5, 3.0 + 1j),
+                                           (2.0, 4.0 - 0.5j))))
+    shape = (n, k) if k else (n,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # the expression of the method DenseMatrixOperator defined before
+    h = np.zeros_like(v)
+    for zk, ck in zip(plan.zeros, plan.residues):
+        h += ck * A._solve(zk, v)
+    want = plan.gamma * v + plan.beta * (A.matrix @ v) + h
+    np.testing.assert_array_equal(_bits(apply_plan(plan, A, v)), _bits(want))

@@ -1,3 +1,6 @@
+import logging
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
@@ -15,9 +18,12 @@ from resolvinv.errors import (
     HypothesisError,
     MalformedSpecError,
     RepeatedRootError,
+    SeparationError,
 )
+from resolvinv.geometry import PointSpectrum, UnitCircle
 from resolvinv.series import (
     ResolventSeries,
+    check_admissible,
     evaluate,
     gamma_beta,
     numerator_coefficients,
@@ -25,6 +31,7 @@ from resolvinv.series import (
 from resolvinv.rational import (
     FilterSpec,
     _fit_sample_points,
+    checked_plan,
     filter_to_series,
     invert_to_plan,
     partial_fractions,
@@ -335,3 +342,89 @@ class TestFilterToSeries:
             lhs = z * npp.polyval(z, spec.b) / npp.polyval(z, spec.c)
             rhs = -z * evaluate(series, z)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+class TestCheckedPlan:
+    SERIES = ResolventSeries(((1.0, 2.0), (0.5, 3.0 + 1j), (2.0, 4.0)))
+
+    def test_is_the_plan_of_invert_to_plan(self):
+        for tol in (1e-12, 1e-5):
+            got = checked_plan(self.SERIES, UnitCircle(), tol=tol)
+            want = invert_to_plan(self.SERIES, tol=tol)
+            assert (got.gamma, got.beta) == (want.gamma, want.beta)
+            np.testing.assert_array_equal(got.zeros, want.zeros)
+            np.testing.assert_array_equal(got.residues, want.residues)
+
+    @pytest.mark.parametrize("series, spectrum, margin, error", [
+        (ResolventSeries(((1.0, 2.0), (-0.5, 3.0))), UnitCircle(), 0.0,
+         HypothesisError),
+        (ResolventSeries(((1.0, 0.5), (1.0, 2.0))), UnitCircle(), 0.0,
+         SeparationError),
+        (ResolventSeries(((1.0, 2.0), (1.0, 3.0))), PointSpectrum([0.0]),
+         2.5, SeparationError),
+    ], ids=["not_theorem_mode", "not_separated", "margin"])
+    def test_raises_what_the_gate_raises(self, series, spectrum, margin,
+                                         error, monkeypatch):
+        import resolvinv.rational as rational_module
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("plan built for a rejected series")
+
+        monkeypatch.setattr(rational_module, "invert_to_plan", no_plan)
+        with pytest.raises(error) as caught:
+            checked_plan(series, spectrum, margin)
+        want = check_admissible(series, spectrum, margin).rejection()
+        assert type(caught.value) is type(want)
+        assert str(caught.value) == str(want)
+
+    def test_logs_the_gate_and_the_plan(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="resolvinv")
+        plan = checked_plan(self.SERIES, UnitCircle())
+        distance = check_admissible(self.SERIES,
+                                    UnitCircle()).separation_distance
+        assert [r.getMessage() for r in caplog.records] == [
+            f"separation distance {distance:.6g}",
+            f"plan zeros: {plan.zeros.size}"]
+
+
+class TestFloatRangeWithoutWarnings:
+    """Inputs whose intermediate values leave the float range raise typed
+    errors, and numpy warns of nothing on the way."""
+
+    def test_residues_past_the_float_range(self):
+        # f'(z_k) ~ 1e-320 at zeros ~ 1e160: -1/f'(z_k) is no float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="float range"):
+                invert_to_plan(ResolventSeries(((1, 1e160), (1, 2e160))))
+
+    @pytest.mark.parametrize("c", [
+        # p at the computed root near -1.34e154i overflows
+        (0, 0, 1.340396549019702e154j, 1),
+        # p' = 3 * 5.99e307i z^2 has a coefficient past the float range
+        (0, 0, 0, 5.992310449541053e307j),
+    ], ids=["newton_step", "derivative"])
+    def test_repeated_root_whose_polynomial_overflows(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RepeatedRootError):
+                filter_to_series(FilterSpec(c, (0, 0, 0)))
+
+    def test_residue_whose_derivative_overflows(self):
+        # roots 0 and two of modulus 7.7e153: 3z^2 in p'(z) = 3z^2 + 5.99e307i
+        # overflows there, so a quotient of 0 would hide the residue 1/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="float range"):
+                partial_fractions((0, 0, 1),
+                                  (0, 5.992310449541055e307j, 0, 1))
+
+    def test_companion_matrix_past_the_float_range(self):
+        # c_2 / c_3 is about 1.8e308: numpy.roots' companion matrix would
+        # hold an infinity, and its eigenvalue solve a LinAlgError
+        spec = FilterSpec((0, 0, 1.5937870441849192e57j,
+                           8.865734720108314e-252j), (0, 0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="float range"):
+                filter_to_series(spec)

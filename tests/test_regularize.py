@@ -12,7 +12,15 @@ from resolvinv.errors import (
     SingularOperatorError,
     SingularResolventError,
 )
-from resolvinv.operators import DenseMatrixOperator, apply_plan, apply_series
+from resolvinv.operators import (
+    DenseMatrixOperator,
+    GridDerivativeOperator,
+    MultiplierOperator,
+    PeriodicShiftOperator,
+    apply_plan,
+    apply_series,
+    forward_exponential_volterra,
+)
 from resolvinv.rational import InversionPlan, invert_to_plan
 from resolvinv.regularize import (
     RegularizerConfig,
@@ -198,17 +206,33 @@ def test_plan_zero_on_spectrum_rejected():
                           RegularizerConfig((1e-2, 1e-4)))
 
 
+GRID3 = GridDerivativeOperator(0.0, 1.0, 3)
+
+
 @pytest.mark.parametrize("call", [
     lambda s, plan, A, v: apply_series(s, A, v),
     lambda s, plan, A, v: apply_plan(plan, A, v),
     lambda s, plan, A, v: regularized_apply(plan, A, 1e-3, v),
     lambda s, plan, A, v: convergence_sweep(s, plan, A, v,
                                             RegularizerConfig((1e-2, 1e-4))),
+    # the other backends, each with 3 samples like A
+    lambda s, plan, A, v: apply_series(s, GRID3, v),
+    lambda s, plan, A, v: apply_plan(plan, GRID3, v),
+    lambda s, plan, A, v: forward_exponential_volterra(s, v, GRID3),
+    lambda s, plan, A, v: apply_series(s, MultiplierOperator([-1, -2, -3]),
+                                       v),
+    lambda s, plan, A, v: apply_plan(plan, MultiplierOperator([-1, -2, -3]),
+                                     v),
+    lambda s, plan, A, v: apply_plan(plan, PeriodicShiftOperator(3), v),
+    lambda s, plan, A, v: PeriodicShiftOperator(3).resolvent_solve(3.0, v),
 ], ids=["apply_series", "apply_plan", "regularized_apply",
-        "convergence_sweep"])
+        "convergence_sweep", "grid-apply_series", "grid-apply_plan",
+        "grid-forward_volterra", "multiplier-apply_series",
+        "multiplier-apply_plan", "shift-apply_plan", "shift-resolvent_solve"])
 def test_wrong_length_vector_is_a_typed_error(call):
     # regularized_apply reaches A's SVD before any resolvent solve, so the
-    # length is checked on the operator, not in one solve
+    # length is checked on the operator, not in one solve; the grid, the
+    # multiplier and the shift check it in their checked_vector
     s = ResolventSeries(((1.0, 1.0), (1.0, 3.0)))
     A = DenseMatrixOperator(np.diag([5.0, 6.0, 7.0]))
     with pytest.raises(InvalidInputError):
