@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import demos
 from .errors import (
     ConditioningError,
@@ -138,10 +136,7 @@ def cmd_invert(args) -> int:
     print(_plan_summary(plan), file=sys.stderr)
     if solve is None:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
-    with np.errstate(all="ignore"):
-        x = solve(plan, y)
-    if not np.isfinite(x).all():
-        raise ConditioningError("solution exceeds the float range")
+    x = solve(plan, y)
     if kind == "integral":
         print(f"boundary residual |y(L)| = {abs(y[-1]):.6g}", file=sys.stderr)
     write_signal(args.output, x)

@@ -6,14 +6,24 @@ gamma + beta*A + sum_k c_k (z_k - A)^{-1} in ``apply_plan``, after its
 ``checked_vector`` has rejected a vector of the wrong length.  A series
 is the plan with gamma = beta = 0, its poles and its nonzero coefficients
 (:func:`apply_series`).  The generic ``apply_plan`` makes one resolvent
-solve per zero and applies A only when beta != 0; a dense matrix inherits
-it, each solve one LAPACK ``zgetrs`` on the LU of alpha*I - A that
-``zgetrf`` factors once per alpha and caches, with the eigenvalues and
-the SVD.  A multiplier and the periodic shift make one elementwise pass
-over their symbol, the shift between one FFT pair and in the array the
-forward FFT returns.  The pass runs ``InversionPlan.evaluate_scalar`` on
-blocks of 4096 samples, whose temporaries stay in cache, with the bits of
-the whole-array product; the shift's roots of unity come from one table.
+solve per zero and applies A to the checked vector only when beta != 0;
+a dense matrix inherits it, each solve one LAPACK ``zgetrs`` on the LU of
+alpha*I - A that ``zgetrf`` factors once per alpha and caches, with the
+eigenvalues and the SVD.  A multiplier and the periodic shift make one
+elementwise pass over their symbol, the shift between one FFT pair and in
+the array the forward FFT returns.  The pass runs
+``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
+temporaries stay in cache, with the bits of the whole-array product; the
+shift's roots of unity come from one table.
+d/dt on a grid makes one backward pass over blocks of 4096 samples: per
+block and zero a LAPACK ``ztbtrs`` solve of the resolvent's recurrence on
+one reused band, one sample longer than the block so that LAPACK carries
+the recurrence across the block's end itself, with the bits of one solve
+over the whole grid; gamma v + beta v' + h is formed in the same block.
+The plan applications of a dense matrix, the grid and the shift, and
+``solve_convolution``, raise :class:`ConditioningError` for a result past
+the float range, without a numpy warning; a multiplier's pass leaves
+that to ``solve_convolution``, which checks after its inverse FFT.
 
 Every application checks the poles it solves at, by the package's one
 tolerance rule (:mod:`resolvinv.tolerance`), and raises
@@ -117,17 +127,23 @@ class OperatorHandle:
         """(alpha*I - A)^{-1} v for a checked v."""
         return self.resolvent_solve(alpha, v)
 
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """A v for a checked v."""
+        return self.apply(v)
+
     def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
         """(gamma + beta A + h(A)) v for a checked v, with one resolvent
-        solve per zero of the plan; A is not applied when beta = 0."""
+        solve per zero of the plan; A is not applied when beta = 0.  Raises
+        :class:`ConditioningError` when a sample leaves the float range."""
         v = self.checked_vector(v)
-        h = np.zeros_like(v)
-        for zk, ck in zip(plan.zeros, plan.residues):
-            h += ck * self._solve(zk, v)
-        out = plan.gamma * v
-        if plan.beta != 0:
-            out = out + plan.beta * self.apply(v)
-        return out + h
+        with np.errstate(all="ignore"):
+            h = np.zeros_like(v)
+            for zk, ck in zip(plan.zeros, plan.residues):
+                h += ck * self._solve(zk, v)
+            out = plan.gamma * v
+            if plan.beta != 0:
+                out = out + plan.beta * self._apply(v)
+            return _require_finite(out + h)
 
 
 class DenseMatrixOperator(OperatorHandle):
@@ -160,7 +176,10 @@ class DenseMatrixOperator(OperatorHandle):
         return v
 
     def apply(self, v):
-        return self.matrix @ self.checked_vector(v)
+        return self._apply(self.checked_vector(v))
+
+    def _apply(self, v):
+        return self.matrix @ v
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigvals is None:
@@ -246,10 +265,21 @@ class MultiplierOperator(OperatorHandle):
 class GridDerivativeOperator(OperatorHandle):
     """d/dt on a uniform grid over [t0, L].
 
-    The resolvent (alpha - d/dt)^{-1} v(t) = int_t^L exp(-alpha (s-t)) v(s) ds
-    (upper limit truncated to the grid end) is computed by exact integration
-    of the piecewise-linear interpolant, cell by cell; valid for
-    Re alpha > SPECTRUM_EPS * |alpha|.
+    The resolvent w = (alpha - d/dt)^{-1} v,
+    w(t) = int_t^L exp(-alpha (s-t)) v(s) ds (upper limit truncated to the
+    grid end), integrates the piecewise-linear interpolant of v exactly,
+    cell by cell: w_i = e w_{i+1} + cell_i with e = exp(-alpha dt) and
+    w = 0 at the grid end; valid for Re alpha > SPECTRUM_EPS * |alpha|.
+
+    The recurrence runs in one backward pass over blocks of _BLOCK samples,
+    each a unit upper-bidiagonal LAPACK ``ztbtrs`` solve on one reused
+    (2, _BLOCK + 1) band.  A block's system has one sample more than the
+    block: the w already solved at the first sample of the block after it.
+    LAPACK itself then adds e times that carry to the block's last cell, as
+    in one solve over the whole grid, so the bits are that solve's.
+    ``apply_plan`` makes the pass for every zero of the plan block by block
+    and adds gamma v + beta v' in the same block, so its temporaries hold at
+    most _BLOCK + 1 samples each and stay in cache.
     """
 
     def __init__(self, t0: float, L: float, n: int):
@@ -277,35 +307,109 @@ class GridDerivativeOperator(OperatorHandle):
         return ImaginaryAxis()
 
     def resolvent_solve(self, alpha, v):
-        from scipy.linalg.lapack import ztbtrs
-        alpha = complex(alpha)
-        if alpha.real <= SPECTRUM_EPS * abs(alpha):
-            raise SingularResolventError(
-                f"pole {alpha} lies on or too near the spectrum of d/dt")
-        v = self.checked_vector(v)
-        d = self.dt
-        e = np.exp(-alpha * d)
-        i0 = (1.0 - e) / alpha
-        i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-        # per-cell integral of the linear interpolant against exp(-alpha tau),
-        # written straight into the output buffer
-        out = np.empty(v.size, dtype=complex)
-        cells = out[:-1]
-        np.subtract(v[1:], v[:-1], out=cells)
-        cells *= i1 / d
-        cells += v[:-1] * i0
-        out[-1] = 0.0
-        # backward recurrence w_i = e * w_{i+1} + cells_i, w_{n-1} = 0, as
-        # one unit upper-bidiagonal solve in LAPACK band storage (row 0 is
-        # the superdiagonal; the unit diagonal in row 1 is never read)
-        band = np.zeros((2, cells.size), dtype=complex, order="F")
-        band[0, 1:] = -e
-        # overwrite_b solves in place in `out`, which the function owns
-        _, info = ztbtrs(band, cells, uplo="U", diag="U", overwrite_b=True)
-        if info != 0:
-            raise ConditioningError(
-                f"backward recurrence solve failed (LAPACK info {info})")
+        """(alpha - d/dt)^{-1} v by the backward pass for one zero."""
+        blocks = self._backward_pass((alpha,), self.checked_vector(v))
+        out = np.empty(self.dim, dtype=complex)
+        for s, solves in blocks:
+            for w in solves:
+                out[s] = w
         return out
+
+    def apply_plan(self, plan, v):
+        """(gamma + beta d/dt + h(d/dt)) v in one backward pass: per block,
+        h = sum_k c_k w_k, then (gamma v + beta v') + h, the order of the
+        whole-array expression.  Raises :class:`ConditioningError` when a
+        sample leaves the float range."""
+        v = self.checked_vector(v)
+        blocks = self._backward_pass(plan.zeros, v)
+        out = np.empty_like(v)
+        term = np.empty(_block_size(self.dim), dtype=complex)
+        with np.errstate(all="ignore"):
+            for s, solves in blocks:
+                k = s.stop - s.start
+                # h summed in the output block, from 0 as on the whole array
+                h = out[s]
+                h.fill(0)
+                for ck, w in zip(plan.residues, solves):
+                    h += np.multiply(ck, w, out=term[:k])
+                lin = np.multiply(plan.gamma, v[s], out=term[:k])
+                if plan.beta != 0:
+                    grad = self._derivative(v, s)
+                    lin += np.multiply(plan.beta, grad, out=grad)
+                # addition commutes bit for bit: (gamma v + beta v') + h
+                h += lin
+                # as reals, which numpy tests twice as fast
+                _require_finite(h.view(float))
+        return out
+
+    def _derivative(self, v: np.ndarray, s: slice) -> np.ndarray:
+        """v' on the samples s, with the bits of ``apply(v)[s]``: inside the
+        grid, ``np.gradient``'s central difference itself; a block at a
+        grid end takes ``np.gradient`` on it and one neighbour past its
+        other end, for the one-sided formula there."""
+        lo, hi = s.start, s.stop
+        if 0 < lo and hi < self.dim:
+            return (v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2.0 * self.dt)
+        a, b = max(lo - 1, 0), min(hi + 1, self.dim)
+        return np.gradient(v[a:b], self.dt, edge_order=2)[lo - a:hi - a]
+
+    def _backward_pass(self, zeros, v: np.ndarray):
+        """The resolvent solves of v at ``zeros``, block by block from the
+        grid end backwards: each zero is checked and its cell weights
+        computed first, then this yields each block's slice with the
+        generator of w = (z_k - d/dt)^{-1} v on it for each zero z_k in
+        turn.  Every w is a view of one reused buffer, valid until the next
+        is drawn, and a block's generator must be drained before the next
+        block is drawn."""
+        from scipy.linalg.lapack import ztbtrs
+        d = self.dt
+        steps = []
+        for alpha in zeros:
+            alpha = complex(alpha)
+            if alpha.real <= SPECTRUM_EPS * abs(alpha):
+                raise SingularResolventError(
+                    f"pole {alpha} lies on or too near the spectrum of d/dt")
+            e = np.exp(-alpha * d)
+            i0 = (1.0 - e) / alpha
+            i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+            steps.append((-e, i0, i1 / d))
+        # w at the first sample of the block last solved, per zero: 0 at the
+        # grid end, which has no cell and is not an unknown
+        carries = [0j] * len(steps)
+        n = self.dim
+        w = np.empty(_block_size(n), dtype=complex)
+        dv = np.empty_like(w)
+        tmp = np.empty_like(w)
+        # LAPACK band storage: row 0 is the superdiagonal -e, whose first
+        # entry is never read, nor is the unit diagonal in row 1; filling
+        # both rows with -e is one contiguous write instead of a strided one
+        band = np.empty((2, w.size), dtype=complex, order="F")
+
+        def solves(lo, hi):
+            cells = hi - lo - (hi == n)
+            rows = cells if hi == n else cells + 1
+            vc = v[lo:lo + cells]
+            dvc = np.subtract(v[lo + 1:lo + cells + 1], vc, out=dv[:cells])
+            for j, (minus_e, i0, i1_d) in enumerate(steps):
+                # the integral of the linear interpolant over each cell,
+                # formed apart from its operands, since numpy rounds an
+                # in-place product of one element differently
+                x = np.multiply(dvc, i1_d, out=w[:cells])
+                x += np.multiply(vc, i0, out=tmp[:cells])
+                w[cells] = carries[j]
+                ab = band[:, :rows]
+                ab.fill(minus_e)
+                # in place in w; the carry, if any, is the system's last row
+                _, info = ztbtrs(ab, w[:rows], uplo="U", diag="U",
+                                 overwrite_b=True)
+                if info != 0:
+                    raise ConditioningError("backward recurrence solve "
+                                            f"failed (LAPACK info {info})")
+                carries[j] = w[0]
+                yield w[:hi - lo]
+
+        spans = _block_spans(n)
+        return ((s, solves(s.start, s.stop)) for s in reversed(spans))
 
 
 class PeriodicShiftOperator(OperatorHandle):
@@ -333,9 +437,11 @@ class PeriodicShiftOperator(OperatorHandle):
         the array the forward FFT returns."""
         zeros = plan.zeros
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
-        spectrum = np.fft.fft(self.checked_vector(v))
-        _plan_product(plan, self.symbol, spectrum, spectrum)
-        return np.fft.ifft(spectrum, out=spectrum)
+        v = self.checked_vector(v)
+        with np.errstate(all="ignore"):
+            spectrum = np.fft.fft(v)
+            _plan_product(plan, self.symbol, spectrum, spectrum)
+            return _require_finite(np.fft.ifft(spectrum, out=spectrum))
 
 
 def _unit_roots(n: int) -> np.ndarray:
@@ -369,11 +475,30 @@ def _plan_product(plan: InversionPlan, symbol: np.ndarray, v: np.ndarray,
     vector loop: no block has one sample unless the array does (a last
     one joins the block before it), and the product is formed apart from
     ``out``."""
-    edges = [0, *range(_BLOCK, symbol.size - 1, _BLOCK), symbol.size]
-    for lo, hi in zip(edges, edges[1:]):
-        s = slice(lo, hi)
+    for s in _block_spans(symbol.size):
         out[..., s] = plan.evaluate_scalar(symbol[s]) * v[..., s]
     return out
+
+
+def _block_spans(n: int) -> list[slice]:
+    """n samples as slices of _BLOCK, except that a last sample left over
+    joins the block before it: no block has one sample unless n = 1."""
+    edges = [0, *range(_BLOCK, n - 1, _BLOCK), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _block_size(n: int) -> int:
+    """Length of a buffer for one block of ``_block_spans(n)`` in a
+    backward pass: up to _BLOCK + 1 samples, or _BLOCK and the carry."""
+    return min(n, _BLOCK + 1)
+
+
+def _require_finite(x: np.ndarray) -> np.ndarray:
+    """x, unless a sample is not finite: the solution left the float range,
+    which raises :class:`ConditioningError`."""
+    if not np.isfinite(x).all():
+        raise ConditioningError("solution exceeds the float range")
+    return x
 
 
 def _check_symbol_gap(poles, symbol: np.ndarray):
@@ -502,8 +627,9 @@ def solve_convolution(plan: InversionPlan, y: np.ndarray,
     multiplier xi^2 applies the plan to fft(y), checking its poles."""
     y = np.asarray(y, dtype=complex)
     A = MultiplierOperator(_squared_frequencies(y.size, period))
-    x = A.apply_plan(plan, np.fft.fft(y))
-    return np.fft.ifft(x, out=x)
+    with np.errstate(all="ignore"):
+        x = A.apply_plan(plan, np.fft.fft(y))
+        return _require_finite(np.fft.ifft(x, out=x))
 
 
 def forward_even_convolution(terms, x: np.ndarray,

@@ -13,6 +13,7 @@ from conftest import (
 )
 from resolvinv import operators, tolerance
 from resolvinv.errors import (
+    ConditioningError,
     EmptyInputError,
     InvalidInputError,
     SingularResolventError,
@@ -28,6 +29,7 @@ from resolvinv.operators import (
     apply_series,
     convolution_series,
     forward_even_convolution,
+    forward_filter,
     invert_filter,
     solve_convolution,
     solve_even_convolution,
@@ -589,7 +591,8 @@ def test_filter_solve_matches_the_whole_array_expression(n):
                 <= 1e-15 * np.linalg.norm(want))
 
 
-@pytest.mark.parametrize("n", [64, 4097, 3 * 4096 + 17, 2 ** 16])
+@pytest.mark.parametrize("n", [64, 4096, 4097, 4098, 2 * 4096 + 1,
+                               2 * 4096 + 2, 3 * 4096 + 17, 2 ** 16])
 def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
     rng = np.random.default_rng(n)
     plan = _plan_for_blocks()
@@ -607,6 +610,160 @@ def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
     for zk, ck in zip(vplan.zeros, vplan.residues):
         want += ck * g.resolvent_solve(zk, y)
     np.testing.assert_array_equal(_bits(apply_plan(vplan, g, y)), _bits(want))
+
+
+# --- the blocked backward pass of the grid ----------------------------------
+# The grid solves its recurrences over blocks of operators._BLOCK samples,
+# each block's band system one sample longer than the block for the carry.
+# The references are the whole-array expressions it used before: one band
+# solve over the grid per zero, and gamma v + beta v' + h on whole arrays.
+
+GRID_SIZES = [3, 64, 4096, 4097, 4098, 2 * 4096 + 1, 2 * 4096 + 2,
+              3 * 4096 + 2, 3 * 4096 + 17, 2 ** 16]
+
+
+def _whole_array_resolvent(g, alpha, v):
+    """(alpha - d/dt)^{-1} v as one (2, n - 1) band solve over the grid."""
+    from scipy.linalg.lapack import ztbtrs
+    alpha = complex(alpha)
+    d = g.dt
+    e = np.exp(-alpha * d)
+    i0 = (1.0 - e) / alpha
+    i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+    out = np.empty(v.size, dtype=complex)
+    cells = out[:-1]
+    np.subtract(v[1:], v[:-1], out=cells)
+    cells *= i1 / d
+    cells += v[:-1] * i0
+    out[-1] = 0.0
+    band = np.zeros((2, cells.size), dtype=complex, order="F")
+    band[0, 1:] = -e
+    _, info = ztbtrs(band, cells, uplo="U", diag="U", overwrite_b=True)
+    assert info == 0
+    return out
+
+
+def _whole_array_grid_plan(plan, g, v):
+    h = np.zeros_like(v)
+    for zk, ck in zip(plan.zeros, plan.residues):
+        h += ck * _whole_array_resolvent(g, zk, v)
+    out = plan.gamma * v
+    if plan.beta != 0:
+        out = out + plan.beta * np.gradient(v, g.dt, edge_order=2)
+    return out + h
+
+
+GRID_PLANS = {
+    # beta != 0 and two zeros
+    "plan": invert_to_plan(ResolventSeries(((1.0, 1.0), (0.5, 2.0 + 0.5j),
+                                            (0.7, 0.6 - 0.3j)))),
+    # a series: beta = 0
+    "series": operators._series_plan(
+        ResolventSeries(((1.0, 1.0), (0.5, 2.0 + 0.5j)))),
+    # one term: beta != 0 and no zeros
+    "one term": invert_to_plan(ResolventSeries(((1.0, 1.5),))),
+}
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_grid_resolvent_is_the_whole_array_band_solve_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    # a product of one element rounds differently in place, which shows in
+    # the output only in some draws: each size takes nine
+    for alpha in np.repeat([0.8 + 0.4j, 2.0 - 1.0j, 0.05 + 3.0j], 3):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v_before = v.copy()
+        np.testing.assert_array_equal(
+            _bits(g.resolvent_solve(alpha, v)),
+            _bits(_whole_array_resolvent(g, alpha, v)))
+        np.testing.assert_array_equal(v, v_before)
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_PLANS))
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_grid_plan_is_the_whole_array_expression_bit_for_bit(n, kind):
+    plan = GRID_PLANS[kind]
+    if kind == "series":
+        assert plan.beta == 0
+    if kind == "one term":
+        assert plan.zeros.size == 0 and plan.beta != 0
+    rng = np.random.default_rng(n)
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    for _ in range(3):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        np.testing.assert_array_equal(
+            _bits(g.apply_plan(plan, v)),
+            _bits(_whole_array_grid_plan(plan, g, v)))
+
+
+@pytest.mark.parametrize("solve", ["apply_plan", "resolvent_solve"])
+def test_grid_pass_holds_one_output_and_cache_sized_temporaries(solve):
+    # the whole-array solves peaked at 4 (plan) and 3 (resolvent) arrays of
+    # n complex samples; the blocked pass at the output and its blocks
+    import tracemalloc
+    n = 2 ** 18
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    v = np.exp(-g.t) + 1j * np.cos(g.t)
+    plan = GRID_PLANS["plan"]
+    run = {"apply_plan": lambda: g.apply_plan(plan, v),
+           "resolvent_solve": lambda: g.resolvent_solve(1.0 + 1.0j, v)}[solve]
+    run()  # scipy's import inside the solve is not the solve's memory
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n
+
+
+def test_grid_pass_raises_when_the_solution_leaves_the_float_range():
+    # only the first block overflows, and the backward pass reaches it last
+    n = 3 * 4096 + 17
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    v = np.ones(n, dtype=complex)
+    v[:10] = 1e308
+    plan = operators.InversionPlan(10.0 + 0j, 0j, np.array([1.0 + 0j]),
+                                   np.array([1.0 + 0j]))
+    with pytest.raises(ConditioningError, match="float range"):
+        g.apply_plan(plan, v)
+    v[:10] = 1.0
+    assert np.isfinite(g.apply_plan(plan, v)).all()
+
+
+def test_solves_past_the_float_range_raise_without_a_warning():
+    # one pole at 0 with a = 1/1.12e307: beta = -1.12e307 takes the demo
+    # filter output past the float range; RuntimeWarnings are errors here
+    xf = np.zeros(16, dtype=complex)
+    xf[0] = 1.0
+    y = forward_filter(FilterSpec((-0.5, 1.0), (1.0,)), xf)
+    with pytest.raises(ConditioningError, match="float range"):
+        invert_filter(FilterSpec((0, 1.1235410651512325e307j), (1j,)), y)
+
+    big = operators.InversionPlan(1e308 + 0j, 0j, np.array([3.0 + 0j]),
+                                  np.array([1e308 + 0j]))
+    with pytest.raises(ConditioningError, match="float range"):
+        solve_convolution(big, 1e10 * np.ones(8), 8.0)
+    A = DenseMatrixOperator(np.diag([-1.0, -2.0]))
+    with pytest.raises(ConditioningError, match="float range"):
+        apply_plan(big, A, [1e10, 1.0])
+
+
+def test_dense_plan_checks_its_vector_once(monkeypatch):
+    A = DenseMatrixOperator(np.diag([-1.0, -2.0, -3.0]))
+    plan = invert_to_plan(ResolventSeries(((1.0, 1.0), (1.0, 2.0 + 1j))))
+    assert plan.beta != 0
+    calls = []
+    check = DenseMatrixOperator.checked_vector
+
+    def counted(self, v):
+        calls.append(v)
+        return check(self, v)
+
+    monkeypatch.setattr(DenseMatrixOperator, "checked_vector", counted)
+    apply_plan(plan, A, [1.0, 2.0, 3.0])
+    assert len(calls) == 1
 
 
 # --- one checked solve path -------------------------------------------------
