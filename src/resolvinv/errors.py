@@ -47,9 +47,8 @@ class SingularOperatorError(ResolvinvError):
 class ConditioningError(ResolvinvError):
     """A numerical subproblem was too ill conditioned to trust."""
 
-    def __init__(self, message, residual=None, condition=None):
+    def __init__(self, message, residual=None):
         self.residual = residual
-        self.condition = condition
         super().__init__(message)
 
 

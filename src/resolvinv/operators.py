@@ -1,48 +1,47 @@
 """Operator backends, and the one way anything is applied to them.
 
-A backend applies A, solves resolvent systems (alpha*I - A) u = v,
-describes its spectrum geometrically, and applies a plan
-gamma + beta*A + sum_k c_k (z_k - A)^{-1} in ``apply_plan``, after its
-``checked_vector`` has rejected a vector of the wrong length.  A series
-is the plan with gamma = beta = 0, its poles and its nonzero coefficients
-(:func:`apply_series`).  The generic ``apply_plan`` makes one resolvent
-solve per zero and applies A to the checked vector only when beta != 0;
-a dense matrix inherits it, each solve one LAPACK ``zgetrs`` on the LU of
-alpha*I - A that ``zgetrf`` factors once per alpha and caches, with the
-eigenvalues and the SVD.  A multiplier and the periodic shift make one
-elementwise pass over their symbol, the shift between one FFT pair and in
-the array the forward FFT returns.  The pass runs
+A backend applies A, describes its spectrum geometrically, and applies a
+plan gamma + beta*A + sum_k c_k (z_k - A)^{-1} in ``apply_plan``, its one
+solve path.  A resolvent solve (alpha*I - A)^{-1} v is the plan with one
+zero alpha and residue 1, and a series the plan with gamma = beta = 0,
+its poles and its nonzero coefficients (:func:`apply_series`).  A dense
+matrix inherits the generic ``apply_plan``: per zero one LAPACK ``zgetrs``
+on the LU of alpha*I - A that ``zgetrf`` factors once per alpha and
+caches, with the eigenvalues and the SVD, and A applied only when
+beta != 0.  A multiplier makes one elementwise pass over its symbol, and
+the periodic shift and ``solve_convolution`` the same pass between one FFT
+pair, in the array the forward FFT returns.  The pass runs
 ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
 temporaries stay in cache, with the bits of the whole-array product; the
-shift's roots of unity come from one table.
-d/dt on a grid makes one backward pass over blocks of 4096 samples: per
-block and zero a LAPACK ``ztbtrs`` solve of the resolvent's recurrence on
-one reused band, one sample longer than the block so that LAPACK carries
-the recurrence across the block's end itself, with the bits of one solve
-over the whole grid; gamma v + beta v' + h is formed in the same block.
-The plan applications of a dense matrix, the grid and the shift, and
-``solve_convolution``, raise :class:`ConditioningError` for a result past
-the float range, without a numpy warning; a multiplier's pass leaves
-that to ``solve_convolution``, which checks after its inverse FFT.
+shift's roots of unity come from one table.  d/dt on a grid makes one
+backward pass over blocks of 4096 samples: per block and zero a LAPACK
+``ztbtrs`` solve of the resolvent's recurrence on one reused band, one
+sample longer than the block so that LAPACK carries the recurrence across
+the block's end itself, with the bits of one solve over the whole grid;
+gamma v + beta v' + h is formed in the same block.
 
-Every application checks the poles it solves at, by the package's one
-tolerance rule (:mod:`resolvinv.tolerance`), and raises
+One contract holds on every operator.  ``checked_vector`` raises
+:class:`InvalidInputError` for a vector of the wrong shape or with a NaN
+or infinite entry.  Every application checks the poles it solves at, by
+the package's one tolerance rule (:mod:`resolvinv.tolerance`), and raises
 :class:`SingularResolventError` at the first one too near the spectrum.
-Against a symbol a pole p needs |p - s*| > SPECTRUM_EPS * max(|p|, |s*|)
-for its nearest sample s*, the rounding of p - s* (a bound scaled by
-max|s| would grow like n^2 for xi^2 on n samples); a multiplier scans its
-symbol once per pole, the shift finds the nearest root of unity by angle.
-A dense matrix needs dist(p, eigenvalues) > SPECTRUM_EPS * |p|, checked
-when p is first factored, and raises the same error for an exactly zero
-pivot; it raises :class:`InvalidInputError` for a pole or a vector entry
-that is not finite.  d/dt on a grid needs Re p > SPECTRUM_EPS * |p|.
+A result past the float range raises :class:`ConditioningError`, without
+a numpy warning.  Against a symbol a pole p needs
+|p - s*| > SPECTRUM_EPS * max(|p|, |s*|) for its nearest sample s*, the
+rounding of p - s* (a bound scaled by max|s| would grow like n^2 for xi^2
+on n samples); a multiplier scans its symbol once per pole, the shift
+finds the nearest root of unity by angle.  A dense matrix needs
+dist(p, eigenvalues) > SPECTRUM_EPS * |p|, checked when p is first
+factored, and raises the same error for an exactly zero pivot, or
+:class:`InvalidInputError` for a pole that is not finite.  d/dt on a grid
+needs Re p > SPECTRUM_EPS * |p|.
 
 The checked solvers take their plan from
 :func:`resolvinv.rational.checked_plan`, and the forward maps run the same
 gate; the plan-only solves (``solve_filter``, ``solve_convolution``, and
 ``apply_plan(plan, grid, y)`` for Volterra) check only the plan's poles.
-Only the dense and grid resolvent solves import scipy, inside the solve,
-so the other paths start without it.
+Only the dense and grid solves import scipy, inside the solve, so the
+other paths start without it.
 """
 
 from __future__ import annotations
@@ -108,33 +107,27 @@ class OperatorHandle:
         raise NotImplementedError
 
     def resolvent_solve(self, alpha: complex, v: np.ndarray) -> np.ndarray:
-        """(alpha*I - A)^{-1} v."""
-        raise NotImplementedError
+        """(alpha*I - A)^{-1} v: the plan with gamma = beta = 0, one zero
+        alpha and residue 1, by the operator's ``apply_plan``."""
+        return self.apply_plan(
+            InversionPlan(0j, 0j, np.array([alpha], dtype=complex),
+                          np.ones(1, dtype=complex)), v)
 
     def spectrum(self) -> Spectrum:
         raise NotImplementedError
 
     def checked_vector(self, v) -> np.ndarray:
-        """v as a complex array with the dim samples on its last axis."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape[-1:] != (self.dim,):
-            raise InvalidInputError(
-                f"vector of shape {v.shape} does not match the {self.dim} "
-                "samples of the operator")
-        return v
-
-    def _solve(self, alpha: complex, v: np.ndarray) -> np.ndarray:
-        """(alpha*I - A)^{-1} v for a checked v."""
-        return self.resolvent_solve(alpha, v)
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        """A v for a checked v."""
-        return self.apply(v)
+        """v as a finite complex array with the dim samples on its last axis;
+        raises :class:`InvalidInputError` for any other shape or a NaN or
+        infinite entry."""
+        return _checked_samples(v, self.dim)
 
     def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
-        """(gamma + beta A + h(A)) v for a checked v, with one resolvent
-        solve per zero of the plan; A is not applied when beta = 0.  Raises
-        :class:`ConditioningError` when a sample leaves the float range."""
+        """(gamma + beta A + h(A)) v for a checked v, with one ``_solve``
+        per zero of the plan and ``_apply`` only when beta != 0, the two
+        methods of a dense matrix, the one operator that inherits this.
+        Raises :class:`ConditioningError` when a sample leaves the float
+        range."""
         v = self.checked_vector(v)
         with np.errstate(all="ignore"):
             h = np.zeros_like(v)
@@ -149,6 +142,10 @@ class OperatorHandle:
 class DenseMatrixOperator(OperatorHandle):
     """A as an explicit n x n complex matrix; resolvents on one LU of
     alpha*I - A per shift alpha, factored by LAPACK ``zgetrf`` and cached."""
+
+    # every operator class binds the inherited method in its own body, only
+    # for the benchmark's tracer, which wraps cls.__dict__["resolvent_solve"]
+    resolvent_solve = OperatorHandle.resolvent_solve
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -171,7 +168,7 @@ class DenseMatrixOperator(OperatorHandle):
             raise InvalidInputError(
                 f"vector of shape {v.shape} does not match the "
                 f"{self.dim}x{self.dim} matrix")
-        if not np.isfinite(v).all():
+        if not _finite(v):
             raise InvalidInputError("vector has a NaN or infinite entry")
         return v
 
@@ -179,6 +176,7 @@ class DenseMatrixOperator(OperatorHandle):
         return self._apply(self.checked_vector(v))
 
     def _apply(self, v):
+        """A v for a checked v."""
         return self.matrix @ v
 
     def eigenvalues(self) -> np.ndarray:
@@ -230,13 +228,11 @@ class DenseMatrixOperator(OperatorHandle):
         lu, piv = self._factor(complex(alpha))
         return zgetrs(lu, piv, v)[0]
 
-    def resolvent_solve(self, alpha, v):
-        """(alpha*I - A)^{-1} v for a vector or an (n, k) block of them."""
-        return self._solve(alpha, self.checked_vector(v))
-
 
 class MultiplierOperator(OperatorHandle):
     """Diagonal action (A v)_k = s_k v_k by the symbol samples s."""
+
+    resolvent_solve = OperatorHandle.resolvent_solve
 
     def __init__(self, symbol):
         s = np.asarray(symbol, dtype=complex)
@@ -251,15 +247,14 @@ class MultiplierOperator(OperatorHandle):
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.symbol)
 
-    def resolvent_solve(self, alpha, v):
-        _check_symbol_gap((alpha,), self.symbol)
-        return self.checked_vector(v) / (complex(alpha) - self.symbol)
-
     def apply_plan(self, plan, v):
-        """One blocked elementwise pass: (1/f)(s) * v."""
+        """One blocked elementwise pass: (1/f)(s) * v.  Raises
+        :class:`ConditioningError` when a sample leaves the float range."""
         _check_symbol_gap(plan.zeros, self.symbol)
         v = self.checked_vector(v)
-        return _plan_product(plan, self.symbol, v, np.empty_like(v))
+        with np.errstate(all="ignore"):
+            return _require_finite(
+                _plan_product(plan, self.symbol, v, np.empty_like(v)))
 
 
 class GridDerivativeOperator(OperatorHandle):
@@ -271,16 +266,18 @@ class GridDerivativeOperator(OperatorHandle):
     cell by cell: w_i = e w_{i+1} + cell_i with e = exp(-alpha dt) and
     w = 0 at the grid end; valid for Re alpha > SPECTRUM_EPS * |alpha|.
 
-    The recurrence runs in one backward pass over blocks of _BLOCK samples,
-    each a unit upper-bidiagonal LAPACK ``ztbtrs`` solve on one reused
-    (2, _BLOCK + 1) band.  A block's system has one sample more than the
-    block: the w already solved at the first sample of the block after it.
-    LAPACK itself then adds e times that carry to the block's last cell, as
-    in one solve over the whole grid, so the bits are that solve's.
-    ``apply_plan`` makes the pass for every zero of the plan block by block
-    and adds gamma v + beta v' in the same block, so its temporaries hold at
-    most _BLOCK + 1 samples each and stay in cache.
+    ``apply_plan`` runs the recurrence of every zero in one backward pass
+    over blocks of _BLOCK samples, each a unit upper-bidiagonal LAPACK
+    ``ztbtrs`` solve on one reused (2, _BLOCK + 1) band.  A block's system
+    has one sample more than the block: the w already solved at the first
+    sample of the block after it.  LAPACK itself then adds e times that
+    carry to the block's last cell, as in one solve over the whole grid, so
+    the bits are that solve's.  gamma v + beta v' is added in the same
+    block, so the temporaries hold at most _BLOCK + 1 samples each and stay
+    in cache.
     """
+
+    resolvent_solve = OperatorHandle.resolvent_solve
 
     def __init__(self, t0: float, L: float, n: int):
         if n < 3:
@@ -292,10 +289,12 @@ class GridDerivativeOperator(OperatorHandle):
         self.dim = n
 
     def checked_vector(self, v) -> np.ndarray:
-        """v as a complex vector of shape (n,)."""
+        """v as a finite complex vector of shape (n,)."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise InvalidInputError("data length does not match the grid")
+        if not _finite(v):
+            raise InvalidInputError("vector has a NaN or infinite entry")
         return v
 
     def apply(self, v):
@@ -306,40 +305,72 @@ class GridDerivativeOperator(OperatorHandle):
     def spectrum(self) -> ImaginaryAxis:
         return ImaginaryAxis()
 
-    def resolvent_solve(self, alpha, v):
-        """(alpha - d/dt)^{-1} v by the backward pass for one zero."""
-        blocks = self._backward_pass((alpha,), self.checked_vector(v))
-        out = np.empty(self.dim, dtype=complex)
-        for s, solves in blocks:
-            for w in solves:
-                out[s] = w
-        return out
-
     def apply_plan(self, plan, v):
-        """(gamma + beta d/dt + h(d/dt)) v in one backward pass: per block,
-        h = sum_k c_k w_k, then (gamma v + beta v') + h, the order of the
-        whole-array expression.  Raises :class:`ConditioningError` when a
-        sample leaves the float range."""
+        """(gamma + beta d/dt + h(d/dt)) v in one backward pass: every zero
+        checked first, then per block h = sum_k c_k w_k and
+        (gamma v + beta v') + h, the order of the whole-array expression.
+        Raises :class:`ConditioningError` past the float range."""
+        from scipy.linalg.lapack import ztbtrs
         v = self.checked_vector(v)
-        blocks = self._backward_pass(plan.zeros, v)
+        d = self.dt
+        steps = []
+        for alpha, ck in zip(plan.zeros, plan.residues):
+            alpha = complex(alpha)
+            if alpha.real <= SPECTRUM_EPS * abs(alpha):
+                raise SingularResolventError(
+                    f"pole {alpha} lies on or too near the spectrum of d/dt")
+            e = np.exp(-alpha * d)
+            i0 = (1.0 - e) / alpha
+            i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+            steps.append((-e, i0, i1 / d, ck))
+        # w at the first sample of the block last solved, per zero: 0 at the
+        # grid end, which has no cell and is not an unknown
+        carries = [0j] * len(steps)
+        n = self.dim
         out = np.empty_like(v)
-        term = np.empty(_block_size(self.dim), dtype=complex)
+        # one block and its carry: up to _BLOCK + 1 samples
+        w = np.empty(min(n, _BLOCK + 1), dtype=complex)
+        dv = np.empty_like(w)
+        term = np.empty_like(w)
+        # LAPACK band storage: row 0 is the superdiagonal -e, whose first
+        # entry is never read, nor is the unit diagonal in row 1; filling
+        # both rows with -e is one contiguous write instead of a strided one
+        band = np.empty((2, w.size), dtype=complex, order="F")
         with np.errstate(all="ignore"):
-            for s, solves in blocks:
-                k = s.stop - s.start
+            for s in reversed(_block_spans(n)):
+                lo, hi = s.start, s.stop
+                k = hi - lo
+                cells = k - (hi == n)
+                rows = cells if hi == n else cells + 1
+                vc = v[lo:lo + cells]
+                dvc = np.subtract(v[lo + 1:lo + cells + 1], vc, out=dv[:cells])
                 # h summed in the output block, from 0 as on the whole array
                 h = out[s]
                 h.fill(0)
-                for ck, w in zip(plan.residues, solves):
-                    h += np.multiply(ck, w, out=term[:k])
+                for j, (minus_e, i0, i1_d, ck) in enumerate(steps):
+                    # the integral of the linear interpolant over each cell,
+                    # formed apart from its operands, since numpy rounds an
+                    # in-place product of one element differently
+                    x = np.multiply(dvc, i1_d, out=w[:cells])
+                    x += np.multiply(vc, i0, out=term[:cells])
+                    w[cells] = carries[j]
+                    ab = band[:, :rows]
+                    ab.fill(minus_e)
+                    # in place in w; the carry, if any, is the last row
+                    _, info = ztbtrs(ab, w[:rows], uplo="U", diag="U",
+                                     overwrite_b=True)
+                    if info != 0:
+                        raise ConditioningError("backward recurrence solve "
+                                                f"failed (LAPACK info {info})")
+                    carries[j] = w[0]
+                    h += np.multiply(ck, w[:k], out=term[:k])
                 lin = np.multiply(plan.gamma, v[s], out=term[:k])
                 if plan.beta != 0:
                     grad = self._derivative(v, s)
                     lin += np.multiply(plan.beta, grad, out=grad)
                 # addition commutes bit for bit: (gamma v + beta v') + h
                 h += lin
-                # as reals, which numpy tests twice as fast
-                _require_finite(h.view(float))
+                _require_finite(h)
         return out
 
     def _derivative(self, v: np.ndarray, s: slice) -> np.ndarray:
@@ -353,67 +384,11 @@ class GridDerivativeOperator(OperatorHandle):
         a, b = max(lo - 1, 0), min(hi + 1, self.dim)
         return np.gradient(v[a:b], self.dt, edge_order=2)[lo - a:hi - a]
 
-    def _backward_pass(self, zeros, v: np.ndarray):
-        """The resolvent solves of v at ``zeros``, block by block from the
-        grid end backwards: each zero is checked and its cell weights
-        computed first, then this yields each block's slice with the
-        generator of w = (z_k - d/dt)^{-1} v on it for each zero z_k in
-        turn.  Every w is a view of one reused buffer, valid until the next
-        is drawn, and a block's generator must be drained before the next
-        block is drawn."""
-        from scipy.linalg.lapack import ztbtrs
-        d = self.dt
-        steps = []
-        for alpha in zeros:
-            alpha = complex(alpha)
-            if alpha.real <= SPECTRUM_EPS * abs(alpha):
-                raise SingularResolventError(
-                    f"pole {alpha} lies on or too near the spectrum of d/dt")
-            e = np.exp(-alpha * d)
-            i0 = (1.0 - e) / alpha
-            i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-            steps.append((-e, i0, i1 / d))
-        # w at the first sample of the block last solved, per zero: 0 at the
-        # grid end, which has no cell and is not an unknown
-        carries = [0j] * len(steps)
-        n = self.dim
-        w = np.empty(_block_size(n), dtype=complex)
-        dv = np.empty_like(w)
-        tmp = np.empty_like(w)
-        # LAPACK band storage: row 0 is the superdiagonal -e, whose first
-        # entry is never read, nor is the unit diagonal in row 1; filling
-        # both rows with -e is one contiguous write instead of a strided one
-        band = np.empty((2, w.size), dtype=complex, order="F")
-
-        def solves(lo, hi):
-            cells = hi - lo - (hi == n)
-            rows = cells if hi == n else cells + 1
-            vc = v[lo:lo + cells]
-            dvc = np.subtract(v[lo + 1:lo + cells + 1], vc, out=dv[:cells])
-            for j, (minus_e, i0, i1_d) in enumerate(steps):
-                # the integral of the linear interpolant over each cell,
-                # formed apart from its operands, since numpy rounds an
-                # in-place product of one element differently
-                x = np.multiply(dvc, i1_d, out=w[:cells])
-                x += np.multiply(vc, i0, out=tmp[:cells])
-                w[cells] = carries[j]
-                ab = band[:, :rows]
-                ab.fill(minus_e)
-                # in place in w; the carry, if any, is the system's last row
-                _, info = ztbtrs(ab, w[:rows], uplo="U", diag="U",
-                                 overwrite_b=True)
-                if info != 0:
-                    raise ConditioningError("backward recurrence solve "
-                                            f"failed (LAPACK info {info})")
-                carries[j] = w[0]
-                yield w[:hi - lo]
-
-        spans = _block_spans(n)
-        return ((s, solves(s.start, s.stop)) for s in reversed(spans))
-
 
 class PeriodicShiftOperator(OperatorHandle):
     """Cyclic shift x(k) -> x(k+1 mod n); unitary, diagonalized by the DFT."""
+
+    resolvent_solve = OperatorHandle.resolvent_solve
 
     def __init__(self, n: int):
         if n < 1:
@@ -427,21 +402,11 @@ class PeriodicShiftOperator(OperatorHandle):
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.symbol)
 
-    def resolvent_solve(self, alpha, v):
-        _check_symbol_gap([alpha], _nearest_unit_roots([alpha], self.symbol))
-        return np.fft.ifft(np.fft.fft(self.checked_vector(v))
-                           / (complex(alpha) - self.symbol))
-
     def apply_plan(self, plan, v):
-        """One FFT pair around the blocked (1/f)(symbol) pass, all three in
-        the array the forward FFT returns."""
+        """The blocked (1/f)(symbol) pass between one FFT pair."""
         zeros = plan.zeros
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
-        v = self.checked_vector(v)
-        with np.errstate(all="ignore"):
-            spectrum = np.fft.fft(v)
-            _plan_product(plan, self.symbol, spectrum, spectrum)
-            return _require_finite(np.fft.ifft(spectrum, out=spectrum))
+        return _fourier_plan_solve(plan, self.symbol, self.checked_vector(v))
 
 
 def _unit_roots(n: int) -> np.ndarray:
@@ -487,16 +452,40 @@ def _block_spans(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _block_size(n: int) -> int:
-    """Length of a buffer for one block of ``_block_spans(n)`` in a
-    backward pass: up to _BLOCK + 1 samples, or _BLOCK and the carry."""
-    return min(n, _BLOCK + 1)
+def _fourier_plan_solve(plan: InversionPlan, symbol: np.ndarray,
+                        v: np.ndarray) -> np.ndarray:
+    """ifft((1/f)(symbol) * fft(v)) along the last axis for a checked v:
+    the blocked plan product and the inverse FFT both in the array the
+    forward FFT returns.  Raises :class:`ConditioningError` when a sample
+    leaves the float range."""
+    with np.errstate(all="ignore"):
+        spectrum = np.fft.fft(v)
+        _plan_product(plan, symbol, spectrum, spectrum)
+        return _require_finite(np.fft.ifft(spectrum, out=spectrum))
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of the complex x is finite, tested as one float
+    array where the layout allows, which numpy does twice as fast."""
+    return np.isfinite(x.view(float) if x.flags.c_contiguous else x).all()
+
+
+def _checked_samples(v, dim: int) -> np.ndarray:
+    """v as a finite complex array with dim samples on its last axis."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (dim,):
+        raise InvalidInputError(
+            f"vector of shape {v.shape} does not match the {dim} "
+            "samples of the operator")
+    if not _finite(v):
+        raise InvalidInputError("vector has a NaN or infinite entry")
+    return v
 
 
 def _require_finite(x: np.ndarray) -> np.ndarray:
     """x, unless a sample is not finite: the solution left the float range,
     which raises :class:`ConditioningError`."""
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise ConditioningError("solution exceeds the float range")
     return x
 
@@ -624,12 +613,12 @@ def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
 def solve_convolution(plan: InversionPlan, y: np.ndarray,
                       period: float) -> np.ndarray:
     """:func:`solve_even_convolution` without its checks of the kernel: the
-    multiplier xi^2 applies the plan to fft(y), checking its poles."""
+    plan's poles are checked against xi^2 and y by the operators' input
+    rule, then the plan is applied to fft(y) between one FFT pair."""
     y = np.asarray(y, dtype=complex)
-    A = MultiplierOperator(_squared_frequencies(y.size, period))
-    with np.errstate(all="ignore"):
-        x = A.apply_plan(plan, np.fft.fft(y))
-        return _require_finite(np.fft.ifft(x, out=x))
+    xi2 = _squared_frequencies(y.size, period)
+    _check_symbol_gap(plan.zeros, xi2)
+    return _fourier_plan_solve(plan, xi2, _checked_samples(y, xi2.size))
 
 
 def forward_even_convolution(terms, x: np.ndarray,
@@ -650,15 +639,20 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
 
     In frequency space y_hat = (q/p)(omega) * x_hat at each DFT frequency;
     the characteristic polynomial must not vanish at any grid frequency.
+    x meets the operators' input rule; a result past the float range
+    raises :class:`ConditioningError`.
     """
     x = np.asarray(x, dtype=complex)
-    omega = PeriodicShiftOperator(x.size).symbol
+    T = PeriodicShiftOperator(x.size)
+    x = T.checked_vector(x)
+    omega = T.symbol
     p = npp.polyval(omega, spec.c)
     if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
         raise SingularTransferError(
             "characteristic polynomial vanishes at a grid frequency")
     q = npp.polyval(omega, (0j,) + spec.b)
-    return np.fft.ifft(np.fft.fft(x) * q / p)
+    with np.errstate(all="ignore"):
+        return _require_finite(np.fft.ifft(np.fft.fft(x) * q / p))
 
 
 def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:

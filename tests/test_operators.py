@@ -825,3 +825,103 @@ def test_dense_apply_plan_is_the_inherited_method(k):
         h += ck * A._solve(zk, v)
     want = plan.gamma * v + plan.beta * (A.matrix @ v) + h
     np.testing.assert_array_equal(_bits(apply_plan(plan, A, v)), _bits(want))
+
+
+# --- one solve path per operator --------------------------------------------
+# A resolvent solve is the plan with gamma = beta = 0, one zero alpha and
+# residue 1, applied by the operator's apply_plan; every operator takes its
+# vector by one input rule and raises past the float range.
+
+ONE_PATH_SERIES = ResolventSeries(((1.0, 2.0), (0.5, 3.0 + 1j)))
+ONE_PATH_CALLS = {
+    "apply_plan": lambda A, v: A.apply_plan(invert_to_plan(ONE_PATH_SERIES),
+                                            v),
+    "resolvent_solve": lambda A, v: A.resolvent_solve(3.0 + 1j, v),
+    "apply_series": lambda A, v: apply_series(ONE_PATH_SERIES, A, v),
+}
+
+
+def _one_zero_plan(alpha):
+    return operators.InversionPlan(0j, 0j, np.array([alpha], dtype=complex),
+                                   np.ones(1, dtype=complex))
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_resolvent_solve_is_the_inherited_one_zero_plan(backend):
+    A = BACKENDS[backend]()
+    assert vars(type(A))["resolvent_solve"] is OperatorHandle.resolvent_solve
+    rng = np.random.default_rng(19)
+    shapes = {"dense": [(N,), (N, 3)], "multiplier": [(N,), (3, N)],
+              "shift": [(N,), (3, N)], "grid": [(N,)]}[backend]
+    for shape in shapes:
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for alpha in (2.0, 3.0 + 1j):
+            np.testing.assert_array_equal(
+                _bits(A.resolvent_solve(alpha, v)),
+                _bits(A.apply_plan(_one_zero_plan(alpha), v)))
+
+
+def test_only_the_dense_matrix_has_solve_and_apply_helpers():
+    for name in ("_solve", "_apply"):
+        assert not hasattr(OperatorHandle, name)
+        assert name in vars(DenseMatrixOperator)
+
+
+@pytest.mark.parametrize("A", [
+    PeriodicShiftOperator(8),
+    MultiplierOperator(PeriodicShiftOperator(8).symbol),
+], ids=["shift", "multiplier"])
+def test_resolvent_solve_past_the_float_range_raises_without_a_warning(A):
+    # RuntimeWarnings are errors in this suite: the division by
+    # alpha - 1 = 1e-9 must not warn on its way to the typed error
+    with pytest.raises(ConditioningError, match="float range"):
+        A.resolvent_solve(1.0 + 1e-9, np.full(8, 1e305))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf),
+                                 complex(np.nan, 1.0)])
+@pytest.mark.parametrize("call", sorted(ONE_PATH_CALLS))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_nonfinite_vector_is_an_invalid_input_on_every_operator(backend,
+                                                                call, bad):
+    A = BACKENDS[backend]()
+    v = np.ones(N, dtype=complex)
+    v[3] = bad
+    with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        ONE_PATH_CALLS[call](A, v)
+
+
+@pytest.mark.parametrize("call", sorted(ONE_PATH_CALLS))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_strided_vector_is_accepted_on_every_operator(backend, call):
+    A = BACKENDS[backend]()
+    v = (np.arange(2.0 * N) + 1j)[::2]
+    assert not v.flags.c_contiguous
+    got = ONE_PATH_CALLS[call](A, v)
+    want = ONE_PATH_CALLS[call](A, v.copy())
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_forward_filter_rejects_a_nonfinite_input_and_an_overflow():
+    spec = FilterSpec((-0.5, 1.0), (1.0,))
+    x = np.ones(16, dtype=complex)
+    x[2] = np.nan
+    with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        forward_filter(spec, x)
+    # the FFT of a finite x overflows: a typed error, without a warning
+    with pytest.raises(ConditioningError, match="float range"):
+        forward_filter(spec, np.full(16, 1e308))
+
+
+def test_convolution_checks_its_signal_before_the_fft():
+    terms = [(-0.5, -1j), (0.25j / (1.5 - 0.5j), 1.5 - 0.5j)]
+    plan = operators._series_plan(convolution_series(terms))
+    y = np.ones(16, dtype=complex)
+    y[5] = np.inf
+    with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        solve_convolution(plan, y, 8.0)
+    with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        forward_even_convolution(terms, y, 8.0)
+    # a finite y whose FFT overflows is past the float range instead
+    with pytest.raises(ConditioningError, match="float range"):
+        solve_convolution(plan, np.full(16, 1e308), 8.0)
