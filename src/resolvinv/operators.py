@@ -22,19 +22,18 @@ gamma v + beta v' + h is formed in the same block.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
-or infinite entry.  Every application checks the poles it solves at, by
-the package's one tolerance rule (:mod:`resolvinv.tolerance`), and raises
-:class:`SingularResolventError` at the first one too near the spectrum.
-A result past the float range raises :class:`ConditioningError`, without
-a numpy warning.  Against a symbol a pole p needs
-|p - s*| > SPECTRUM_EPS * max(|p|, |s*|) for its nearest sample s*, the
-rounding of p - s* (a bound scaled by max|s| would grow like n^2 for xi^2
-on n samples); a multiplier scans its symbol once per pole, the shift
-finds the nearest root of unity by angle.  A dense matrix needs
-dist(p, eigenvalues) > SPECTRUM_EPS * |p|, checked when p is first
-factored, and raises the same error for an exactly zero pivot, or
-:class:`InvalidInputError` for a pole that is not finite.  d/dt on a grid
-needs Re p > SPECTRUM_EPS * |p|.
+or infinite entry.  Every pole is checked before anything is solved, by
+one rule: a pole that is not finite raises :class:`InvalidInputError`,
+and :class:`SingularResolventError` for a pole p with min_s |p - s| <=
+SPECTRUM_EPS * |p| over the spectrum samples s (the rounding of p - s).
+The samples are a multiplier's symbol, the shift's nearest root of
+unity by angle, xi^2 for ``solve_convolution`` or a dense matrix's
+eigenvalues; d/dt on a grid needs Re p > SPECTRUM_EPS * |p|, the rule
+against the imaginary axis with the left half plane excluded.  It is
+:func:`resolvinv.series.check_admissible`'s bound per pole, so a series
+past that gate passes every solve's check at its own poles.  An exactly
+zero dense pivot raises :class:`SingularResolventError` too, and a
+result past the float range :class:`ConditioningError`, no numpy warning.
 
 The checked solvers take their plan from
 :func:`resolvinv.rational.checked_plan`, and the forward maps run the same
@@ -123,12 +122,14 @@ class OperatorHandle:
         return _checked_samples(v, self.dim)
 
     def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
-        """(gamma + beta A + h(A)) v for a checked v, with one ``_solve``
-        per zero of the plan and ``_apply`` only when beta != 0, the two
-        methods of a dense matrix, the one operator that inherits this.
-        Raises :class:`ConditioningError` when a sample leaves the float
-        range."""
+        """(gamma + beta A + h(A)) v for a checked v: the zeros checked
+        against ``eigenvalues()`` first, then one ``_solve`` per zero and
+        ``_apply`` only when beta != 0, the methods of a dense matrix, the
+        one operator that inherits this.  Raises :class:`ConditioningError`
+        when a sample leaves the float range."""
         v = self.checked_vector(v)
+        if len(plan.zeros):
+            _check_symbol_gap(plan.zeros, self.eigenvalues())
         with np.errstate(all="ignore"):
             h = np.zeros_like(v)
             for zk, ck in zip(plan.zeros, plan.residues):
@@ -197,19 +198,11 @@ class DenseMatrixOperator(OperatorHandle):
         return PointSpectrum(self.eigenvalues())
 
     def _factor(self, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
-        """The LU factors (lu, piv) of alpha*I - A, factored once per alpha.
-
-        At its first factorisation alpha is checked against the
-        eigenvalues, and an exactly zero pivot raises too."""
+        """The LU factors (lu, piv) of alpha*I - A, factored once per alpha;
+        an exactly zero pivot raises :class:`SingularResolventError`."""
         lu = self._lu_cache.get(alpha)
         if lu is None:
             from scipy.linalg.lapack import zgetrf
-            if not np.isfinite(alpha):
-                raise InvalidInputError(f"pole {alpha} is not finite")
-            gap = np.abs(alpha - self.eigenvalues()).min()
-            if negligible(gap, alpha, rtol=SPECTRUM_EPS):
-                raise SingularResolventError(
-                    f"pole {alpha} lies on or too near the spectrum")
             # -A in Fortran order, alpha added on its diagonal in place:
             # zgetrf then factors it without a copy
             shifted = np.negative(self.matrix, order="F")
@@ -236,8 +229,8 @@ class MultiplierOperator(OperatorHandle):
 
     def __init__(self, symbol):
         s = np.asarray(symbol, dtype=complex)
-        if s.ndim != 1:
-            raise InvalidInputError("symbol must be a 1-d sample array")
+        if s.ndim != 1 or s.size == 0:
+            raise InvalidInputError("symbol must be a nonempty 1-d array")
         self.symbol = s
         self.dim = s.size
 
@@ -290,12 +283,9 @@ class GridDerivativeOperator(OperatorHandle):
 
     def checked_vector(self, v) -> np.ndarray:
         """v as a finite complex vector of shape (n,)."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.dim,):
+        if np.shape(v) != (self.dim,):
             raise InvalidInputError("data length does not match the grid")
-        if not _finite(v):
-            raise InvalidInputError("vector has a NaN or infinite entry")
-        return v
+        return _checked_samples(v, self.dim)
 
     def apply(self, v):
         """v' by second-order central differences (one sided at the ends),
@@ -314,29 +304,32 @@ class GridDerivativeOperator(OperatorHandle):
         v = self.checked_vector(v)
         d = self.dt
         steps = []
-        for alpha, ck in zip(plan.zeros, plan.residues):
-            alpha = complex(alpha)
-            if alpha.real <= SPECTRUM_EPS * abs(alpha):
-                raise SingularResolventError(
-                    f"pole {alpha} lies on or too near the spectrum of d/dt")
-            e = np.exp(-alpha * d)
-            i0 = (1.0 - e) / alpha
-            i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-            steps.append((-e, i0, i1 / d, ck))
-        # w at the first sample of the block last solved, per zero: 0 at the
-        # grid end, which has no cell and is not an unknown
-        carries = [0j] * len(steps)
-        n = self.dim
-        out = np.empty_like(v)
-        # one block and its carry: up to _BLOCK + 1 samples
-        w = np.empty(min(n, _BLOCK + 1), dtype=complex)
-        dv = np.empty_like(w)
-        term = np.empty_like(w)
-        # LAPACK band storage: row 0 is the superdiagonal -e, whose first
-        # entry is never read, nor is the unit diagonal in row 1; filling
-        # both rows with -e is one contiguous write instead of a strided one
-        band = np.empty((2, w.size), dtype=complex, order="F")
         with np.errstate(all="ignore"):
+            for alpha, ck in zip(_check_finite_poles(plan.zeros),
+                                 plan.residues):
+                alpha = complex(alpha)
+                if alpha.real <= SPECTRUM_EPS * abs(alpha):
+                    raise SingularResolventError(
+                        f"pole {alpha} is on or too near the spectrum of d/dt")
+                e = np.exp(-alpha * d)
+                i0 = (1.0 - e) / alpha
+                i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+                steps.append((-e, i0, i1 / d, ck))
+            if not np.isfinite(steps).all():
+                raise ConditioningError("cell weights exceed the float range")
+            # w at the first sample of the block last solved, per zero: 0 at
+            # the grid end, which has no cell and is not an unknown
+            carries = [0j] * len(steps)
+            n = self.dim
+            out = np.empty_like(v)
+            # one block and its carry: up to _BLOCK + 1 samples
+            w = np.empty(min(n, _BLOCK + 1), dtype=complex)
+            dv = np.empty_like(w)
+            term = np.empty_like(w)
+            # LAPACK band storage: row 0 is the superdiagonal -e, whose first
+            # entry is never read, nor is the unit diagonal in row 1; filling
+            # both rows with -e is one contiguous write, not a strided one
+            band = np.empty((2, w.size), dtype=complex, order="F")
             for s in reversed(_block_spans(n)):
                 lo, hi = s.start, s.stop
                 k = hi - lo
@@ -404,7 +397,7 @@ class PeriodicShiftOperator(OperatorHandle):
 
     def apply_plan(self, plan, v):
         """The blocked (1/f)(symbol) pass between one FFT pair."""
-        zeros = plan.zeros
+        zeros = _check_finite_poles(plan.zeros)
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
         return _fourier_plan_solve(plan, self.symbol, self.checked_vector(v))
 
@@ -490,15 +483,19 @@ def _require_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_symbol_gap(poles, symbol: np.ndarray):
-    """Raise unless |p - s*| > SPECTRUM_EPS * max(|p|, |s*|) for every pole
-    p and its nearest symbol sample s* (see the module docstring); one
-    pass over the samples per pole."""
-    for p in poles:
-        p = complex(p)
-        gaps = np.abs(p - symbol)
-        k = np.argmin(gaps)
-        if negligible(gaps[k], p, symbol[k], rtol=SPECTRUM_EPS):
+def _check_finite_poles(poles):
+    """The poles, unless one is not finite: :class:`InvalidInputError`."""
+    if not np.isfinite(poles).all():
+        raise InvalidInputError("a pole of the plan is not finite")
+    return poles
+
+
+def _check_symbol_gap(poles, samples: np.ndarray):
+    """The one pole rule (module docstring): every pole p finite and
+    min_s |p - s| > SPECTRUM_EPS * |p| over the spectrum samples s (a symbol,
+    the roots of unity nearest each pole, xi^2 or eigenvalues)."""
+    for p in _check_finite_poles(poles):
+        if negligible(np.abs(p - samples).min(), p, rtol=SPECTRUM_EPS):
             raise SingularResolventError(
                 f"pole {p} lies on or too near the spectrum")
 
@@ -593,8 +590,9 @@ def convolution_series(terms) -> ResolventSeries:
 
 def _squared_frequencies(n: int, period: float) -> np.ndarray:
     """xi^2 for the angular frequencies xi = 2 pi k / period of the DFT."""
-    xi = np.fft.fftfreq(n, d=period / (2.0 * np.pi * n))
-    xi *= xi
+    with np.errstate(all="ignore"):
+        xi = np.fft.fftfreq(n, d=period / (2.0 * np.pi * n))
+        xi *= xi
     return xi
 
 
@@ -612,10 +610,12 @@ def solve_even_convolution(terms, y: np.ndarray, period: float) -> np.ndarray:
 
 def solve_convolution(plan: InversionPlan, y: np.ndarray,
                       period: float) -> np.ndarray:
-    """:func:`solve_even_convolution` without its checks of the kernel: the
-    plan's poles are checked against xi^2 and y by the operators' input
-    rule, then the plan is applied to fft(y) between one FFT pair."""
+    """:func:`solve_even_convolution` without its checks of the kernel: y
+    nonempty and by the operators' input rule, period finite and > 0, the
+    plan's poles against xi^2; then the plan on fft(y), one FFT pair."""
     y = np.asarray(y, dtype=complex)
+    if y.size == 0 or not 0.0 < period < np.inf:
+        raise InvalidInputError("need a nonempty y and a finite period > 0")
     xi2 = _squared_frequencies(y.size, period)
     _check_symbol_gap(plan.zeros, xi2)
     return _fourier_plan_solve(plan, xi2, _checked_samples(y, xi2.size))

@@ -196,9 +196,9 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     Reports theorem mode, the pole hull, its separation from the spectrum,
     and the summability value sum |a_j| / dist(alpha_j, spectrum).  A
     distance of at most max(EPS * max|alpha|, SPECTRUM_EPS * |alpha_j|)
-    counts as 0: the hull's rule, or the rule every resolvent solve
-    applies to its pole, whichever is wider.  Both bounds come from
-    :func:`magnitude`, so that they stay finite for any finite poles.
+    counts as 0: the hull's rule, or exactly every solve's pole rule, so a
+    series that passes fails no solve's pole check at its own poles.  Both
+    bounds come from :func:`magnitude`, finite for any finite poles.
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
