@@ -7,7 +7,12 @@ symbol or an eigenvalue list, or the unit circle, [0, inf) or the imaginary
 axis.  Point-to-hull distances come from one vectorised pass over all
 points and edges; the analytic sets are decided from the hull's vertices,
 since two disjoint convex sets are nearest at a vertex of one of them.  A
-distance of at most ``tolerance.EPS * max|vertex|`` counts as 0.
+point's distance to a hull counts as 0 up to ``tolerance.EPS *
+max|vertex|``, and the hull's distance to a spectrum up to
+``tolerance.SPECTRUM_EPS * max|vertex|``: in theorem mode the hull holds
+every zero z of the inverse's plan, with |z| <= max|vertex|, so a hull
+farther than that from the spectrum has no zero within ``SPECTRUM_EPS *
+|z|`` of it, the pole rule of every solve.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidInputError
-from .tolerance import EPS, magnitude, unit_frame
+from .tolerance import EPS, SPECTRUM_EPS, magnitude, unit_frame
 
 __all__ = [
     "HullPolygon",
@@ -247,22 +252,33 @@ class PositiveHalfLine(Spectrum):
     """The closed half line [0, +inf) on the real axis."""
 
     def distance_to(self, z):
-        return np.hypot(np.minimum(z.real, 0.0), z.imag)
+        """Distance from z to the ray: inf past the float range, with no
+        warning."""
+        with np.errstate(over="ignore"):
+            return np.hypot(np.minimum(z.real, 0.0), z.imag)
 
     def _gap(self, hull):
-        v = hull.vertices
-        for a, b in hull.edges():
+        # in the hull's power-of-two frame (see tolerance.unit_frame), where
+        # no modulus, product or difference of vertices overflows; the ray
+        # is the same set in every such frame
+        w, k = unit_frame(hull.vertices)
+        framed = HullPolygon(tuple(w.tolist()))
+        for a, b in framed.edges():
             # an edge with ends strictly on either side of the real axis
             # crosses it at x, and the ray when x >= 0
             if (min(a.imag, b.imag) < 0.0 < max(a.imag, b.imag)
                     and (a.real * b.imag - b.real * a.imag)
                     / (b.imag - a.imag) >= 0.0):
                 return 0.0
+        v = framed.vertices
         d = min(abs(p.imag) if p.real >= 0.0 else abs(p) for p in v)
         # the ray's own vertex 0 can be nearer, unless Re >= 0 on the hull
         if any(p.real < 0.0 for p in v):
-            d = min(d, hull_distance(hull, 0j))
-        return d
+            d = min(d, hull_distance(framed, 0j))
+        try:
+            return math.ldexp(d, k)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -277,9 +293,11 @@ class ImaginaryAxis(Spectrum):
 
 def hull_spectrum_distance(hull: HullPolygon, spectrum: Spectrum) -> float:
     """Set distance between a hull and a spectrum descriptor; at most
-    EPS * max|vertex| counts as 0."""
+    SPECTRUM_EPS * max|vertex| counts as 0, so a hull at a positive
+    distance holds no point z within SPECTRUM_EPS * |z| of the spectrum:
+    not a pole of the series, nor a zero of its plan in theorem mode."""
     d = float(spectrum._gap(hull))
-    return 0.0 if d <= magnitude(hull.vertices, EPS) else d
+    return 0.0 if d <= magnitude(hull.vertices, SPECTRUM_EPS) else d
 
 
 def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,

@@ -29,9 +29,12 @@ SPECTRUM_EPS * |p| over the spectrum samples s (the rounding of p - s).
 The samples are a multiplier's symbol, the shift's nearest root of
 unity by angle, xi^2 for ``solve_convolution`` or a dense matrix's
 eigenvalues; d/dt on a grid needs Re p > SPECTRUM_EPS * |p|, the rule
-against the imaginary axis with the left half plane excluded.  It is
-:func:`resolvinv.series.check_admissible`'s bound per pole, so a series
-past that gate passes every solve's check at its own poles.  An exactly
+against the imaginary axis with the left half plane excluded.
+:func:`resolvinv.series.check_admissible` counts a pole's distance and the
+pole hull's as 0 up to SPECTRUM_EPS * max|alpha|, which covers this rule
+at every pole and, since the hull holds the plan's zeros, at every zero:
+a series past that gate passes every solve's check at its own poles and
+at its plan's zeros.  An exactly
 zero dense pivot raises :class:`SingularResolventError` too, and a
 result past the float range :class:`ConditioningError`, no numpy warning.
 

@@ -194,19 +194,21 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     """Diagnostics for the inversion hypotheses; never raises.
 
     Reports theorem mode, the pole hull, its separation from the spectrum,
-    and the summability value sum |a_j| / dist(alpha_j, spectrum).  A
-    distance of at most max(EPS * max|alpha|, SPECTRUM_EPS * |alpha_j|)
-    counts as 0: the hull's rule, or exactly every solve's pole rule, so a
-    series that passes fails no solve's pole check at its own poles.  Both
-    bounds come from :func:`magnitude`, finite for any finite poles.
+    and the summability value sum |a_j| / dist(alpha_j, spectrum).  Both
+    the hull's distance and each pole's count as 0 up to one floor,
+    SPECTRUM_EPS * max|alpha| (from :func:`magnitude`, finite for any
+    finite poles).  In theorem mode every zero z of the plan lies in the
+    hull, so |z| <= max|alpha|, and a series that passes has no pole and
+    no zero within SPECTRUM_EPS times its modulus of the spectrum: it
+    fails no solve's pole check at its own poles or at its plan's zeros.
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
     dists = np.array(spectrum.distance_to(np.array(series.poles)), float)
-    hull_floor = magnitude(series.poles, EPS)
+    floor = magnitude(series.poles, SPECTRUM_EPS)
     diags = []
     for (a, alpha), d in zip(series.terms, dists.tolist()):
-        if d <= max(hull_floor, magnitude((alpha,), SPECTRUM_EPS)):
+        if d <= floor:
             d = 0.0
         if d > 0.0:
             summand = abs(a) / d

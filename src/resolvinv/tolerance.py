@@ -15,10 +15,12 @@ carries:
 
 * :data:`EPS` for quantities one step of arithmetic away from the data:
   pole gaps, coefficient signs and sums, hull vertex merging, the pole
-  hull's distance to a point or a spectrum;
+  hull's distance to a point;
 * :data:`SPECTRUM_EPS` for a pole against spectrum or symbol samples
   that were themselves computed (eigenvalues, squared DFT frequencies,
-  a characteristic polynomial at the roots of unity);
+  a characteristic polynomial at the roots of unity), and for the pole
+  hull's distance to a spectrum, the admissibility gate's one floor,
+  which holds the plan's zeros to that rule too;
 * :data:`DERIVED_EPS` for the theorem-mode test of coefficients derived
   from the data (filter residues, mapped convolution weights).
 

@@ -515,14 +515,20 @@ class TestOutOfDomainInput:
         [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
         [[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]],
     ], ids=["above", "across", "triangle"])
+    @pytest.mark.parametrize("spectrum", [
+        {"variant": "point_set", "points": [[10.0, 0.0]]},
+        {"variant": "unit_circle"},
+        {"variant": "positive_reals"},
+        {"variant": "imaginary_axis"},
+    ], ids=lambda s: s["variant"])
     def test_poles_near_the_float_limit_exit_without_traceback(
-            self, tmp_path, alphas):
-        # the threshold EPS * max|alpha| overflowed in abs (OverflowError)
-        # and the per-pole distances warned; run with warnings as errors
+            self, tmp_path, alphas, spectrum):
+        # the threshold rtol * max|alpha| overflowed in abs (OverflowError),
+        # so did the half line's gap, and the per-pole distances warned;
+        # run with warnings as errors
         problem = tmp_path / "huge.json"
         problem.write_text(json.dumps({
-            "kind": "series",
-            "spectrum": {"variant": "point_set", "points": [[10.0, 0.0]]},
+            "kind": "series", "spectrum": spectrum,
             "terms": [{"a": [1.0, 0.0], "alpha": a} for a in alphas]}))
         proc = run_python("-W", "error", "-m", "resolvinv.cli", "check",
                           str(problem))
@@ -752,10 +758,11 @@ class TestSweepCommand:
 
     def test_pole_within_the_resolvent_rule_exits_two_everywhere(
             self, demo_dir, tmp_path, capsys):
-        # the pole 5 + 5e-11i is 5e-11 from the eigenvalue 5: past the
-        # hull's EPS * max|alpha| = 5e-12, within the resolvent rule's
-        # SPECTRUM_EPS * |alpha| = 5e-10, at which the sweep's solve
-        # stops; check used to exit 0 and sweep 3
+        # the pole 5 + 5e-11i is 5e-11 from the eigenvalue 5: within the
+        # resolvent rule's SPECTRUM_EPS * |alpha| = 5e-10, at which the
+        # sweep's solve stops, and within the gate's one floor
+        # SPECTRUM_EPS * max|alpha| = 5e-10, so the hull is not separated
+        # and the pole's distance is 0; check used to exit 0 and sweep 3
         doc = json.loads((demo_dir / "sweep.json").read_text())
         doc["terms"] = [{"a": [1.0, 0.0], "alpha": [1.0, 0.0]},
                         {"a": [1.0, 0.0], "alpha": [5.0, 5e-11]}]
@@ -774,9 +781,36 @@ class TestSweepCommand:
         assert not (tmp_path / "o.csv").exists()
         out = capsys.readouterr()
         report = json.loads(out.out.splitlines()[0])
-        assert report["separation_ok"] and report["per_term"][1][
-            "distance"] == 0.0
-        assert "infinite summability" in out.err
+        assert not report["separation_ok"]
+        assert report["per_term"][1]["distance"] == 0.0
+        assert "not separated" in out.err
+
+    def test_zero_within_the_resolvent_rule_exits_two_everywhere(
+            self, demo_dir, tmp_path, capsys):
+        # the plan of ((1, 1), (1, 3)) has the zero 2, 4e-11 from the
+        # eigenvalue 2 + 4e-11i: within the resolvent rule's
+        # SPECTRUM_EPS * |z| = 2e-10, at which the solves stop, and within
+        # the gate's floor SPECTRUM_EPS * max|alpha| = 3e-10 of the hull;
+        # check used to exit 0, and invert and sweep 3
+        doc = json.loads((demo_dir / "sweep.json").read_text())
+        doc["matrix"] = [[[2.0, 4e-11], [0.0, 0.0]],
+                         [[0.0, 0.0], [10.0, 0.0]]]
+        problem = tmp_path / "sweep.json"
+        problem.write_text(json.dumps(doc))
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({**doc, "kind": "matrix"}))
+        x = tmp_path / "x.csv"
+        write_signal(x, np.ones(2))
+        io = ["--input", str(x), "--output", str(tmp_path / "o.csv")]
+        codes = [main(["check", str(matrix)]),
+                 main(["invert", str(matrix)] + io),
+                 main(["check", str(problem)]),
+                 main(["sweep", str(problem)] + io)]
+        assert codes == [2] * 4
+        assert not (tmp_path / "o.csv").exists()
+        out = capsys.readouterr()
+        assert not json.loads(out.out.splitlines()[0])["separation_ok"]
+        assert out.err.count("not separated") == 2
 
     def test_wrong_kind_exits_one(self, demo_dir, tmp_path, capsys):
         rc = main(["sweep", str(demo_dir / "matrix.json"),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resolvinv.errors import EmptyInputError
@@ -20,6 +20,7 @@ from resolvinv.geometry import (
     hull_separated_from,
     hull_spectrum_distance,
 )
+from resolvinv.tolerance import SPECTRUM_EPS
 
 finite_complex = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
                                     allow_nan=False, allow_infinity=False)
@@ -194,11 +195,17 @@ def test_hull_contains_inputs(points):
 
 
 @given(points_strategy, finite_complex, st.floats(0, 10))
+@example([1e-9, 10], 0j, 0.0)  # 1e-9: past EPS, within SPECTRUM_EPS of 10
 @settings(max_examples=200, deadline=None)
 def test_point_set_separation_matches_distance(points, z, margin):
+    # the point's distance, with the spectrum rule's floor
+    # SPECTRUM_EPS * max|vertex| in place of the point rule's EPS one
     hull = convex_hull(points)
     ok, d = hull_separated_from(hull, PointSpectrum((z,)), margin)
-    assert d == hull_distance(hull, z)
+    expect = hull_distance(hull, z)
+    if expect <= SPECTRUM_EPS * max(abs(v) for v in hull.vertices):
+        expect = 0.0
+    assert d == expect
     assert ok == (d > margin)
 
 

@@ -24,13 +24,14 @@ from resolvinv.operators import (
     MultiplierOperator,
     PeriodicShiftOperator,
     _squared_frequencies,
+    apply_plan,
     apply_series,
     convolution_series,
     solve_convolution,
     solve_even_convolution,
     solve_filter,
 )
-from resolvinv.rational import InversionPlan, checked_plan
+from resolvinv.rational import InversionPlan, checked_plan, invert_to_plan
 from resolvinv.series import ResolventSeries, require_admissible
 from resolvinv.tolerance import SPECTRUM_EPS, negligible
 
@@ -156,6 +157,41 @@ def test_a_series_past_the_gate_passes_every_solves_pole_check(
                 apply_series(series, A, np.ones(len(samples)))
         return
     apply_series(series, A, np.ones(len(samples)))
+
+
+_OFFSETS = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5).filter(
+    lambda t: min(np.diff(np.sort(t))) > 1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(offsets=_OFFSETS, weights=st.lists(st.floats(0.1, 1.0), min_size=5,
+                                          max_size=5),
+       center=st.complex_numbers(max_magnitude=1.0), turn=st.floats(0.0, 1.0),
+       k=st.integers(0, 3), exponent=st.floats(-13.0, -8.0),
+       side=st.floats(0.0, 1.0), scale=st.integers(-8, 8),
+       dense=st.booleans())
+def test_a_plan_past_the_gate_passes_every_solves_pole_check(
+        offsets, weights, center, turn, k, exponent, side, scale, dense):
+    # the poles lie on a segment, where every zero of the plan is on the
+    # hull's boundary: a zero elsewhere in the hull cannot come near the
+    # spectrum while the hull is separated from it. One eigenvalue is
+    # planted 1e-13 to 1e-8 relative from a zero, the other far away;
+    # the multiplier's spectrum is the point set of a series problem
+    unit = 10.0 ** scale
+    line = np.exp(2j * np.pi * turn)
+    series = ResolventSeries(tuple(
+        (w, unit * (center + t * line)) for w, t in zip(weights, offsets)))
+    zeros = invert_to_plan(series).zeros
+    z = zeros[k % zeros.size]
+    eigenvalues = [z * (1.0 + 10.0 ** exponent * np.exp(2j * np.pi * side)),
+                   10.0 * unit]
+    A = (DenseMatrixOperator(np.diag(eigenvalues)) if dense
+         else MultiplierOperator(eigenvalues))
+    try:
+        plan = checked_plan(series, A.spectrum())
+    except SeparationError:
+        return
+    apply_plan(plan, A, np.ones(2))
 
 
 # --- degenerate Fourier-diagonal inputs ---------------------------------
