@@ -41,7 +41,7 @@ from .operators import (
     volterra_kernel,
 )
 from .rational import checked_plan, filter_to_series
-from .regularize import RegularizerConfig, convergence_sweep
+from .regularize import convergence_sweep
 from .serialization import (
     _pair,
     load_problem,
@@ -152,11 +152,11 @@ def cmd_sweep(args) -> int:
     if args.input is None or args.output is None:
         raise MalformedSpecError("sweep needs --input and --output")
     x_true = read_signal(args.input)
-    config = RegularizerConfig(problem["alpha_grid"])
     series = problem["series"]
     A = DenseMatrixOperator(problem["matrix"])
     plan = checked_plan(series, A.spectrum(), problem["margin"], tol=args.tol)
-    report = convergence_sweep(series, plan, A, x_true, config)
+    report = convergence_sweep(series, plan, A, x_true,
+                               problem["regularizer"])
     write_sweep_csv(args.output, report)
     print(json.dumps({"improved": report.improved,
                       "records": len(report.records),

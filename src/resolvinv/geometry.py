@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidInputError
-from .tolerance import EPS, SPECTRUM_EPS, magnitude, unit_frame
+from .tolerance import EPS, SPECTRUM_EPS, ldexp, magnitude, unit_frame
 
 __all__ = [
     "HullPolygon",
@@ -275,10 +275,7 @@ class PositiveHalfLine(Spectrum):
         # the ray's own vertex 0 can be nearer, unless Re >= 0 on the hull
         if any(p.real < 0.0 for p in v):
             d = min(d, hull_distance(framed, 0j))
-        try:
-            return math.ldexp(d, k)
-        except OverflowError:
-            return math.inf
+        return ldexp(d, k)
 
 
 @dataclass(frozen=True)

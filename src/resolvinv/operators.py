@@ -70,10 +70,11 @@ from .rational import (
     FilterSpec,
     InversionPlan,
     checked_plan,
+    derived_series,
     filter_to_series,
 )
-from .series import ResolventSeries, require_admissible, theorem_mode
-from .tolerance import DERIVED_EPS, SPECTRUM_EPS, magnitude, negligible
+from .series import ResolventSeries, require_admissible
+from .tolerance import SPECTRUM_EPS, magnitude, negligible
 
 # samples per block of a Fourier-diagonal pass: a block's temporaries
 # (64 KiB each) stay in cache, and the unit roots are built block by block
@@ -571,24 +572,21 @@ def forward_exponential_volterra(kernel: ResolventSeries, x: np.ndarray,
 
 
 def convolution_series(terms) -> ResolventSeries:
-    """The series {(-2i b_j beta_j, beta_j^2)} of an even kernel
-    sum_j b_j exp(-i beta_j |t|), checked for Im beta_j < 0 and mapped
-    coefficients that pass the theorem-mode test at ``DERIVED_EPS``; the
-    pole hull is left to :func:`require_admissible`."""
-    mapped = []
+    """The :func:`~resolvinv.rational.derived_series` of the coefficients
+    -2i b_j beta_j at the poles beta_j^2, for an even kernel
+    sum_j b_j exp(-i beta_j |t|) with Im beta_j < 0 (else
+    :class:`HypothesisError`); theorem mode and the pole hull are left to
+    :func:`require_admissible`."""
+    a, poles = [], []
     for b, beta in terms:
         b = complex(b)
         beta = complex(beta)
         if beta.imag >= 0.0:
             raise HypothesisError(
                 f"kernel frequency {beta} must have negative imaginary part")
-        mapped.append((-2j * b * beta, beta * beta))
-    # built without the mapping's tiny imaginary residue, which is tested
-    series = ResolventSeries(tuple((a.real, al) for a, al in mapped))
-    if not theorem_mode([a for a, _ in mapped], rtol=DERIVED_EPS):
-        raise HypothesisError(
-            "mapped coefficients -2i b_j beta_j must be real positive")
-    return series
+        a.append(-2j * b * beta)
+        poles.append(beta * beta)
+    return derived_series(a, poles)
 
 
 def _squared_frequencies(n: int, period: float) -> np.ndarray:

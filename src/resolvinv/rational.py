@@ -51,6 +51,7 @@ __all__ = [
     "invert_to_plan",
     "checked_plan",
     "filter_to_series",
+    "derived_series",
 ]
 
 log = logging.getLogger("resolvinv")
@@ -131,15 +132,14 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     z = secular_zeros(a, alpha)
     if min_gap(z) <= magnitude(alpha, max(tol, EPS)):
         raise RepeatedRootError("f has a repeated zero")
-    with np.errstate(all="ignore"):
+    pts = _fit_sample_points(np.concatenate([series.poles, z]))
+    with np.errstate(all="ignore"):  # a value past the float range fails
         c = -1.0 / np.sum(a / (alpha - z[:, None]) ** 2, axis=1)
+        fz = np.sum(a / (alpha - pts[:, None]), axis=1)
+        hz = gamma + beta * pts + np.sum(c / (z - pts[:, None]), axis=1)
+        worst = float(np.max(np.abs(fz * hz - 1.0)))
     if not np.isfinite(c).all():
         raise ConditioningError("residues of 1/f leave the float range")
-
-    pts = _fit_sample_points(np.concatenate([series.poles, z]))
-    fz = np.sum(a / (alpha - pts[:, None]), axis=1)
-    hz = gamma + beta * pts + np.sum(c / (z - pts[:, None]), axis=1)
-    worst = float(np.max(np.abs(fz * hz - 1.0)))
     if not worst <= 1e-8:
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
@@ -185,18 +185,16 @@ class FilterSpec:
         return len(self.c) - 1
 
 
-def poly_roots(c, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
+def poly_roots(c) -> np.ndarray:
     """Roots of p(z) = sum_k c_k z^k, all simple, sorted by (real, imag).
 
     ``numpy.roots`` (companion-matrix eigenvalues), then one Newton step,
     kept wherever it is finite and lowers |p|.  Two roots closer than
-    ``max(tol, EPS) * max|root|`` raise :class:`RepeatedRootError`, and a
-    ratio c_k / c_N past the float range :class:`ConditioningError`.  The
-    top coefficient c_N must be nonzero, and ``tol`` finite and >= 0, as
-    for :func:`invert_to_plan`.
+    ``DEFAULT_ROOT_TOL * max|root|`` (1e-6 relative, wider than the
+    sqrt(machine epsilon) split of a computed double root) raise
+    :class:`RepeatedRootError`, and a ratio c_k / c_N past the float range
+    :class:`ConditioningError`.  The top coefficient c_N must be nonzero.
     """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidInputError("tol must be nonnegative and finite")
     c = np.asarray(c, dtype=complex)
     if not c.size or c[-1] == 0:
         raise InvalidInputError("top coefficient must be nonzero")
@@ -209,22 +207,21 @@ def poly_roots(c, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
         newton = z - pz / npp.polyval(z, npp.polyder(c))
         better = np.abs(npp.polyval(newton, c)) <= np.abs(pz)
     z = np.where(np.isfinite(newton) & better, newton, z)
-    if min_gap(z) <= magnitude(z, max(tol, EPS)):
+    if min_gap(z) <= magnitude(z, DEFAULT_ROOT_TOL):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
     return z[np.lexsort((z.imag, z.real))]
 
 
-def partial_fractions(num, den, tol: float = DEFAULT_ROOT_TOL
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def partial_fractions(num, den) -> tuple[np.ndarray, np.ndarray]:
     """Poles and residues of num/den, from ascending coefficient arrays.
 
-    The poles are :func:`poly_roots` of den (with its checks and ``tol``),
-    the residues num(z_k) / den'(z_k); :class:`ConditioningError` when
-    either value leaves the float range.  When num has the lower degree,
-    num(z)/den(z) = sum_k residues[k] / (z - poles[k]).
+    The poles are :func:`poly_roots` of den (with its checks and its root
+    gap), the residues num(z_k) / den'(z_k); :class:`ConditioningError`
+    when either value leaves the float range.  When num has the lower
+    degree, num(z)/den(z) = sum_k residues[k] / (z - poles[k]).
     """
-    z = poly_roots(den, tol)
+    z = poly_roots(den)
     with np.errstate(all="ignore"):
         parts = npp.polyval(z, num), npp.polyval(z, npp.polyder(den))
         residues = parts[0] / parts[1]
@@ -233,19 +230,34 @@ def partial_fractions(num, den, tol: float = DEFAULT_ROOT_TOL
     return z, residues
 
 
-def filter_to_series(spec: FilterSpec, tol: float = DEFAULT_ROOT_TOL
-                     ) -> ResolventSeries:
+def filter_to_series(spec: FilterSpec) -> ResolventSeries:
     """Residue expansion of the filter transfer function.
 
     q(z)/z has the ascending coefficients b, since q has no constant term,
     so :func:`partial_fractions` of b over p gives the poles z_j (the roots
-    of p) and a_j = (q(z)/z)|_{z_j} / p'(z_j), with q(z)/p(z) = -z f(z).
-    When the a_j pass the theorem-mode test at :data:`DERIVED_EPS` the
-    series keeps their real parts, as
-    :func:`resolvinv.operators.convolution_series` does; otherwise they
-    are kept as computed and the admissibility gate rejects them.
+    of p) and a_j = (q(z)/z)|_{z_j} / p'(z_j), with q(z)/p(z) = -z f(z);
+    the series is their :func:`derived_series`.
     """
-    z, a = partial_fractions(spec.b, spec.c, tol)
-    if theorem_mode(a, rtol=DERIVED_EPS):
-        a = a.real  # drops the rounding residue that the test tolerates
-    return ResolventSeries(tuple(zip(a, z)))
+    z, a = partial_fractions(spec.b, spec.c)
+    return derived_series(a, z)
+
+
+def derived_series(a, poles) -> ResolventSeries:
+    """The series of coefficients ``a`` derived from a problem's numbers
+    (a filter's residues, a kernel's mapped weights) at ``poles``.
+
+    When the a_j pass the theorem-mode test at :data:`DERIVED_EPS` the
+    series keeps their real parts, which drops the rounding residue that
+    the test tolerates; otherwise they are kept as computed, and the
+    admissibility gate rejects them with its report.  A coefficient or
+    pole that is not finite raises :class:`ConditioningError`: the
+    derivation left the float range.
+    """
+    a = np.asarray(a, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(poles).all()):
+        raise ConditioningError(
+            "derived coefficients or poles leave the float range")
+    if theorem_mode(a.tolist(), rtol=DERIVED_EPS):
+        a = a.real
+    return ResolventSeries(tuple(zip(a.tolist(), poles.tolist())))

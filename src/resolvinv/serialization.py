@@ -23,7 +23,7 @@ from .geometry import (
     UnitCircle,
 )
 from .rational import FilterSpec
-from .regularize import SweepReport
+from .regularize import RegularizerConfig, SweepReport
 from .series import ResolventSeries
 
 __all__ = [
@@ -156,11 +156,12 @@ def _matrix(doc) -> np.ndarray:
     return _pairs(rows, "matrix", depth=2)
 
 
-def _alpha_grid(doc) -> tuple[float, ...]:
+def _alpha_grid(doc) -> RegularizerConfig:
     grid = _field(doc, "alpha_grid")
     if not isinstance(grid, list) or not grid:
         raise MalformedSpecError('"alpha_grid" must be a nonempty list')
-    return tuple(_finite(a, "alpha", lower=0.0) for a in grid)
+    return RegularizerConfig(
+        tuple(_finite(a, "alpha", lower=0.0) for a in grid))
 
 
 # The values each problem kind decodes to, with their decoders; a decoder
@@ -173,7 +174,7 @@ _DECODERS = {
     "convolution": {"terms": _convolution_terms, "period": _period},
     "matrix": {"series": series_from_json, "matrix": _matrix},
     "sweep": {"series": series_from_json, "matrix": _matrix,
-              "alpha_grid": _alpha_grid},
+              "regularizer": _alpha_grid},
 }
 
 
@@ -184,8 +185,11 @@ def load_problem(path) -> dict:
     values of ``_DECODERS[kind]``: ``series`` (a ResolventSeries),
     ``spectrum``, ``spec`` (a FilterSpec), ``grid`` as (t0, L, n),
     ``terms`` as (b, beta) pairs, ``period``, ``matrix`` (a square complex
-    array) and ``alpha_grid``.  Raises MalformedSpecError, or its subclass
-    InvalidInputError for a number outside its domain.
+    array) and ``regularizer`` (a RegularizerConfig, from the file's
+    ``alpha_grid``).  Raises MalformedSpecError, or its subclass
+    InvalidInputError for a number outside its domain: a sweep's alpha
+    grid that is not strictly decreasing is refused here, by every
+    subcommand.
     """
     try:
         doc = json.loads(Path(path).read_text())

@@ -39,9 +39,12 @@ from .geometry import (
 from .tolerance import (
     EPS,
     SPECTRUM_EPS,
+    fsum,
+    ldexp,
     magnitude,
     negligible,
     require_distinct,
+    unit_frame,
 )
 
 __all__ = [
@@ -92,16 +95,9 @@ class ResolventSeries:
         """max |alpha_j|, the scale of the pole tolerances."""
         return magnitude(self.poles)
 
-    @property
-    def coefficient_sum(self) -> complex:
-        return complex(
-            math.fsum(a.real for a in self.coefficients),
-            math.fsum(a.imag for a in self.coefficients),
-        )
-
-    def is_theorem_mode(self, rtol: float = EPS) -> bool:
+    def is_theorem_mode(self) -> bool:
         """See :func:`theorem_mode`."""
-        return theorem_mode(self.coefficients, rtol)
+        return theorem_mode(self.coefficients)
 
     def pruned(self) -> "ResolventSeries":
         """Drop the terms whose coefficient is zero."""
@@ -115,16 +111,21 @@ class ResolventSeries:
 
 def theorem_mode(coefficients, rtol: float = EPS) -> bool:
     """Nonnegative real coefficients with positive sum, up to
-    ``rtol * max|a|``."""
+    ``rtol * max|a|``; the sum may pass the float range."""
     atol = rtol * magnitude(coefficients)
     return (all(abs(a.imag) <= atol and a.real >= -atol for a in coefficients)
-            and math.fsum(a.real for a in coefficients) > atol)
+            and fsum(a.real for a in coefficients) > atol)
 
 
 def _fsum_complex(values) -> complex:
+    """The :func:`~resolvinv.tolerance.fsum` of each part."""
     vals = list(values)
-    return complex(math.fsum(v.real for v in vals),
-                   math.fsum(v.imag for v in vals))
+    return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+
+
+def _ldexp(z: complex, k: int) -> complex:
+    """z * 2^k: exact but for a subnormal part, inf past the float range."""
+    return complex(ldexp(z.real, k), ldexp(z.imag, k))
 
 
 def evaluate(series: ResolventSeries, z: complex) -> complex:
@@ -143,14 +144,19 @@ def evaluate(series: ResolventSeries, z: complex) -> complex:
 def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     """Affine part of 1/f at infinity.
 
-    gamma = sum(a_j alpha_j) / (sum a_j)^2 and beta = -1 / sum(a_j).
+    gamma = sum(a_j alpha_j) / (sum a_j)^2 and beta = -1 / sum(a_j), taken
+    on 2^-k a_j, the coefficients in their frame of
+    :func:`~resolvinv.tolerance.unit_frame`, where their sum does not
+    overflow, and scaled back by 2^-k: the same bits unless a part is
+    subnormal in the frame, and inf only for a value past the float range.
     """
-    s = series.coefficient_sum
-    if negligible(s, *series.coefficients):
+    a, k = unit_frame(series.coefficients)
+    a = a.tolist()
+    s = _fsum_complex(a)
+    if negligible(s, *a):
         raise DegenerateSeriesError("coefficient sum vanishes")
-    weighted = _fsum_complex(a * al for a, al in series.terms)
-    # two divisions: s * s underflows to 0 for sums below about 1e-154
-    return weighted / s / s, -1.0 / s
+    weighted = _fsum_complex(x * al for x, al in zip(a, series.poles))
+    return _ldexp(weighted / s / s, -k), _ldexp(-1.0 / s, -k)
 
 
 @dataclass(frozen=True)
@@ -174,16 +180,18 @@ class AdmissibilityReport:
         """The error :func:`require_admissible` raises on this report:
         :class:`HypothesisError` unless the series is in theorem mode,
         then :class:`SeparationError` unless the pole hull is separated
-        from the spectrum and the summability value is finite (no pole
-        with a nonzero coefficient on the spectrum by the per-term rule);
-        None when the hypotheses hold."""
+        from the spectrum and no term with a nonzero coefficient has its
+        pole at distance 0 (the per-term rule); None when the hypotheses
+        hold.  A summability value past the float range is inf and
+        rejects nothing by itself."""
         if not self.theorem_mode_ok:
             return HypothesisError("series coefficients must be nonnegative "
                                    "real with positive sum")
         if not self.separation_ok:
             return SeparationError(
                 "pole hull is not separated from the spectrum")
-        if self.summability_value == math.inf:
+        if any(t.spectrum_distance == 0.0 and t.coefficient != 0
+               for t in self.per_term):
             return SeparationError("a pole lies on or too near the spectrum "
                                    "(infinite summability)")
         return None
@@ -194,10 +202,11 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     """Diagnostics for the inversion hypotheses; never raises.
 
     Reports theorem mode, the pole hull, its separation from the spectrum,
-    and the summability value sum |a_j| / dist(alpha_j, spectrum).  Both
-    the hull's distance and each pole's count as 0 up to one floor,
-    SPECTRUM_EPS * max|alpha| (from :func:`magnitude`, finite for any
-    finite poles).  In theorem mode every zero z of the plan lies in the
+    and the summability value sum |a_j| / dist(alpha_j, spectrum), inf
+    for a pole with a nonzero coefficient at distance 0 or a value past
+    the float range.  Both the hull's distance and each pole's count as 0
+    up to one floor, SPECTRUM_EPS * max|alpha| (from :func:`magnitude`,
+    finite for any finite poles).  In theorem mode every zero z of the plan lies in the
     hull, so |z| <= max|alpha|, and a series that passes has no pole and
     no zero within SPECTRUM_EPS times its modulus of the spectrum: it
     fails no solve's pole check at its own poles or at its plan's zeros.
@@ -210,12 +219,16 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     for (a, alpha), d in zip(series.terms, dists.tolist()):
         if d <= floor:
             d = 0.0
+        try:
+            size = abs(a)
+        except OverflowError:  # |a| past the float range
+            size = math.inf
         if d > 0.0:
-            summand = abs(a) / d
+            summand = size / d
         else:
-            summand = math.inf if abs(a) > 0.0 else 0.0
+            summand = math.inf if size > 0.0 else 0.0
         diags.append(TermDiagnostic(a, alpha, d, summand))
-    total = math.fsum(t.summand for t in diags) if all(
+    total = fsum(t.summand for t in diags) if all(
         math.isfinite(t.summand) for t in diags) else math.inf
     return AdmissibilityReport(
         theorem_mode_ok=series.is_theorem_mode(),
@@ -268,11 +281,16 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     H u = -s e_1, s^2 = sum a_j, gives that compression as the trailing
     (m-1)x(m-1) block of H D H: one small eigenvalue solve, no polynomial.
     The bilinear (unconjugated) form keeps this valid for complex a_j.
+    The zeros do not change when every a_j is scaled by one positive
+    number: they are taken on 2^-k a_j, in the coefficients' frame of
+    :func:`~resolvinv.tolerance.unit_frame` with k made even, where no
+    sum overflows and sqrt(a_j) scales exactly.
     """
-    a = np.asarray(coefficients, dtype=complex)
     alpha = np.asarray(poles, dtype=complex)
-    if a.size < 2:
+    if len(coefficients) < 2:
         return np.zeros(0, dtype=complex)
+    a, k = unit_frame(coefficients)
+    a *= 2.0 ** (k % 2)
     s2 = a.sum()
     if negligible(s2, magnitude(a)):
         raise DegenerateSeriesError("coefficient sum vanishes")

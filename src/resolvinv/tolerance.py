@@ -8,7 +8,10 @@ together.  Where one operand's scale can vanish (a pole at the origin),
 the scale comes from the other operand.  Pole gaps (and the hull tests of
 :mod:`resolvinv.geometry`) are taken on the points scaled by one exact
 power of two (:func:`unit_frame`), so that no difference or product of
-two points overflows near the top of the float range.
+two points overflows near the top of the float range.  Moduli
+(:func:`magnitude`) and sums (:func:`fsum`) whose partial results would
+pass the float range are taken in the same frame, so only a result past
+it is inf.
 
 Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
@@ -22,12 +25,14 @@ carries:
   hull's distance to a spectrum, the admissibility gate's one floor,
   which holds the plan's zeros to that rule too;
 * :data:`DERIVED_EPS` for the theorem-mode test of coefficients derived
-  from the data (filter residues, mapped convolution weights).
+  from the data (filter residues, mapped convolution weights), in
+  :func:`resolvinv.rational.derived_series` alone.
 
-:data:`DEFAULT_ROOT_TOL` is the default relative gap below which two
-zeros of a series (or two roots of a filter polynomial) count as one
-repeated root: a double root comes out of an eigenvalue solve split by
-about sqrt(machine epsilon), so the gap must be wider than that.
+:data:`DEFAULT_ROOT_TOL` is the relative gap below which two roots of a
+filter polynomial count as one repeated root, and the default of the
+plan's repeated-zero gap (the CLI's ``--tol``): a double root comes out
+of an eigenvalue solve split by about sqrt(machine epsilon), so the gap
+must be wider than that.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ __all__ = [
     "DERIVED_EPS",
     "DEFAULT_ROOT_TOL",
     "magnitude",
+    "fsum",
+    "ldexp",
     "negligible",
     "min_gap",
     "require_distinct",
@@ -69,10 +76,30 @@ def magnitude(values, rtol: float = 1.0) -> float:
     if scale < math.inf:
         return rtol * scale
     w, k = unit_frame(values)
+    return ldexp(rtol * float(np.abs(w).max()), k)
+
+
+def fsum(values) -> float:
+    """``math.fsum`` of finite floats, without its OverflowError: a sum
+    whose partial sums leave the float range is taken in the frame of
+    :func:`unit_frame` and scaled back, so only a sum past the float range
+    is inf (with its sign)."""
+    values = list(values)
     try:
-        return math.ldexp(rtol * float(np.abs(w).max()), k)
+        return math.fsum(values)
+    except OverflowError:  # a partial sum past the float range
+        w, k = unit_frame(values)
+        return ldexp(math.fsum(w.real), k)
+
+
+def ldexp(x: float, k: int) -> float:
+    """x * 2^k, as ``math.ldexp``, but inf with the sign of x past the
+    float range instead of an OverflowError: the way back from the frame
+    of :func:`unit_frame`."""
+    try:
+        return math.ldexp(x, k)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def negligible(x, *scales, rtol: float = EPS) -> bool:
@@ -104,10 +131,7 @@ def min_gap(points) -> float:
     z, k = unit_frame(points)
     if z.size < 2:
         return math.inf
-    try:
-        return math.ldexp(_gaps(z).min(), k)
-    except OverflowError:
-        return math.inf
+    return ldexp(_gaps(z).min(), k)
 
 
 def require_distinct(points) -> None:

@@ -184,6 +184,38 @@ class TestCheckCommand:
         assert rc == 1
         capsys.readouterr()
 
+    def test_negative_weight_kernel_prints_its_report(self, tmp_path,
+                                                      capsys):
+        # b = 0.5 maps to the coefficient -1: judged by the gate, with its
+        # report, as a filter's negative residue is
+        problem = tmp_path / "conv.json"
+        problem.write_text(json.dumps({
+            "kind": "convolution", "period": 8,
+            "terms": [{"b": [0.5, 0], "beta": [0, -1]}]}))
+        rc = main(["check", str(problem)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == ""
+        report = json.loads(out)
+        assert not report["theorem_mode_ok"] and report["separation_ok"]
+        assert report["per_term"][0]["a"] == [-1.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["check", "invert"])
+    def test_kernel_weight_past_the_float_range_exits_four(
+            self, demo_dir, tmp_path, capsys, command):
+        # -2i b beta = -2e308 for b = -1e308, beta = -i
+        problem = tmp_path / "conv.json"
+        problem.write_text(json.dumps({
+            "kind": "convolution", "period": 8,
+            "terms": [{"b": [-1e308, 0], "beta": [0, -1]}]}))
+        argv = [command, str(problem)]
+        if command == "invert":
+            argv += ["--input", str(demo_dir / "convolution_y.csv"),
+                     "--output", str(tmp_path / "x.csv")]
+        assert main(argv) == 4
+        assert "error: derived coefficients or poles leave the float range" \
+            in capsys.readouterr().err
+
 
 class TestInvertCommand:
     def test_matrix_recovers_truth(self, demo_dir, tmp_path, capsys):
@@ -424,6 +456,9 @@ class TestOutOfDomainInput:
             ["sweep", str(sweep), "--input", str(demo_dir / "sweep_x.csv"),
              "--output", str(tmp_path / "o.csv")],
             capsys, "alpha grid must be strictly decreasing")
+        # refused when the file is read, so check refuses it too
+        self._assert_exit_one(["check", str(sweep)], capsys,
+                              "alpha grid must be strictly decreasing")
 
     def test_grid_without_extent(self, demo_dir, tmp_path, capsys):
         def collapse(doc):
@@ -535,6 +570,58 @@ class TestOutOfDomainInput:
         assert proc.returncode in (0, 2)
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["theorem_mode_ok"]
+
+    _HUGE = [{"a": [1.7e308, 0.0], "alpha": [1.0, 0.0]},
+             {"a": [1.7e308, 0.0], "alpha": [3.0, 0.0]}]
+    _MATRIX = [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [12.0, 0.0]]]
+    _ON_10 = {"variant": "point_set", "points": [[10.0, 0.0]]}
+    # problem, its signal length, and the exit codes each command may
+    # give: a solve ends in a solution or, when the plan's identity check
+    # leaves the float range, in exit 4
+    FLOAT_LIMIT = {
+        # summability about 4.3e307, coefficient sum past the float range
+        "series": ({"kind": "series", "terms": _HUGE, "spectrum": _ON_10},
+                   0, {"check": (0,)}),
+        "complex": ({"kind": "series", "spectrum": _ON_10,
+                     "terms": [{"a": [1.7e308, 1.7e308], "alpha": [1, 0]},
+                               {"a": [1.0, 0.0], "alpha": [3.0, 0.0]}]},
+                    0, {"check": (2,)}),
+        "matrix": ({"kind": "matrix", "terms": _HUGE, "matrix": _MATRIX},
+                   2, {"check": (0,), "invert": (0, 4)}),
+        "sweep": ({"kind": "sweep", "terms": _HUGE, "matrix": _MATRIX,
+                   "alpha_grid": [1e-2, 1e-4]},
+                  2, {"check": (0,), "sweep": (0, 4)}),
+        "integral": ({"kind": "integral", "kernel": _HUGE,
+                      "grid": {"t0": 0.0, "L": 5.0, "n": 8}},
+                     8, {"check": (0,), "invert": (0, 4)}),
+        # the summand 1e308 / 0.5 is past the float range: an inf
+        # summability, which is no pole on the spectrum
+        "filter": ({"kind": "filter", "c": [[-0.5, 0.0], [1.0, 0.0]],
+                    "b": [[1e308, 0.0]]},
+                   8, {"check": (0,), "invert": (0, 4)}),
+    }
+
+    @pytest.mark.parametrize("name", FLOAT_LIMIT)
+    def test_coefficients_near_the_float_limit_exit_without_traceback(
+            self, tmp_path, name):
+        # the coefficient sums overflowed in fsum (OverflowError), |a| in
+        # abs, the zero solve warned, and an inf summability read as a
+        # pole on the spectrum; run with warnings as errors
+        problem, n, codes = self.FLOAT_LIMIT[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem))
+        signal = tmp_path / "y.csv"
+        for command, want in codes.items():
+            argv = [command, str(path)]
+            if command != "check":
+                write_signal(signal, np.linspace(1.0, 2.0, n))
+                argv += ["--input", str(signal),
+                         "--output", str(tmp_path / "x.csv")]
+            proc = run_python("-W", "error", "-m", "resolvinv.cli", *argv)
+            assert proc.returncode in want, proc.stderr
+            assert "Traceback" not in proc.stderr
+            if command == "check":
+                assert proc.stderr == ""
 
     def test_subprocess_prints_no_traceback(self, demo_dir, tmp_path):
         y = tmp_path / "short.csv"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from resolvinv import operators
+from resolvinv import rational
 from resolvinv.errors import HypothesisError, SeparationError
+from resolvinv.geometry import PositiveHalfLine
 from resolvinv.operators import (
     GridDerivativeOperator,
     MultiplierOperator,
@@ -15,7 +16,7 @@ from resolvinv.operators import (
     solve_exponential_volterra,
 )
 from resolvinv.rational import invert_to_plan
-from resolvinv.series import ResolventSeries
+from resolvinv.series import ResolventSeries, check_admissible
 
 
 def quadrature_forward(kernel, x, grid, refine=8):
@@ -194,24 +195,28 @@ class TestEvenConvolution:
 
     @pytest.mark.parametrize("residue", [0.0, 1e-12, 1e-6])
     def test_mapped_series_built_once_and_real(self, residue, monkeypatch):
-        # mapped coefficients 1 + i*residue: the imaginary residue is
-        # dropped when it passes the DERIVED_EPS theorem-mode test
+        # mapped coefficients 1 + i*residue: derived_series drops the
+        # imaginary residue when it passes the DERIVED_EPS theorem-mode
+        # test, and otherwise keeps it for the gate to reject
         built = []
 
         def counted(terms):
             built.append(terms)
             return ResolventSeries(terms)
 
-        monkeypatch.setattr(operators, "ResolventSeries", counted)
+        monkeypatch.setattr(rational, "ResolventSeries", counted)
         betas = np.array([1.5, 2.5]) * np.exp(1j * (-np.pi / 2 + 0.1))
         terms = [((1.0 + 1j * residue) / (-2j * beta), beta)
                  for beta in betas]
-        if residue > 1e-9:
-            with pytest.raises(HypothesisError):
-                convolution_series(terms)
-            return
         series = convolution_series(terms)
         assert len(built) == 1
+        if residue > 1e-9:
+            assert all(a.imag != 0.0 for a in series.coefficients)
+            report = check_admissible(series, PositiveHalfLine())
+            assert not report.theorem_mode_ok
+            with pytest.raises(HypothesisError):
+                solve_even_convolution(terms, np.zeros(32), 4.0)
+            return
         assert all(a.imag == 0.0 for a in series.coefficients)
         assert series.coefficients == pytest.approx((1.0, 1.0), rel=1e-15)
 

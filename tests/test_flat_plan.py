@@ -15,7 +15,6 @@ from resolvinv import tolerance
 from resolvinv.cli import main
 from resolvinv.errors import (
     ConditioningError,
-    InvalidInputError,
     RepeatedRootError,
 )
 from resolvinv.operators import (
@@ -120,14 +119,6 @@ def test_filter_root_pair_inside_the_gap_is_repeated(order, scale):
         filter_to_series(planted_filter(roots, np.ones(order)))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-def test_filter_tol_out_of_range_rejected(tol):
-    # a NaN tol used to disable the repeated-root test: a double root at 2
-    # came back as two poles with residues of about 2e7
-    with pytest.raises(InvalidInputError):
-        filter_to_series(FilterSpec((4.0, -4.0, 1.0), (1.0, 0.0)), tol=tol)
-
-
 def test_filter_gap_has_no_floor_of_one():
     # two roots 1e-3 apart relative to their size: distinct at every scale
     # (a gap floored at 1e-6 absolute merged them below scale 1e-3)
@@ -137,12 +128,10 @@ def test_filter_gap_has_no_floor_of_one():
         assert len(series.terms) == 2
 
 
-def _reference_filter_to_series(spec, tol=tolerance.DEFAULT_ROOT_TOL):
+def _reference_filter_to_series(spec):
     """The filter path with its root step and residues inline, and the
     root gap taken unscaled: the reference for poly_roots and
     partial_fractions."""
-    if not 0.0 <= tol < math.inf:
-        raise InvalidInputError("tol must be nonnegative and finite")
     c = np.asarray(spec.c)
     dc = npp.polyder(c)
     z = np.roots(c[::-1])
@@ -152,7 +141,7 @@ def _reference_filter_to_series(spec, tol=tolerance.DEFAULT_ROOT_TOL):
         z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
     gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
     gap = gaps.min() if z.size > 1 else math.inf
-    if gap <= max(tol, tolerance.EPS) * tolerance.magnitude(z):
+    if gap <= tolerance.DEFAULT_ROOT_TOL * tolerance.magnitude(z):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
     z = z[np.lexsort((z.imag, z.real))]
@@ -182,9 +171,7 @@ def filter_specs(draw):
         if kind == "repeated" and order > 1:
             roots[1] = roots[0] * (1.0 + 10.0 ** rng.uniform(-14.0, -6.0))
         spec = planted_filter(roots, rng.uniform(0.5, 1.5, order))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-6, 1e-3, 1e-3,
-                               float("nan"), -1.0]))
-    return spec, tol
+    return spec
 
 
 def _terms_or_error(fn):
@@ -195,11 +182,10 @@ def _terms_or_error(fn):
 
 
 @settings(max_examples=300, deadline=None)
-@given(params=filter_specs())
-def test_filter_path_matches_the_inline_reference(params):
-    spec, tol = params
-    got = _terms_or_error(lambda: filter_to_series(spec, tol))
-    want = _terms_or_error(lambda: _reference_filter_to_series(spec, tol))
+@given(spec=filter_specs())
+def test_filter_path_matches_the_inline_reference(spec):
+    got = _terms_or_error(lambda: filter_to_series(spec))
+    want = _terms_or_error(lambda: _reference_filter_to_series(spec))
     assert got == want
 
 

@@ -32,6 +32,7 @@ from resolvinv.rational import (
     FilterSpec,
     _fit_sample_points,
     checked_plan,
+    derived_series,
     filter_to_series,
     invert_to_plan,
     partial_fractions,
@@ -66,7 +67,7 @@ class TestPolyRoots:
             deg = int(rng.integers(1, 13))
             true_roots = rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg)
             p = npp.polyfromroots(true_roots)
-            rebuilt = npp.polyfromroots(poly_roots(p, tol=1e-6))
+            rebuilt = npp.polyfromroots(poly_roots(p))
             err = np.max(np.abs(rebuilt - p))
             assert err <= 1e-9 * max(1.0, np.max(np.abs(p)))
 
@@ -342,6 +343,28 @@ class TestFilterToSeries:
             lhs = z * npp.polyval(z, spec.b) / npp.polyval(z, spec.c)
             rhs = -z * evaluate(series, z)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+class TestDerivedSeries:
+    def test_rounding_residue_dropped_in_theorem_mode(self):
+        series = derived_series([1.0 + 1e-12j, 2.0 - 1e-12j], [1.0, 3.0])
+        assert series.terms == ((1.0, 1.0), (2.0, 3.0))
+
+    @pytest.mark.parametrize("a", [[1.0 + 1e-6j, 2.0], [-1.0, 2.0]])
+    def test_kept_as_computed_for_the_gate(self, a):
+        series = derived_series(a, [1.0, 3.0])
+        assert series.coefficients == tuple(complex(x) for x in a)
+        report = check_admissible(series, PointSpectrum([10.0]))
+        assert not report.theorem_mode_ok
+        assert isinstance(report.rejection(), HypothesisError)
+
+    @pytest.mark.parametrize("a, poles", [
+        ([np.inf, 1.0], [1.0, 3.0]),
+        ([1.0, 1.0], [1.0, complex(np.nan, 0.0)]),
+    ])
+    def test_values_past_the_float_range(self, a, poles):
+        with pytest.raises(ConditioningError, match="float range"):
+            derived_series(a, poles)
 
 
 class TestCheckedPlan:

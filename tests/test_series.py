@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ class TestGammaBeta:
         with pytest.raises(DegenerateSeriesError):
             gamma_beta(ResolventSeries(((1, 1.0), (-1, 2.0))))
 
+    def test_coefficient_sum_past_the_float_range(self):
+        # s = 2^1024 is past the float range, gamma = 2^-1023 and
+        # beta = -2^-1024 are not: taken in the coefficients' frame
+        g, b = gamma_beta(ResolventSeries(((2.0 ** 1023, 1.0),
+                                           (2.0 ** 1023, 3.0))))
+        assert (g, b) == (2.0 ** -1023, -2.0 ** -1024)
+
     def test_tiny_coefficients(self):
         # the squared coefficient sum 4e-400 underflows to 0
         g, b = gamma_beta(ResolventSeries(((1e-200, 3.0), (1e-200, 5.0))))
@@ -185,6 +193,18 @@ class TestZeros:
         s = ResolventSeries(((1, 1.0), (0, 5.0), (1, -1.0)))
         zs = invert_to_plan(s).zeros
         assert len(zs) == 1 and abs(zs[0]) < 1e-12
+
+    def test_zeros_of_coefficients_near_the_float_limit(self):
+        # a.sum() overflowed with a warning; the zeros do not depend on
+        # the scale of the coefficients, so 2^1022 gives the bits of 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = secular_zeros([2.0 ** 1022] * 2, [1.0, 3.0])
+            assert z.tolist() == secular_zeros([1.0, 1.0],
+                                               [1.0, 3.0]).tolist()
+            np.testing.assert_allclose(
+                secular_zeros([1.7e308, 1.7e308], [1.0, 3.0]), [2.0],
+                rtol=1e-15)
 
     def test_zeros_in_hull_random(self):
         rng = np.random.default_rng(7)

@@ -139,6 +139,40 @@ class TestFloatRange:
         assert report.summability_value == 0.0
         assert report.rejection() is None
 
+    def test_sums_past_the_float_range(self):
+        # math.fsum raised "intermediate overflow in fsum" on each
+        big = 1.7e308
+        assert tolerance.fsum([big, big]) == math.inf
+        assert tolerance.fsum([-big, -big]) == -math.inf
+        assert tolerance.fsum([big, big, -big]) == big
+        assert tolerance.fsum([big, 1.0, -big]) == 1.0
+        assert tolerance.fsum([0.1] * 10) == math.fsum([0.1] * 10)
+
+    def test_coefficients_past_the_float_range_in_the_gate(self):
+        # the coefficient sum 3.4e308 is past the float range, and so is
+        # |a| of the complex coefficient: OverflowError from fsum and abs
+        spectrum = PointSpectrum([10.0])
+        real = ResolventSeries(((1.7e308, 1.0), (1.7e308, 3.0)))
+        report = check_admissible(real, spectrum)
+        assert report.theorem_mode_ok and report.rejection() is None
+        assert report.summability_value == pytest.approx(
+            1.7e308 / 9 + 1.7e308 / 7, rel=1e-15)
+        complex_a = ResolventSeries(((1.7e308 + 1.7e308j, 1.0),))
+        report = check_admissible(complex_a, spectrum)
+        assert report.per_term[0].summand == math.inf
+        assert not report.theorem_mode_ok
+
+    def test_summability_past_the_float_range_rejects_nothing(self):
+        # both summands 1.5e308: an inf sum, read as a pole on the
+        # spectrum; the gate decides per term
+        series = ResolventSeries(((1.5e308, 2.0), (1.5e308, 3.0)))
+        report = check_admissible(series, PointSpectrum([1.0, 4.0]))
+        assert report.summability_value == math.inf
+        assert report.rejection() is None
+        on = check_admissible(series, PointSpectrum([1.0, 3.0]))
+        assert on.per_term[1].spectrum_distance == 0.0
+        assert on.rejection() is not None
+
     def test_point_distances_past_the_float_range(self):
         # the per-pole loop formed p - points unscaled and warned
         poles = np.array([1 + 1j, -1 - 1j, 1 - 1j]) * 1e308
