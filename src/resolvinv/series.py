@@ -4,7 +4,7 @@ The series object, its scalar evaluation, the affine part (gamma, beta) of
 its reciprocal, admissibility diagnostics against a spectrum descriptor
 and the one gate that raises on them, the zeros of f, and the
 Caratheodory-type construction of a series vanishing at a prescribed
-interior point of the pole hull.
+interior point of the pole hull, both taken in power-of-two frames.
 
 Infinite series are represented by finite truncations; the summability
 value reported by :func:`check_admissible` refers to the truncation and
@@ -13,7 +13,6 @@ tail control is the caller's responsibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .geometry import (
     HullPolygon,
     Spectrum,
     convex_hull,
+    hull_distance,
     hull_separated_from,
 )
 from .tolerance import (
@@ -131,14 +131,21 @@ def _ldexp(z: complex, k: int) -> complex:
 def evaluate(series: ResolventSeries, z: complex) -> complex:
     """Value of f at z via compensated summation.
 
-    Raises :class:`PoleEvaluationError` if z sits on a pole.
+    Raises :class:`PoleEvaluationError` within ``EPS * max(|alpha|, |z|)``
+    of a pole.  Coefficients, and poles with z, are taken in their own
+    :func:`~resolvinv.tolerance.unit_frame`: inf only past the float range.
     """
     z = complex(z)
-    tol = EPS * max(series.scale, abs(z))
-    for _, alpha in series.terms:
-        if abs(z - alpha) <= tol:
-            raise PoleEvaluationError(alpha, z)
-    return _fsum_complex(a / (alpha - z) for a, alpha in series.terms)
+    framed, k = unit_frame([*series.poles, z])
+    *alphas, zf = framed.tolist()
+    tol = magnitude(framed, EPS)
+    for alpha, pole in zip(alphas, series.poles):
+        if abs(zf - alpha) <= tol:
+            raise PoleEvaluationError(pole, z)
+    a, ka = unit_frame(series.coefficients)
+    return _ldexp(_fsum_complex(x / (alpha - zf)
+                                for x, alpha in zip(a.tolist(), alphas)),
+                  ka - k)
 
 
 def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
@@ -313,74 +320,61 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     return z[np.lexsort((z.imag, z.real))]
 
 
-def _barycentric_pair(lam, a0, a1):
-    d = a1 - a0
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return None
-    t = ((lam - a0).conjugate() * d).real / L2
-    if t < -EPS or t > 1.0 + EPS:
-        return None
-    if not negligible(lam - (a0 + t * d), a0, a1, lam):
-        return None
-    t = min(1.0, max(0.0, t))
-    return (1.0 - t, t)
+def _hull_weights(u) -> list:
+    """[(k, i)]: barycentric weights k of the origin on at most three
+    points of the counterclockwise ring u of exact (re, im) pairs: the fan
+    triangle (u_0, u_i, u_i+1) whose smallest weight is largest, if that
+    is >= 0, else (a segment, or the origin outside the ring by rounding)
+    the clamped projection onto the nearest edge."""
+    n = len(u)
+    fan = [(i, [u[b][0] * u[c][1] - u[b][1] * u[c][0]
+                for b, c in ((i, i + 1), (i + 1, 0), (0, i))])
+           for i in range(1, n - 1)]
+    lo, i, k = max(((min(k) / sum(k), i, k) for i, k in fan if sum(k) > 0),
+                   default=(-1, 0, ()))
+    if lo >= 0:
+        return [(x / sum(k), j) for x, j in zip(k, (0, i, i + 1))]
 
+    def projection(i, j):
+        (x, y), (ex, ey) = u[i], (u[j][0] - u[i][0], u[j][1] - u[i][1])
+        s = min(1, max(0, -(x * ex + y * ey) / (ex * ex + ey * ey)))
+        return (x + s * ex) ** 2 + (y + s * ey) ** 2, [(1 - s, i), (s, j)]
 
-def _barycentric_triple(lam, a0, a1, a2):
-    d1 = a1 - a0
-    d2 = a2 - a0
-    det = d1.real * d2.imag - d2.real * d1.imag
-    if det == 0.0:
-        return None
-    r = lam - a0
-    k1 = (r.real * d2.imag - d2.real * r.imag) / det
-    k2 = (d1.real * r.imag - r.real * d1.imag) / det
-    return (1.0 - k1 - k2, k1, k2)
+    return min((projection(i, (i + 1) % n) for i in range(n if n > 2 else 1)),
+               key=lambda c: c[0])[1]
 
 
 def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     """Series with nonnegative coefficients vanishing at ``target``.
 
-    ``target`` must lie strictly inside the convex hull of ``poles`` (or on
-    a segment between two of them) and must not coincide with a pole.  At
-    most three poles are used, with coefficients a_nu = k_nu |alpha_nu -
-    target|^2 for barycentric weights k_nu summing to one.
+    :class:`ConstructionError` unless ``target`` is in the pole hull
+    (``hull_distance`` 0) and farther than ``EPS * max(|pole|, |target|)``
+    from each pole, :class:`InvalidInputError` unless all are finite.  At
+    most three hull vertices, weights k_nu of :func:`_hull_weights`, a_nu =
+    k_nu |alpha_nu - target|^2 / max_mu |alpha_mu - target|^2 <= 1: exact
+    rationals in one :func:`~resolvinv.tolerance.unit_frame`, rounded once,
+    so the same bits when poles and target are scaled by a power of two.
     """
     poles = [complex(p) for p in poles]
-    if not poles:
-        raise EmptyInputError("no poles given")
     target = complex(target)
-    scale = max(magnitude(poles), abs(target))
-    for p in poles:
-        if negligible(target - p, scale):
-            raise ConstructionError(f"target {target} coincides with pole {p}")
-
-    best = None  # (min weight, [(k, pole), ...])
-    for i, j, k in itertools.combinations(range(len(poles)), 3):
-        bc = _barycentric_triple(target, poles[i], poles[j], poles[k])
-        if bc is None:
-            continue
-        if min(bc) < -EPS:
-            continue
-        cand = (min(bc), [(bc[0], poles[i]), (bc[1], poles[j]),
-                          (bc[2], poles[k])])
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if best is None:
-        for i, j in itertools.combinations(range(len(poles)), 2):
-            bc = _barycentric_pair(target, poles[i], poles[j])
-            if bc is None:
-                continue
-            cand = (min(bc), [(bc[0], poles[i]), (bc[1], poles[j])])
-            if best is None or cand[0] > best[0]:
-                best = cand
-    if best is None:
+    if not np.isfinite([*poles, target]).all():
+        raise InvalidInputError("poles and target must be finite")
+    framed, _ = unit_frame([*poles, target])
+    *w, t = framed.tolist()
+    tol = magnitude(framed, EPS)
+    for p, q in zip(w, poles):
+        if abs(t - p) <= tol:
+            raise ConstructionError(f"target {target} coincides with pole {q}")
+    hull = convex_hull(w)
+    if hull_distance(hull, t) > 0.0:
         raise ConstructionError(
             f"target {target} lies outside the convex hull of the poles")
-
-    terms = tuple((k * abs(p - target) ** 2, p)
-                  for k, p in best[1] if k > 0.0)
-    if not terms:
-        raise ConstructionError("degenerate barycentric weights")
-    return ResolventSeries(terms)
+    from fractions import Fraction  # with decimal, 3 ms of CLI start-up
+    u = [(Fraction(v.real) - Fraction(t.real),
+          Fraction(v.imag) - Fraction(t.imag)) for v in hull.vertices]
+    kept = [(k, i) for k, i in _hull_weights(u) if k > 0]
+    top = max(u[i][0] ** 2 + u[i][1] ** 2 for _, i in kept)
+    original = dict(zip(w, poles))
+    return ResolventSeries(tuple(
+        (float(k * (u[i][0] ** 2 + u[i][1] ** 2) / top),
+         original[hull.vertices[i]]) for k, i in kept))

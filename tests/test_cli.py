@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from resolvinv.geometry import (
     UnitCircle,
 )
 from resolvinv.series import ResolventSeries, check_admissible
+from resolvinv.tolerance import unit_frame
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -935,6 +937,39 @@ class TestCounterexampleCommand:
         rc = main(["counterexample", "--target", "0", "--", "zebra"])
         assert rc == 1
         capsys.readouterr()
+
+    # unframed, these ended in an OverflowError traceback, "degenerate
+    # barycentric weights" and "outside the convex hull" at the float
+    # range's ends, and in exit 2 for a pole or target that is not finite
+    @pytest.mark.parametrize("target, poles, code, terms", [
+        ("0", ["1e200", "-1e200"], 0, 2),
+        ("0", ["1e308", "-1e308", "1e308j"], 0, 2),
+        ("1e-320", ["1e-310", "-1e-310", "1e-310j"], 0, 2),
+        ("0", ["inf", "-1"], 1, None),
+        ("nan", ["1", "-1"], 1, None),
+        ("0", ["1e400", "-1"], 1, None),
+        ("0", ["1", "-1", "1+nanj"], 1, None),
+    ])
+    def test_float_range_ends_exit_without_traceback(self, target, poles,
+                                                     code, terms):
+        proc = run_python("-W", "error", "-m", "resolvinv.cli",
+                          "counterexample", "--target", target, "--", *poles)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        if code == 0:
+            out = json.loads(proc.stdout)
+            series = series_from_json(out)
+            assert len(series.terms) == terms and series.is_theorem_mode()
+            assert max(abs(a) for a in series.coefficients) <= 1.0
+            # |f(target)| against the sum of |a / (alpha - target)|, both in
+            # the poles' frame, where no quotient overflows
+            w, k = unit_frame([*series.poles, complex(target)])
+            size = sum(abs(a / (al - w[-1]))
+                       for a, al in zip(series.coefficients, w[:-1]))
+            assert math.ldexp(out["abs_f_at_target"], k) <= 1e-12 * size
+        else:
+            assert "must be finite" in proc.stderr
 
 
 class TestDeterminism:

@@ -1,8 +1,11 @@
 import cmath
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_theorem_series
 from resolvinv.errors import (
@@ -28,6 +31,46 @@ from resolvinv.series import (
     gamma_beta,
     secular_zeros,
 )
+from resolvinv.tolerance import EPS
+
+# pole parts are multiples of 1/GRID in [-1, 1], and an interior target has
+# weights n / 8192 >= 0.01: every point is exact, so a target is inside the
+# hull, and it stays exact and normal scaled by 2^j for |j| <= 900
+GRID = 2 ** 20
+
+
+@st.composite
+def hull_targets(draw):
+    """(poles, target, kind): a target inside the pole hull, outside it,
+    or on a pole."""
+    m = draw(st.integers(1, 64))
+    part = st.integers(-GRID, GRID)
+    poles = [complex(draw(part), draw(part)) / GRID for _ in range(m)]
+    kind = draw(st.sampled_from(["interior", "outside", "pole"]))
+    if kind == "interior":
+        r = draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
+        n = [82 + (8192 - 82 * m) * x // sum(r) for x in r]
+        n[0] += 8192 - sum(n)
+        target = sum(k * p for k, p in zip(n, poles)) / 8192
+    elif kind == "outside":
+        target = complex(max(p.real for p in poles)
+                         + draw(st.integers(1, GRID)) / GRID,
+                         draw(part) / GRID)
+    else:
+        target = draw(st.sampled_from(poles))
+    return poles, target, kind
+
+
+def _scaled(z, j):
+    return complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
+
+
+def _construction(poles, target):
+    """The series, or whether the ConstructionError found a coincidence."""
+    try:
+        return caratheodory_zero_series(poles, target)
+    except ConstructionError as exc:
+        return "coincides" in str(exc)
 
 
 class TestResolventSeries:
@@ -89,6 +132,18 @@ class TestEvaluate:
         s = ResolventSeries(((1, 1.0),))
         with pytest.raises(PoleEvaluationError):
             evaluate(s, 1.0)
+
+    def test_quotients_past_the_float_range(self):
+        # 1e308 / 0.5 overflowed with opposite signs: -inf + inf in fsum
+        s = ResolventSeries(((1e308, 0.5), (1e308, -0.5)))
+        assert evaluate(s, 0) == 0j
+        assert evaluate(s, 0.1) == pytest.approx(1e308 * (1 / 0.4 - 1 / 0.6))
+
+    def test_pole_past_the_float_range_raises(self):
+        # abs(z) of a complex past the float range raised OverflowError
+        pole = 1.7e308 + 1.7e308j
+        with pytest.raises(PoleEvaluationError):
+            evaluate(ResolventSeries(((1, pole),)), pole)
 
 
 class TestGammaBeta:
@@ -249,6 +304,35 @@ class TestCaratheodory:
             s = caratheodory_zero_series(list(poles), lam)
             total = sum(abs(a) for a in s.coefficients)
             assert abs(evaluate(s, lam)) <= 1e-13 * max(1.0, total)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=hull_targets(), j=st.integers(-900, 900))
+    def test_hull_fan_property(self, case, j):
+        # at most three input poles, f(target) = 0 to rounding, and the same
+        # coefficients and decisions at every power-of-two scale; the float
+        # triple search lost accuracy on sliver triangles and scaled a_nu by
+        # 4^j
+        poles, target, kind = case
+        got = _construction(poles, target)
+        coincides = min(abs(target - p) for p in poles) <= EPS * max(
+            abs(z) for z in [*poles, target])
+        if kind == "pole" or (kind == "interior" and coincides):
+            assert got is True
+        elif kind == "outside":
+            assert got is False
+        else:
+            assert got.is_theorem_mode() and len(got.terms) <= 3
+            assert set(got.poles) <= set(poles)
+            assert max(abs(a) for a in got.coefficients) <= 1.0
+            size = sum(abs(a / (al - target)) for a, al in got.terms)
+            assert abs(evaluate(got, target)) <= 1e-13 * size
+        scaled = _construction([_scaled(p, j) for p in poles],
+                               _scaled(target, j))
+        if isinstance(got, ResolventSeries):
+            assert scaled.coefficients == got.coefficients
+            assert scaled.poles == tuple(_scaled(p, j) for p in got.poles)
+        else:
+            assert scaled is got
 
 
 class TestProperties:
