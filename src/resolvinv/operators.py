@@ -14,10 +14,9 @@ pair, in the array the forward FFT returns.  The pass runs
 ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
 temporaries stay in cache, with the bits of the whole-array product; the
 shift's roots of unity come from one table.  d/dt on a grid makes one
-backward pass over blocks of 4096 samples: per block and zero a LAPACK
-``ztbtrs`` solve of the resolvent's recurrence on one reused band, one
-sample longer than the block so that LAPACK carries the recurrence across
-the block's end itself, with the bits of one solve over the whole grid;
+backward pass over blocks of 4096 samples: per block and zero a numpy scan
+of the resolvent's recurrence, a reverse cumulative sum on segments that
+the grid fixes, with the bits of one scan over the whole grid;
 gamma v + beta v' + h is formed in the same block.
 
 One contract holds on every operator.  ``checked_vector`` raises
@@ -42,11 +41,14 @@ The checked solvers take their plan from
 :func:`resolvinv.rational.checked_plan`, and the forward maps run the same
 gate; the plan-only solves (``solve_filter``, ``solve_convolution``, and
 ``apply_plan(plan, grid, y)`` for Volterra) check only the plan's poles.
-Only the dense and grid solves import scipy, inside the solve, so the
-other paths start without it.
+Only the dense solves import scipy, inside the solve, so every other
+path starts and runs without it.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -264,14 +266,15 @@ class GridDerivativeOperator(OperatorHandle):
     w = 0 at the grid end; valid for Re alpha > SPECTRUM_EPS * |alpha|.
 
     ``apply_plan`` runs the recurrence of every zero in one backward pass
-    over blocks of _BLOCK samples, each a unit upper-bidiagonal LAPACK
-    ``ztbtrs`` solve on one reused (2, _BLOCK + 1) band.  A block's system
-    has one sample more than the block: the w already solved at the first
-    sample of the block after it.  LAPACK itself then adds e times that
-    carry to the block's last cell, as in one solve over the whole grid, so
-    the bits are that solve's.  gamma v + beta v' is added in the same
-    block, so the temporaries hold at most _BLOCK + 1 samples each and stay
-    in cache.
+    over blocks of _BLOCK samples as a numpy scan (:class:`_ZeroScan`): on
+    segments of L cells fixed by the grid, w = (revcumsum(p cell) +
+    p_L carry) / p with p_j = e^j, the carry being w at the next segment's
+    first sample.  L is a power of two up to _BLOCK, or the whole grid
+    when that is shorter, so a block holds whole segments, and the bits
+    are those of one scan over the whole grid.
+    gamma v + beta v' is added in the same block, so the temporaries hold
+    at most _BLOCK + 1 samples each, and the tables two times L per zero,
+    all in one allocation that stays in cache.
     """
 
     resolvent_solve = OperatorHandle.resolvent_solve
@@ -281,8 +284,14 @@ class GridDerivativeOperator(OperatorHandle):
             raise InvalidInputError("grid needs at least 3 points")
         if not L > t0:
             raise InvalidInputError("grid end must exceed grid start")
-        self.t = np.linspace(t0, L, n)
+        # np.linspace's product of its step and n - 1, past the float range
+        # for an end near it, only ever stands for the end it then sets;
+        # the points are finite unless the step is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.t = np.linspace(t0, L, n)
         self.dt = float(self.t[1] - self.t[0])
+        if not 0.0 < self.dt < np.inf:
+            raise InvalidInputError("grid exceeds the float range")
         self.dim = n
 
     def checked_vector(self, v) -> np.ndarray:
@@ -294,7 +303,7 @@ class GridDerivativeOperator(OperatorHandle):
     def apply(self, v):
         """v' by second-order central differences (one sided at the ends),
         the derivative of the beta*y' term of a Volterra solve."""
-        return np.gradient(self.checked_vector(v), self.dt, edge_order=2)
+        return self._derivative(self.checked_vector(v), slice(0, self.dim))
 
     def spectrum(self) -> ImaginaryAxis:
         return ImaginaryAxis()
@@ -304,63 +313,34 @@ class GridDerivativeOperator(OperatorHandle):
         checked first, then per block h = sum_k c_k w_k and
         (gamma v + beta v') + h, the order of the whole-array expression.
         Raises :class:`ConditioningError` past the float range."""
-        from scipy.linalg.lapack import ztbtrs
         v = self.checked_vector(v)
-        d = self.dt
-        steps = []
+        n = self.dim
+        zeros = _check_finite_poles(plan.zeros)
+        # one allocation: a block's cells, their differences and a term,
+        # with one sample to spare, then each zero's two tables
+        work = np.empty((3 + 2 * zeros.size, min(n, _BLOCK + 1)),
+                        dtype=complex)
+        y, dv, term = work[:3]
         with np.errstate(all="ignore"):
-            for alpha, ck in zip(_check_finite_poles(plan.zeros),
-                                 plan.residues):
-                alpha = complex(alpha)
-                if alpha.real <= SPECTRUM_EPS * abs(alpha):
-                    raise SingularResolventError(
-                        f"pole {alpha} is on or too near the spectrum of d/dt")
-                e = np.exp(-alpha * d)
-                i0 = (1.0 - e) / alpha
-                i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-                steps.append((-e, i0, i1 / d, ck))
-            if not np.isfinite(steps).all():
-                raise ConditioningError("cell weights exceed the float range")
-            # w at the first sample of the block last solved, per zero: 0 at
-            # the grid end, which has no cell and is not an unknown
-            carries = [0j] * len(steps)
-            n = self.dim
+            scans = [_ZeroScan(alpha, ck, self.dt, n - 1, work[3 + 2 * j:])
+                     for j, (alpha, ck) in enumerate(zip(zeros,
+                                                         plan.residues))]
+            # per zero, u at the first sample of the block last solved;
+            # None before the grid's last segment, which ends at w = 0
+            carries = [None] * len(scans)
             out = np.empty_like(v)
-            # one block and its carry: up to _BLOCK + 1 samples
-            w = np.empty(min(n, _BLOCK + 1), dtype=complex)
-            dv = np.empty_like(w)
-            term = np.empty_like(w)
-            # LAPACK band storage: row 0 is the superdiagonal -e, whose first
-            # entry is never read, nor is the unit diagonal in row 1; filling
-            # both rows with -e is one contiguous write, not a strided one
-            band = np.empty((2, w.size), dtype=complex, order="F")
             for s in reversed(_block_spans(n)):
                 lo, hi = s.start, s.stop
                 k = hi - lo
                 cells = k - (hi == n)
-                rows = cells if hi == n else cells + 1
                 vc = v[lo:lo + cells]
                 dvc = np.subtract(v[lo + 1:lo + cells + 1], vc, out=dv[:cells])
                 # h summed in the output block, from 0 as on the whole array
                 h = out[s]
                 h.fill(0)
-                for j, (minus_e, i0, i1_d, ck) in enumerate(steps):
-                    # the integral of the linear interpolant over each cell,
-                    # formed apart from its operands, since numpy rounds an
-                    # in-place product of one element differently
-                    x = np.multiply(dvc, i1_d, out=w[:cells])
-                    x += np.multiply(vc, i0, out=term[:cells])
-                    w[cells] = carries[j]
-                    ab = band[:, :rows]
-                    ab.fill(minus_e)
-                    # in place in w; the carry, if any, is the last row
-                    _, info = ztbtrs(ab, w[:rows], uplo="U", diag="U",
-                                     overwrite_b=True)
-                    if info != 0:
-                        raise ConditioningError("backward recurrence solve "
-                                                f"failed (LAPACK info {info})")
-                    carries[j] = w[0]
-                    h += np.multiply(ck, w[:k], out=term[:k])
+                for j, scan in enumerate(scans):
+                    carries[j] = scan.run(vc, dvc, carries[j], h[:cells],
+                                          y, term)
                 lin = np.multiply(plan.gamma, v[s], out=term[:k])
                 if plan.beta != 0:
                     grad = self._derivative(v, s)
@@ -371,15 +351,168 @@ class GridDerivativeOperator(OperatorHandle):
         return out
 
     def _derivative(self, v: np.ndarray, s: slice) -> np.ndarray:
-        """v' on the samples s, with the bits of ``apply(v)[s]``: inside the
-        grid, ``np.gradient``'s central difference itself; a block at a
-        grid end takes ``np.gradient`` on it and one neighbour past its
-        other end, for the one-sided formula there."""
+        """v' on the samples s: ``np.gradient(v, dt, edge_order=2)[s]``
+        but for the sign of a zero.  Inside the grid its central difference
+        over 2 dt, which numpy's complex division forms as the product by
+        the reciprocal 0.5 / dt, taken here on the float view; at a grid
+        end its one-sided formula, in its own order."""
         lo, hi = s.start, s.stop
-        if 0 < lo and hi < self.dim:
-            return (v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2.0 * self.dt)
-        a, b = max(lo - 1, 0), min(hi + 1, self.dim)
-        return np.gradient(v[a:b], self.dt, edge_order=2)[lo - a:hi - a]
+        n, d = self.dim, self.dt
+        out = np.empty(hi - lo, dtype=complex)
+        a, b = max(lo, 1), min(hi, n - 1)
+        mid = np.subtract(v[a + 1:b + 1], v[a - 1:b - 1],
+                          out=out[a - lo:b - lo])
+        mid.view(float).__imul__(0.5 / d)
+        if lo == 0:
+            out[0] = -1.5 / d * v[0] + 2.0 / d * v[1] + -0.5 / d * v[2]
+        if hi == n:
+            out[-1] = 0.5 / d * v[-3] + -2.0 / d * v[-2] + 1.5 / d * v[-1]
+        return out
+
+
+# one segment's tables span at most 2^_SCAN_BITS: |e|^L >= 2^-_SCAN_BITS
+_SCAN_BITS = 128
+
+# the Taylor coefficients of i0 / dt and i1 / dt^2 in -x, x = alpha dt: 20
+# terms reach rounding for |x| < 1
+_I0_SERIES = tuple(1.0 / math.factorial(k + 1) for k in range(20))
+_I1_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(20))
+
+
+def _cell_weights(alpha: complex, d: float) -> tuple[complex, complex]:
+    """(i0, i1 / d) for the cell [0, d]: i0 = int_0^d exp(-alpha s) ds and
+    i1 = int_0^d s exp(-alpha s) ds, so that a cell of the piecewise-linear
+    interpolant of v integrates to v_i i0 + (v_i+1 - v_i) i1 / d.  With
+    x = alpha d, both come from their Taylor series for |x| < 1, where the
+    closed forms cancel (Kassam and Trefethen, SIAM J. Sci. Comput. 26,
+    2005) or, for i0 = -expm1(-x) / alpha, lose what a subnormal x lacks;
+    else from -expm1(-x) / alpha and (1 - (1 + x) e^-x) / (x alpha), which
+    lose only a few bits there: within a few ulps at every |x|."""
+    x = alpha * d
+    if math.hypot(x.real, x.imag) < 1.0:
+        s0 = s1 = 0j
+        for c0, c1 in zip(reversed(_I0_SERIES), reversed(_I1_SERIES)):
+            s0 = s0 * -x + c0
+            s1 = s1 * -x + c1
+        return d * s0, d * s1
+    return (complex(-np.expm1(-x)) / alpha,
+            (1.0 - (1.0 + x) * cmath.exp(-x)) / (x * alpha))
+
+
+def _powers(w: complex, out: np.ndarray) -> None:
+    """out[j] = exp(w j) for j < out.size: up to 64 of them ``np.exp``'s,
+    each further stretch the ones before it turned by exp(w m), m = 64,
+    128, ..."""
+    m = min(out.size, 64)
+    np.exp(np.multiply(w, _RAMP[:m], out=out[:m]), out=out[:m])
+    while m < out.size:
+        np.multiply(out[:min(m, out.size - m)], cmath.exp(w * m),
+                    out=out[m:2 * m])
+        m *= 2
+
+
+_RAMP = np.arange(64, dtype=complex)
+
+
+class _ZeroScan:
+    """One zero's recurrence in the grid's backward pass, as a scan.
+
+    w_i = e w_i+1 + cell_i with e = exp(-alpha dt) and w = 0 at the grid
+    end, on segments of L cells at multiples of L from the grid's start:
+    with p_j = e^j, a segment's w = (revcumsum(p cell) + p_L carry) / p,
+    the carry being w at the next segment's first sample.  L is the
+    largest power of two up to _BLOCK with |e|^L >= 2^-_SCAN_BITS, so that
+    every e^j and e^-j of a segment is a normal float with room to spare.
+    When even |e| is below that (e near 0, or 0 past the float range),
+    L = 1: every cell is a segment, w = cell + e carry, the recurrence
+    itself.  The segments do not depend on the blocks of the pass, nor do
+    the bits.  A grid of at most L cells is one segment.
+
+    The pass takes the cells as y = cell / i0 = v_i + (v_i+1 - v_i) rho
+    and the table of 1/p as qi = i0 / p: c w = c (u qi) with
+    u = revcumsum(p y) + p_L carry.  A power of two 2^k moves from qi to p
+    when qi would come within 2^24 of the float range's end.
+    """
+
+    def __init__(self, alpha: complex, ck: complex, d: float, cells: int,
+                 tables: np.ndarray):
+        """The scan of the zero alpha with residue ck on a grid of step d
+        and ``cells`` cells, its two tables in the rows of ``tables``."""
+        alpha = complex(alpha)
+        if alpha.real <= SPECTRUM_EPS * math.hypot(alpha.real, alpha.imag):
+            raise SingularResolventError(
+                f"pole {alpha} is on or too near the spectrum of d/dt")
+        x = alpha * d
+        i0, i1_d = _cell_weights(alpha, d) if cmath.isfinite(x) else (0, 0)
+        if not (i0 != 0 and cmath.isfinite(i0) and cmath.isfinite(i1_d)):
+            raise ConditioningError("cell weights exceed the float range")
+        self.rho = i1_d / i0
+        self.ck = ck
+        span = _SCAN_BITS * math.log(2.0) / x.real if x.real > 0 else math.inf
+        L = 1 << int(math.log2(min(span, _BLOCK))) if span >= 1.0 else 1
+        L = min(L, cells)
+        self.p, self.qi = tables[:2, :L]
+        _powers(-x, self.p)
+        # i0 / p_j = i0 e^-(L-1) p_L-1-j: one pass over the table
+        scale = i0 * cmath.exp(x * (L - 1))
+        k = max(0, math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
+                - 1000)
+        if k:
+            self.p *= 2.0 ** k
+            scale *= 2.0 ** (-2 * k)
+        np.multiply(self.p[::-1], scale, out=self.qi)
+        self.e_l = cmath.exp(-x * L)
+
+    def run(self, vc, dvc, carry, h, y, term):
+        """h += c w on the cells of one block (v at them ``vc``, their
+        differences ``dvc``), whose next block left ``carry`` (None at the
+        grid's end); returns the carry for the block before it.  ``y`` and
+        ``term`` are scratch of the block's size."""
+        cells = vc.size
+        L = self.p.size
+        yy = np.multiply(dvc, self.rho, out=y[:cells])
+        yy += vc
+        full, tail = divmod(cells, L)
+        if carry is None:
+            # the grid's last segment, up to L cells: it ends at w = 0
+            if not tail:
+                full, tail = full - 1, L
+            seg = yy[full * L:]
+            buf = term[:tail]
+            np.multiply(seg, self.p[:tail], out=buf)
+            np.cumsum(buf[::-1], out=seg[::-1])
+            carry = seg[0]
+            np.multiply(seg, self.qi[:tail], out=buf)
+            h[full * L:] += np.multiply(self.ck, buf, out=seg)
+        if not full:
+            return carry
+        u = yy[:full * L].reshape(full, L)
+        buf = term[:full * L].reshape(full, L)
+        np.multiply(u, self.p, out=buf)
+        np.cumsum(buf[:, ::-1], axis=1, out=u[:, ::-1])
+        u += np.multiply(self._carries(u[:, 0], carry), self.e_l)[:, None]
+        carry = u[0, 0]
+        np.multiply(u, self.qi, out=buf)
+        h[:full * L] += np.multiply(self.ck, buf, out=u).reshape(-1)
+        return carry
+
+    def _carries(self, starts: np.ndarray, carry) -> np.ndarray:
+        """c with c[-1] = carry and c[s-1] = starts[s] + e_l c[s]: each
+        full segment's carry, from revcumsum(p y) at the segments' first
+        cells.  Jacobi sweeps of that recurrence until one changes no bit:
+        its one fixed point is the sequential result, bit for bit, and
+        |e_l| <= 2^-(_SCAN_BITS / 2) when there is more than one segment,
+        so a few sweeps reach it (at most one per segment)."""
+        c = np.empty(starts.size, dtype=complex)
+        c[-1] = carry
+        c[:-1] = starts[1:]
+        for _ in range(starts.size - 1):
+            nxt = np.multiply(c[1:], self.e_l)
+            nxt += starts[1:]
+            if np.array_equal(nxt.view(np.uint64), c[:-1].view(np.uint64)):
+                break
+            c[:-1] = nxt
+        return c
 
 
 class PeriodicShiftOperator(OperatorHandle):

@@ -28,11 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularOperatorError
+from .errors import (
+    ConditioningError,
+    InvalidInputError,
+    SingularOperatorError,
+)
 from .operators import DenseMatrixOperator, apply_series
 from .rational import InversionPlan
 from .series import ResolventSeries
-from .tolerance import negligible
+from .tolerance import negligible, unit_frame
 
 __all__ = [
     "RegularizerConfig",
@@ -72,6 +76,22 @@ def _tikhonov_columns(u, t, vh, alphas, y) -> np.ndarray:
     return u @ (factors * (vh @ y)[:, None])
 
 
+def _scaled_tikhonov_columns(beta, u, t, vh, alphas, y) -> np.ndarray:
+    """beta times :func:`_tikhonov_columns`, taken on beta and y in their
+    frames of :func:`~resolvinv.tolerance.unit_frame` and scaled back
+    once: the same bits in the float range, and no overflow on the way
+    when y is near its end and beta small (y = f(A) x for coefficients
+    near 1e308); a result past it raises :class:`ConditioningError`."""
+    yf, ky = unit_frame(y)
+    (bf,), kb = unit_frame([beta])
+    cols = bf * _tikhonov_columns(u, t, vh, alphas, yf)
+    with np.errstate(over="ignore"):
+        cols = np.ldexp(cols.view(float), kb + ky).view(complex)
+    if not np.isfinite(cols).all():
+        raise ConditioningError("regularized solution exceeds the float range")
+    return cols
+
+
 def tikhonov_apply(K: np.ndarray, alpha: float, y: np.ndarray) -> np.ndarray:
     """Minimizer of ||K x - y||^2 + alpha ||x||^2.
 
@@ -109,8 +129,17 @@ def regularized_apply(plan: InversionPlan, A: DenseMatrixOperator,
     """
     u, t, vh = _invertible_svd(A)
     y = A.checked_vector(y)
-    reg = _tikhonov_columns(u, t, vh, (alpha,), y)[:, 0]
-    return A.apply_plan(replace(plan, beta=0j), y) + plan.beta * reg
+    reg = _scaled_tikhonov_columns(plan.beta, u, t, vh, (alpha,), y)[:, 0]
+    return A.apply_plan(replace(plan, beta=0j), y) + reg
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of x, taken in x's frame of
+    :func:`~resolvinv.tolerance.unit_frame` and scaled back: the same bits,
+    and inf only for a norm past the float range."""
+    xf, k = unit_frame(x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(xf, axis=0), k)
 
 
 @dataclass(frozen=True)
@@ -144,10 +173,10 @@ def convergence_sweep(series: ResolventSeries, plan: InversionPlan,
     y = apply_series(series, A, x_true)
     alphas = config.alpha_grid
     fixed = A.apply_plan(replace(plan, beta=0j), y)
-    x_rec = fixed[:, None] + plan.beta * _tikhonov_columns(u, t, vh, alphas, y)
-    errors = np.linalg.norm(x_rec - x_true[:, None], axis=0)
-    residuals = np.linalg.norm(apply_series(series, A, x_rec) - y[:, None],
-                               axis=0)
+    x_rec = fixed[:, None] + _scaled_tikhonov_columns(plan.beta, u, t, vh,
+                                                      alphas, y)
+    errors = _column_norms(x_rec - x_true[:, None])
+    residuals = _column_norms(apply_series(series, A, x_rec) - y[:, None])
     records = tuple(SweepRecord(alpha, float(e), float(r))
                     for alpha, e, r in zip(alphas, errors, residuals))
     improved = records[-1].error <= records[0].error

@@ -158,12 +158,19 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     subnormal in the frame, and inf only for a value past the float range.
     """
     a, k = unit_frame(series.coefficients)
+    gamma, beta = framed_gamma_beta(a, series.poles)
+    return _ldexp(gamma, -k), _ldexp(beta, -k)
+
+
+def framed_gamma_beta(a, poles) -> tuple[complex, complex]:
+    """:func:`gamma_beta` for the coefficients a already in their frame,
+    2^-k a_j, before gamma and beta are scaled back by 2^-k."""
     a = a.tolist()
     s = _fsum_complex(a)
     if negligible(s, *a):
         raise DegenerateSeriesError("coefficient sum vanishes")
-    weighted = _fsum_complex(x * al for x, al in zip(a, series.poles))
-    return _ldexp(weighted / s / s, -k), _ldexp(-1.0 / s, -k)
+    weighted = _fsum_complex(x * al for x, al in zip(a, poles))
+    return weighted / s / s, -1.0 / s
 
 
 @dataclass(frozen=True)
@@ -344,12 +351,29 @@ def _hull_weights(u) -> list:
                key=lambda c: c[0])[1]
 
 
+def _distinct(points: list) -> list:
+    """The points, less each one within EPS * max|point| of a point kept
+    before it: the pole gap of :func:`~resolvinv.tolerance.require_distinct`
+    at the scale of all the points, at least that of any of them, so that
+    any of the points kept are distinct poles of a series."""
+    z = np.array(points)
+    gaps = np.abs(z[:, None] - z)
+    tol = EPS * np.abs(z).max()
+    kept: list[int] = []
+    for i in range(z.size):
+        if not kept or gaps[i, kept].min() > tol:
+            kept.append(i)
+    return [points[i] for i in kept]
+
+
 def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     """Series with nonnegative coefficients vanishing at ``target``.
 
     :class:`ConstructionError` unless ``target`` is in the pole hull
     (``hull_distance`` 0) and farther than ``EPS * max(|pole|, |target|)``
-    from each pole, :class:`InvalidInputError` unless all are finite.  At
+    from each pole, :class:`InvalidInputError` unless all are finite.  The
+    hull is that of the poles merged by the series' own pole gap, EPS *
+    max|pole| (:func:`_distinct`), so that its vertices form a series.  At
     most three hull vertices, weights k_nu of :func:`_hull_weights`, a_nu =
     k_nu |alpha_nu - target|^2 / max_mu |alpha_mu - target|^2 <= 1: exact
     rationals in one :func:`~resolvinv.tolerance.unit_frame`, rounded once,
@@ -365,7 +389,7 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     for p, q in zip(w, poles):
         if abs(t - p) <= tol:
             raise ConstructionError(f"target {target} coincides with pole {q}")
-    hull = convex_hull(w)
+    hull = convex_hull(_distinct(w))
     if hull_distance(hull, t) > 0.0:
         raise ConstructionError(
             f"target {target} lies outside the convex hull of the poles")

@@ -577,9 +577,10 @@ class TestOutOfDomainInput:
              {"a": [1.7e308, 0.0], "alpha": [3.0, 0.0]}]
     _MATRIX = [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [12.0, 0.0]]]
     _ON_10 = {"variant": "point_set", "points": [[10.0, 0.0]]}
-    # problem, its signal length, and the exit codes each command may
-    # give: a solve ends in a solution or, when the plan's identity check
-    # leaves the float range, in exit 4
+    # problem, its signal length, and the exit code each command gives:
+    # every solve ends in a solution, with the plan's residues and identity
+    # check and the sweep's regularized columns and norms taken in the
+    # coefficients' and the data's power-of-two frames
     FLOAT_LIMIT = {
         # summability about 4.3e307, coefficient sum past the float range
         "series": ({"kind": "series", "terms": _HUGE, "spectrum": _ON_10},
@@ -589,18 +590,18 @@ class TestOutOfDomainInput:
                                {"a": [1.0, 0.0], "alpha": [3.0, 0.0]}]},
                     0, {"check": (2,)}),
         "matrix": ({"kind": "matrix", "terms": _HUGE, "matrix": _MATRIX},
-                   2, {"check": (0,), "invert": (0, 4)}),
+                   2, {"check": (0,), "invert": (0,)}),
         "sweep": ({"kind": "sweep", "terms": _HUGE, "matrix": _MATRIX,
                    "alpha_grid": [1e-2, 1e-4]},
-                  2, {"check": (0,), "sweep": (0, 4)}),
+                  2, {"check": (0,), "sweep": (0,)}),
         "integral": ({"kind": "integral", "kernel": _HUGE,
                       "grid": {"t0": 0.0, "L": 5.0, "n": 8}},
-                     8, {"check": (0,), "invert": (0, 4)}),
+                     8, {"check": (0,), "invert": (0,)}),
         # the summand 1e308 / 0.5 is past the float range: an inf
         # summability, which is no pole on the spectrum
         "filter": ({"kind": "filter", "c": [[-0.5, 0.0], [1.0, 0.0]],
                     "b": [[1e308, 0.0]]},
-                   8, {"check": (0,), "invert": (0, 4)}),
+                   8, {"check": (0,), "invert": (0,)}),
     }
 
     @pytest.mark.parametrize("name", FLOAT_LIMIT)
@@ -933,6 +934,21 @@ class TestCounterexampleCommand:
         assert rc == 2
         capsys.readouterr()
 
+    def test_poles_within_the_series_pole_gap_are_merged(self):
+        # 0 and 1e-13j are distinct vertices of the hull (EPS relative to
+        # the pair) but not poles of one series (EPS * max|pole| = 1e-12):
+        # this exited 2, "poles 0j and 1e-13j are not distinct"
+        proc = run_python("-W", "error", "-m", "resolvinv.cli",
+                          "counterexample", "--target", "0.5+1e-14j",
+                          "--", "1", "0", "1e-13j")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        series = series_from_json(out)
+        assert series.is_theorem_mode()
+        assert sorted(series.poles, key=abs) == [0j, 1 + 0j]
+        assert out["abs_f_at_target"] <= 1e-12
+
     def test_bad_literal_exits_one(self, capsys):
         rc = main(["counterexample", "--target", "0", "--", "zebra"])
         assert rc == 1
@@ -1004,9 +1020,34 @@ class TestDeterminism:
 class TestColdStart:
     def test_cli_import_skips_heavy_scipy_modules(self):
         # scipy costs most of a CLI call's start-up, and only the dense
-        # matrix and grid resolvent solves need it
+        # matrix solves need it
         proc = run_python("-c", "import sys, resolvinv.cli; print(sorted(m "
                           "for m in sys.modules if m == 'scipy' or "
                           "m.startswith('scipy.') or m == 'jsonschema'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    _SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+
+    def test_volterra_solve_and_integral_invert_import_no_scipy(
+            self, demo_dir, tmp_path):
+        # the grid's scan is numpy alone
+        proc = run_python("-c", "import sys\n"
+                          "import numpy as np\n"
+                          "import resolvinv as rv\n"
+                          "g = rv.GridDerivativeOperator(0.0, 10.0, 5000)\n"
+                          "k = rv.ResolventSeries(((1.0, 1.0), (1.0, 2.0)))\n"
+                          "rv.solve_exponential_volterra(k, np.cos(g.t), g)\n"
+                          + self._SCIPY_LOADED)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        argv = ["invert", str(demo_dir / "integral.json"),
+                "--input", str(demo_dir / "integral_y.csv"),
+                "--output", str(tmp_path / "x.csv")]
+        proc = run_python("-c", "import sys\n"
+                          "from resolvinv.cli import main\n"
+                          f"assert main({argv!r}) == 0\n"
+                          + self._SCIPY_LOADED)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

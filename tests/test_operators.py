@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -172,14 +173,12 @@ class TestGridDerivativeOperator:
     @staticmethod
     def _loop_resolvent(g, alpha, v):
         """Scalar reference: w_i = e * w_{i+1} + cells_i, w_{n-1} = 0."""
-        d = g.dt
-        e = cmath.exp(-alpha * d)
-        i0 = (1.0 - e) / alpha
-        i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
+        e = cmath.exp(-alpha * g.dt)
+        i0, i1_d = operators._cell_weights(alpha, g.dt)
         v = v.tolist()
         w = [0j] * len(v)
         for i in range(len(v) - 2, -1, -1):
-            cell = (v[i + 1] - v[i]) * (i1 / d) + v[i] * i0
+            cell = (v[i + 1] - v[i]) * i1_d + v[i] * i0
             w[i] = e * w[i + 1] + cell
         return np.array(w), e
 
@@ -203,6 +202,66 @@ class TestGridDerivativeOperator:
         assert got[-1] == 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    # Re(alpha dt) from 1e-12 to 1e3 on three blocks and 17 samples: one
+    # segment per block, segments shorter than a block down to one cell,
+    # and an e that underflows to 0; a run of zero samples leaves carries
+    # that only decay
+    @pytest.mark.parametrize("r, segment", [
+        (1e-12, 4096), (1e-6, 4096), (1e-3, 4096), (0.05, 1024), (1.0, 64),
+        (30.0, 2), (100.0, 1), (1e3, 1)])
+    def test_scan_matches_the_sequential_recurrence(self, r, segment):
+        n = 3 * 4096 + 17
+        g = GridDerivativeOperator(0.0, 10.0, n)
+        alpha = r * (1.0 + 0.5j) / g.dt
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[5000:7000] = 0
+        scan = operators._ZeroScan(alpha, 1.0, g.dt, n - 1,
+                                   np.empty((2, n), dtype=complex))
+        assert scan.p.size == segment
+        got = g.resolvent_solve(alpha, v)
+        want, e = self._loop_resolvent(g, alpha, v)
+        if r == 1e3:
+            assert e == 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cos_closed_form_keeps_its_accuracy_as_alpha_goes_to_zero(self):
+        # int_t^L exp(-alpha (s - t)) cos s ds on 1001 points over [0, 10]:
+        # the cancelling weights gave 1.1e-2 at alpha = 1e-6 against 1.1e-5
+        # at 0.1.  The discretisation error itself grows from 5.9e-6 at
+        # alpha = 1 to its alpha -> 0 limit, the trapezoid error of the
+        # integral of cos, 1.29e-5: the bound is twice the larger of the
+        # alpha = 1 and 0.1 errors
+        g = GridDerivativeOperator(0.0, 10.0, 1001)
+        errors = {}
+        for k in range(12):
+            alpha = 10.0 ** -k
+            exact = ((np.exp((1j - alpha) * 10.0 + alpha * g.t)
+                      - np.exp(1j * g.t)) / (1j - alpha)).real
+            got = g.resolvent_solve(alpha, np.cos(g.t))
+            errors[k] = np.max(np.abs(got - exact))
+        assert max(errors.values()) <= 2.0 * max(errors[0], errors[1])
+
+    @staticmethod
+    def _series_weights(x, d):
+        """(i0, i1 / d) from their Taylor series in x = alpha d, 40 terms."""
+        s0 = s1 = 0j
+        for k in reversed(range(40)):
+            s0 = s0 * -x + 1.0 / math.factorial(k + 1)
+            s1 = s1 * -x + (k + 1) / math.factorial(k + 2)
+        return d * s0, d * s1
+
+    @pytest.mark.parametrize("turn", np.linspace(-0.249, 0.249, 7))
+    def test_cell_weights_match_their_series(self, turn):
+        # |x| from 1e-300 to 1 in a direction of the right half plane, and
+        # a subnormal x, where -expm1(-x) / alpha kept only its few digits
+        d = 0.01
+        for size in [*10.0 ** -np.arange(0.0, 300.5, 0.5), 1e-315]:
+            x = size * cmath.exp(2j * cmath.pi * turn)
+            got = operators._cell_weights(x / d, d)
+            for g, w in zip(got, self._series_weights(x, d)):
+                assert abs(g - w) <= 4 * np.finfo(float).eps * abs(w)
+
     def test_nonpositive_real_part_rejected(self):
         g = GridDerivativeOperator(0.0, 1.0, 11)
         with pytest.raises(SingularResolventError):
@@ -215,6 +274,14 @@ class TestGridDerivativeOperator:
             GridDerivativeOperator(0.0, 1.0, 2)
         with pytest.raises(ValueError):
             GridDerivativeOperator(1.0, 1.0, 10)
+
+    def test_grid_ends_near_the_float_range(self):
+        # np.linspace's step times n - 1 overflowed, with a RuntimeWarning
+        # (an error here), for an end it then sets to L itself
+        g = GridDerivativeOperator(0.0, 1.7976931348623157e308, 4)
+        assert g.t[-1] == 1.7976931348623157e308 and np.isfinite(g.t).all()
+        with pytest.raises(InvalidInputError, match="float range"):
+            GridDerivativeOperator(-1.7e308, 1.7e308, 4)
 
 
 class TestPeriodicShiftOperator:
@@ -613,33 +680,31 @@ def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
 
 
 # --- the blocked backward pass of the grid ----------------------------------
-# The grid solves its recurrences over blocks of operators._BLOCK samples,
-# each block's band system one sample longer than the block for the carry.
-# The references are the whole-array expressions it used before: one band
-# solve over the grid per zero, and gamma v + beta v' + h on whole arrays.
+# The grid scans its recurrences over blocks of operators._BLOCK samples,
+# on segments that the grid fixes.  The references are whole-array
+# expressions: one scan over the whole grid per zero, segment by segment
+# with the pass's tables, and gamma v + beta v' + h on whole arrays.
 
 GRID_SIZES = [3, 64, 4096, 4097, 4098, 2 * 4096 + 1, 2 * 4096 + 2,
               3 * 4096 + 2, 3 * 4096 + 17, 2 ** 16]
 
 
 def _whole_array_resolvent(g, alpha, v):
-    """(alpha - d/dt)^{-1} v as one (2, n - 1) band solve over the grid."""
-    from scipy.linalg.lapack import ztbtrs
-    alpha = complex(alpha)
-    d = g.dt
-    e = np.exp(-alpha * d)
-    i0 = (1.0 - e) / alpha
-    i1 = (1.0 - (1.0 + alpha * d) * e) / (alpha * alpha)
-    out = np.empty(v.size, dtype=complex)
-    cells = out[:-1]
-    np.subtract(v[1:], v[:-1], out=cells)
-    cells *= i1 / d
-    cells += v[:-1] * i0
-    out[-1] = 0.0
-    band = np.zeros((2, cells.size), dtype=complex, order="F")
-    band[0, 1:] = -e
-    _, info = ztbtrs(band, cells, uplo="U", diag="U", overwrite_b=True)
-    assert info == 0
+    """(alpha - d/dt)^{-1} v as one scan over the whole grid, segment by
+    segment from its end, on the segments and tables of the pass."""
+    scan = operators._ZeroScan(alpha, 1.0, g.dt, v.size - 1,
+                               np.empty((2, v.size), dtype=complex))
+    L = scan.p.size
+    y = (v[1:] - v[:-1]) * scan.rho + v[:-1]
+    out = np.zeros(v.size, dtype=complex)
+    carry = None
+    for lo in reversed(range(0, y.size, L)):
+        seg = y[lo:lo + L]
+        u = np.cumsum((seg * scan.p[:seg.size])[::-1])[::-1]
+        if carry is not None:
+            u = u + carry * scan.e_l
+        out[lo:lo + seg.size] = u * scan.qi[:seg.size]
+        carry = u[:1]
     return out
 
 
@@ -666,7 +731,7 @@ GRID_PLANS = {
 
 
 @pytest.mark.parametrize("n", GRID_SIZES)
-def test_grid_resolvent_is_the_whole_array_band_solve_bit_for_bit(n):
+def test_grid_resolvent_is_the_whole_grid_scan_bit_for_bit(n):
     rng = np.random.default_rng(n)
     g = GridDerivativeOperator(0.0, 10.0, n)
     # a product of one element rounds differently in place, which shows in
@@ -678,6 +743,23 @@ def test_grid_resolvent_is_the_whole_array_band_solve_bit_for_bit(n):
             _bits(g.resolvent_solve(alpha, v)),
             _bits(_whole_array_resolvent(g, alpha, v)))
         np.testing.assert_array_equal(v, v_before)
+
+
+# Re(alpha dt) about 0.05, 1, 60 and 900: segments of 1024, 64 and one
+# cell, the last with e = 0, several to a block; a run of zero samples
+# leaves carries that only decay, the longest chains of Jacobi sweeps
+@pytest.mark.parametrize("r", [0.05, 1.0, 60.0, 900.0])
+@pytest.mark.parametrize("n", [4098, 2 * 4096 + 1, 3 * 4096 + 17])
+def test_short_segments_are_the_whole_grid_scan_bit_for_bit(n, r):
+    rng = np.random.default_rng(n)
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    alpha = r * (1.0 + 0.5j) / g.dt
+    for _ in range(2):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[1000:3000] = 0
+        np.testing.assert_array_equal(
+            _bits(g.resolvent_solve(alpha, v)),
+            _bits(_whole_array_grid_plan(_one_zero_plan(alpha), g, v)))
 
 
 @pytest.mark.parametrize("kind", sorted(GRID_PLANS))
@@ -708,7 +790,7 @@ def test_grid_pass_holds_one_output_and_cache_sized_temporaries(solve):
     plan = GRID_PLANS["plan"]
     run = {"apply_plan": lambda: g.apply_plan(plan, v),
            "resolvent_solve": lambda: g.resolvent_solve(1.0 + 1.0j, v)}[solve]
-    run()  # scipy's import inside the solve is not the solve's memory
+    run()  # first-call set-up is not the solve's memory
     tracemalloc.start()
     try:
         run()

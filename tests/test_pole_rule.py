@@ -218,8 +218,10 @@ def test_convolution_frequencies_past_the_float_range_raise_without_warning():
         solve_even_convolution(CONV_TERMS, np.ones(N), 1e-300)
 
 
-def test_grid_weights_past_the_float_range_raise_without_warning():
-    # alpha^2 underflows, so the weight i1 is 0/0
+@pytest.mark.parametrize("alpha", [1e-300, 1e-300 + 1e-300j])
+def test_grid_zero_of_modulus_1e_300_is_solved_without_warning(alpha):
+    # alpha^2 underflowed, so the weight i1 was 0/0 and the solve raised;
+    # the weights' series has no alpha^2: int_t^L 1 ds = L - t
     grid = GridDerivativeOperator(0.0, 2.0, N)
-    with pytest.raises(ConditioningError, match="float range"):
-        grid.resolvent_solve(1e-300, np.ones(N))
+    w = grid.resolvent_solve(alpha, np.ones(N))
+    assert np.max(np.abs(w - (2.0 - grid.t))) <= 1e-14
