@@ -18,7 +18,6 @@ from .geometry import (
     convex_hull,
     hull_distance,
     hull_separated_from,
-    hull_spectrum_distance,
 )
 from .operators import (
     DenseMatrixOperator,

@@ -131,11 +131,11 @@ def cmd_invert(args) -> int:
     y = read_signal(args.input)
     kind = problem["kind"]
     series, spectrum, solve = _problem_solver(problem)
+    if solve is None:
+        raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
     margin = args.margin if args.margin is not None else problem["margin"]
     plan = checked_plan(series, spectrum, margin, tol=args.tol)
     print(_plan_summary(plan), file=sys.stderr)
-    if solve is None:
-        raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
     x = solve(plan, y)
     if kind == "integral":
         print(f"boundary residual |y(L)| = {abs(y[-1]):.6g}", file=sys.stderr)

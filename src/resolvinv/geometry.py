@@ -35,7 +35,6 @@ __all__ = [
     "ImaginaryAxis",
     "convex_hull",
     "hull_distance",
-    "hull_spectrum_distance",
     "hull_separated_from",
 ]
 
@@ -143,8 +142,7 @@ def _framed(kernel, ring: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = slice(i, i + step)
         d[s] = kernel(np.ldexp(ring, k[s]).view(complex),
                       np.ldexp(z[s], k[s]).view(complex)[:, 0])
-    with np.errstate(over="ignore"):
-        return np.ldexp(d, -k[:, 0])
+    return ldexp(d, -k[:, 0])
 
 
 def _hull_rows(ring: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -199,7 +197,7 @@ def hull_distance(hull: HullPolygon, z):
 
 # --- spectrum descriptors ---------------------------------------------------
 # ``distance_to`` takes a complex or an array; ``_gap`` is the hull distance
-# before the rounding rule of :func:`hull_spectrum_distance`.
+# before the rounding rule of :func:`hull_separated_from`.
 
 
 class Spectrum:
@@ -288,22 +286,15 @@ class ImaginaryAxis(Spectrum):
         return 0.0 if min(re) <= 0.0 <= max(re) else min(map(abs, re))
 
 
-def hull_spectrum_distance(hull: HullPolygon, spectrum: Spectrum) -> float:
-    """Set distance between a hull and a spectrum descriptor; at most
+def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,
+                        margin: float = 0.0) -> tuple[bool, float]:
+    """(separated, d): d is the set distance between a hull and a spectrum
+    descriptor, and separated is d > ``margin``.  A distance of at most
     SPECTRUM_EPS * max|vertex| counts as 0, so a hull at a positive
     distance holds no point z within SPECTRUM_EPS * |z| of the spectrum:
     not a pole of the series, nor a zero of its plan in theorem mode."""
-    d = float(spectrum._gap(hull))
-    return 0.0 if d <= magnitude(hull.vertices, SPECTRUM_EPS) else d
-
-
-def hull_separated_from(hull: HullPolygon, spectrum: Spectrum,
-                        margin: float = 0.0) -> tuple[bool, float]:
-    """True iff the hull/spectrum set distance exceeds ``margin``.
-
-    Returns (separated, achieved distance).
-    """
     if not 0.0 <= margin < math.inf:
         raise InvalidInputError("margin must be nonnegative and finite")
-    d = hull_spectrum_distance(hull, spectrum)
+    d = float(spectrum._gap(hull))
+    d = 0.0 if d <= magnitude(hull.vertices, SPECTRUM_EPS) else d
     return d > margin, d

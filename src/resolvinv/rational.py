@@ -30,7 +30,6 @@ from .errors import (
 )
 from .series import (
     ResolventSeries,
-    _ldexp,
     framed_gamma_beta,
     require_admissible,
     secular_zeros,
@@ -40,6 +39,7 @@ from .tolerance import (
     DEFAULT_ROOT_TOL,
     DERIVED_EPS,
     EPS,
+    ldexp,
     magnitude,
     min_gap,
     unit_frame,
@@ -128,28 +128,30 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
         raise HypothesisError(
             "series must have nonnegative real coefficients with positive sum")
     active = series.pruned()
-    # gamma, beta, the residues and f itself are taken on 2^-k a_j, in the
-    # coefficients' frame, where f' and f do not overflow: the residues
-    # and gamma and beta are scaled back by 2^-k, and f h = 1 holds there
-    framed, k = unit_frame(active.coefficients)
-    gamma, beta = framed_gamma_beta(framed, active.poles)
-    alpha = np.asarray(active.poles)
-    z = secular_zeros(active.coefficients, alpha)
-    if min_gap(z) <= magnitude(alpha, max(tol, EPS)):
+    # gamma, beta, the residues and f h = 1 are taken on 2^-ka a_j and on
+    # the poles and zeros in one frame 2^-kp, where nothing overflows: f, f'
+    # and h are 2^(kp-ka), 2^(2kp-ka) and 2^(ka-kp) times theirs there
+    m = len(active.terms)
+    z = secular_zeros(active.coefficients, active.poles)
+    a, ka = unit_frame(active.coefficients)
+    framed, kp = unit_frame(np.concatenate([active.poles, z]))
+    alpha, zf = framed[:m], framed[m:]
+    gamma, beta = framed_gamma_beta(a, alpha.tolist())
+    if min_gap(zf) <= magnitude(alpha, max(tol, EPS)):
         raise RepeatedRootError("f has a repeated zero")
-    pts = _fit_sample_points(np.concatenate([series.poles, z]))
+    pts = _fit_sample_points(framed)
     with np.errstate(all="ignore"):  # a value past the float range fails
-        c = -1.0 / np.sum(framed / (alpha - z[:, None]) ** 2, axis=1)
-        fz = np.sum(framed / (alpha - pts[:, None]), axis=1)
-        hz = gamma + beta * pts + np.sum(c / (z - pts[:, None]), axis=1)
+        c = -1.0 / np.sum(a / (alpha - zf[:, None]) ** 2, axis=1)
+        fz = np.sum(a / (alpha - pts[:, None]), axis=1)
+        hz = gamma + beta * pts + np.sum(c / (zf - pts[:, None]), axis=1)
         worst = float(np.max(np.abs(fz * hz - 1.0)))
-        c = np.ldexp(c.view(float), -k).view(complex)
+    c = ldexp(c, 2 * kp - ka)
     if not np.isfinite(c).all():
         raise ConditioningError("residues of 1/f leave the float range")
     if not worst <= 1e-8:
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
-    return InversionPlan(_ldexp(gamma, -k), _ldexp(beta, -k), z, c)
+    return InversionPlan(ldexp(gamma, kp - ka), ldexp(beta, -ka), z, c)
 
 
 def checked_plan(series: ResolventSeries, spectrum, margin: float = 0.0,

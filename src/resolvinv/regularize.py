@@ -36,7 +36,7 @@ from .errors import (
 from .operators import DenseMatrixOperator, apply_series
 from .rational import InversionPlan
 from .series import ResolventSeries
-from .tolerance import negligible, unit_frame
+from .tolerance import ldexp, negligible, unit_frame
 
 __all__ = [
     "RegularizerConfig",
@@ -84,9 +84,7 @@ def _scaled_tikhonov_columns(beta, u, t, vh, alphas, y) -> np.ndarray:
     near 1e308); a result past it raises :class:`ConditioningError`."""
     yf, ky = unit_frame(y)
     (bf,), kb = unit_frame([beta])
-    cols = bf * _tikhonov_columns(u, t, vh, alphas, yf)
-    with np.errstate(over="ignore"):
-        cols = np.ldexp(cols.view(float), kb + ky).view(complex)
+    cols = ldexp(bf * _tikhonov_columns(u, t, vh, alphas, yf), kb + ky)
     if not np.isfinite(cols).all():
         raise ConditioningError("regularized solution exceeds the float range")
     return cols
@@ -138,8 +136,7 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     :func:`~resolvinv.tolerance.unit_frame` and scaled back: the same bits,
     and inf only for a norm past the float range."""
     xf, k = unit_frame(x)
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.norm(xf, axis=0), k)
+    return ldexp(np.linalg.norm(xf, axis=0), k)
 
 
 @dataclass(frozen=True)

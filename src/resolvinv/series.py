@@ -39,6 +39,7 @@ from .geometry import (
 from .tolerance import (
     EPS,
     SPECTRUM_EPS,
+    distinct,
     fsum,
     ldexp,
     magnitude,
@@ -90,11 +91,6 @@ class ResolventSeries:
     def poles(self) -> tuple[complex, ...]:
         return tuple(al for _, al in self.terms)
 
-    @property
-    def scale(self) -> float:
-        """max |alpha_j|, the scale of the pole tolerances."""
-        return magnitude(self.poles)
-
     def is_theorem_mode(self) -> bool:
         """See :func:`theorem_mode`."""
         return theorem_mode(self.coefficients)
@@ -123,11 +119,6 @@ def _fsum_complex(values) -> complex:
     return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
 
 
-def _ldexp(z: complex, k: int) -> complex:
-    """z * 2^k: exact but for a subnormal part, inf past the float range."""
-    return complex(ldexp(z.real, k), ldexp(z.imag, k))
-
-
 def evaluate(series: ResolventSeries, z: complex) -> complex:
     """Value of f at z via compensated summation.
 
@@ -143,28 +134,26 @@ def evaluate(series: ResolventSeries, z: complex) -> complex:
         if abs(zf - alpha) <= tol:
             raise PoleEvaluationError(pole, z)
     a, ka = unit_frame(series.coefficients)
-    return _ldexp(_fsum_complex(x / (alpha - zf)
-                                for x, alpha in zip(a.tolist(), alphas)),
-                  ka - k)
+    return ldexp(_fsum_complex(x / (alpha - zf)
+                               for x, alpha in zip(a.tolist(), alphas)),
+                 ka - k)
 
 
 def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     """Affine part of 1/f at infinity.
 
     gamma = sum(a_j alpha_j) / (sum a_j)^2 and beta = -1 / sum(a_j), taken
-    on 2^-k a_j, the coefficients in their frame of
-    :func:`~resolvinv.tolerance.unit_frame`, where their sum does not
-    overflow, and scaled back by 2^-k: the same bits unless a part is
-    subnormal in the frame, and inf only for a value past the float range.
+    on the coefficients in their :func:`~resolvinv.tolerance.unit_frame`,
+    where their sum does not overflow, and scaled back by 2^-k.
     """
     a, k = unit_frame(series.coefficients)
     gamma, beta = framed_gamma_beta(a, series.poles)
-    return _ldexp(gamma, -k), _ldexp(beta, -k)
+    return ldexp(gamma, -k), ldexp(beta, -k)
 
 
 def framed_gamma_beta(a, poles) -> tuple[complex, complex]:
     """:func:`gamma_beta` for the coefficients a already in their frame,
-    2^-k a_j, before gamma and beta are scaled back by 2^-k."""
+    2^-k a_j, and poles scaled by any 2^-kp: 2^(k-kp) gamma and 2^k beta."""
     a = a.tolist()
     s = _fsum_complex(a)
     if negligible(s, *a):
@@ -298,7 +287,9 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     The zeros do not change when every a_j is scaled by one positive
     number: they are taken on 2^-k a_j, in the coefficients' frame of
     :func:`~resolvinv.tolerance.unit_frame` with k made even, where no
-    sum overflows and sqrt(a_j) scales exactly.
+    sum overflows and sqrt(a_j) scales exactly.  A block that overflows
+    is formed again on the poles in their frame (eigenvalues do not scale
+    bit for bit, so only then).
     """
     alpha = np.asarray(poles, dtype=complex)
     if len(coefficients) < 2:
@@ -315,15 +306,23 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     v = u.copy()
     v[0] += s
     w = v / np.sqrt(v @ v)
-    shift = alpha.mean()  # eigenvalue errors scale with the block's norm
-    d = (alpha - shift) * w
-    w1, d1 = w[1:], d[1:]
-    block = (np.diag(alpha[1:] - shift)
-             + np.outer(w1, 4.0 * (w @ d) * w1 - 2.0 * d1)
-             - 2.0 * np.outer(d1, w1))
-    if not np.isfinite(block).all():
-        raise ConditioningError("series terms overflow the zero solve")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for framed in (False, True):
+            if framed:
+                alpha, kp = unit_frame(alpha)
+            shift = alpha.mean()  # eigenvalue errors scale with the norm
+            d = (alpha - shift) * w
+            w1, d1 = w[1:], d[1:]
+            block = (np.diag(alpha[1:] - shift)
+                     + np.outer(w1, 4.0 * (w @ d) * w1 - 2.0 * d1)
+                     - 2.0 * np.outer(d1, w1))
+            if np.isfinite(block).all():
+                break
+        else:
+            raise ConditioningError("series terms overflow the zero solve")
     z = np.linalg.eigvals(block) + shift
+    if framed:
+        z = ldexp(z, kp)
     return z[np.lexsort((z.imag, z.real))]
 
 
@@ -351,33 +350,19 @@ def _hull_weights(u) -> list:
                key=lambda c: c[0])[1]
 
 
-def _distinct(points: list) -> list:
-    """The points, less each one within EPS * max|point| of a point kept
-    before it: the pole gap of :func:`~resolvinv.tolerance.require_distinct`
-    at the scale of all the points, at least that of any of them, so that
-    any of the points kept are distinct poles of a series."""
-    z = np.array(points)
-    gaps = np.abs(z[:, None] - z)
-    tol = EPS * np.abs(z).max()
-    kept: list[int] = []
-    for i in range(z.size):
-        if not kept or gaps[i, kept].min() > tol:
-            kept.append(i)
-    return [points[i] for i in kept]
-
-
 def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     """Series with nonnegative coefficients vanishing at ``target``.
 
     :class:`ConstructionError` unless ``target`` is in the pole hull
     (``hull_distance`` 0) and farther than ``EPS * max(|pole|, |target|)``
     from each pole, :class:`InvalidInputError` unless all are finite.  The
-    hull is that of the poles merged by the series' own pole gap, EPS *
-    max|pole| (:func:`_distinct`), so that its vertices form a series.  At
-    most three hull vertices, weights k_nu of :func:`_hull_weights`, a_nu =
-    k_nu |alpha_nu - target|^2 / max_mu |alpha_mu - target|^2 <= 1: exact
-    rationals in one :func:`~resolvinv.tolerance.unit_frame`, rounded once,
-    so the same bits when poles and target are scaled by a power of two.
+    hull is that of the poles merged by the series' own pole gap
+    (:func:`~resolvinv.tolerance.distinct`), so that its vertices form a
+    series.  At most three hull vertices, weights k_nu of
+    :func:`_hull_weights`, a_nu = k_nu |alpha_nu - target|^2 / max_mu
+    |alpha_mu - target|^2 <= 1: exact rationals in one
+    :func:`~resolvinv.tolerance.unit_frame`, rounded once, so the same
+    bits when poles and target are scaled by a power of two.
     """
     poles = [complex(p) for p in poles]
     target = complex(target)
@@ -389,7 +374,7 @@ def caratheodory_zero_series(poles, target: complex) -> ResolventSeries:
     for p, q in zip(w, poles):
         if abs(t - p) <= tol:
             raise ConstructionError(f"target {target} coincides with pole {q}")
-    hull = convex_hull(_distinct(w))
+    hull = convex_hull(distinct(w))
     if hull_distance(hull, t) > 0.0:
         raise ConstructionError(
             f"target {target} lies outside the convex hull of the poles")

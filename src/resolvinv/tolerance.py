@@ -8,10 +8,12 @@ together.  Where one operand's scale can vanish (a pole at the origin),
 the scale comes from the other operand.  Pole gaps (and the hull tests of
 :mod:`resolvinv.geometry`) are taken on the points scaled by one exact
 power of two (:func:`unit_frame`), so that no difference or product of
-two points overflows near the top of the float range.  Moduli
-(:func:`magnitude`) and sums (:func:`fsum`) whose partial results would
-pass the float range are taken in the same frame, so only a result past
-it is inf.
+two points overflows near the top of the float range; points at most
+``EPS * max|point|`` apart are one pole (:func:`require_distinct` refuses
+them, :func:`distinct` merges them).  Moduli (:func:`magnitude`) and sums
+(:func:`fsum`) are taken in the same frame when they would pass the float
+range, and every result taken in a frame goes back by :func:`ldexp`, so
+only a result past the float range is inf.
 
 Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
@@ -54,6 +56,7 @@ __all__ = [
     "negligible",
     "min_gap",
     "require_distinct",
+    "distinct",
     "unit_frame",
 ]
 
@@ -92,14 +95,24 @@ def fsum(values) -> float:
         return ldexp(math.fsum(w.real), k)
 
 
-def ldexp(x: float, k: int) -> float:
-    """x * 2^k, as ``math.ldexp``, but inf with the sign of x past the
-    float range instead of an OverflowError: the way back from the frame
-    of :func:`unit_frame`."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+def ldexp(x, k):
+    """x * 2^k part by part, for a float or complex scalar x and an int k
+    (a Python scalar back), or an array x and k broadcast against it:
+    exact but for a subnormal part, inf with its sign past the float
+    range, no warning.  The one way back from a :func:`unit_frame`."""
+    if isinstance(x, complex):
+        return complex(ldexp(x.real, k), ldexp(x.imag, k))
+    if isinstance(x, float):
+        try:
+            return math.ldexp(x, k)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+    x = np.asarray(x)
+    if np.iscomplexobj(x):  # the parts as a last axis, k broadcast over it
+        parts = np.ascontiguousarray(x)[..., None].view(float)
+        return ldexp(parts, np.asarray(k)[..., None]).view(complex)[..., 0]
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, k)
 
 
 def negligible(x, *scales, rtol: float = EPS) -> bool:
@@ -118,20 +131,19 @@ def unit_frame(points) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -k).view(complex), k
 
 
-def _gaps(z: np.ndarray) -> np.ndarray:
-    """Pairwise distances, with inf on the diagonal: one vectorised pass."""
+def _gaps(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pairwise distances of framed points z, inf on the diagonal, and
+    the largest that makes two of them one pole: EPS * max|z|."""
     gaps = np.abs(z[:, None] - z)
     gaps.flat[::z.size + 1] = np.inf
-    return gaps
+    return gaps, EPS * np.abs(z).max(initial=0.0)
 
 
 def min_gap(points) -> float:
     """Smallest distance between two of the points (inf for fewer, or
     past the float range)."""
     z, k = unit_frame(points)
-    if z.size < 2:
-        return math.inf
-    return ldexp(_gaps(z).min(), k)
+    return ldexp(_gaps(z)[0].min(initial=math.inf), k)
 
 
 def require_distinct(points) -> None:
@@ -140,9 +152,21 @@ def require_distinct(points) -> None:
     z, _ = unit_frame(points)
     if z.size < 2:
         return
-    gaps = _gaps(z)
+    gaps, floor = _gaps(z)
     k = gaps.argmin()
-    if gaps.flat[k] <= EPS * np.abs(z).max():
+    if gaps.flat[k] <= floor:
         i, j = divmod(k, z.size)
         p = np.asarray(points, dtype=complex)
         raise RepeatedPoleError(f"poles {p[i]} and {p[j]} are not distinct")
+
+
+def distinct(points) -> list:
+    """The points, less each one within ``EPS * max|point|`` of a point
+    kept before it: any of those kept pass :func:`require_distinct`, as
+    its gap is relative to at most that scale."""
+    gaps, floor = _gaps(unit_frame(points)[0])
+    kept: list[int] = []
+    for i in range(len(gaps)):
+        if not kept or gaps[i, kept].min() > floor:
+            kept.append(i)
+    return [points[i] for i in kept]

@@ -418,6 +418,22 @@ class TestInvertCommand:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, kind", [
+        ("series_admissible", "series"), ("series_inadmissible", "series"),
+        ("sweep", "sweep")])
+    def test_kind_without_a_solve_is_refused_before_the_gate(
+            self, demo_dir, tmp_path, capsys, name, kind):
+        # the plan was built and printed first, so the exit code followed
+        # the gate: 1 for the admissible series, 2 for the inadmissible one
+        rc = main(["invert", str(demo_dir / f"{name}.json"),
+                   "--input", str(demo_dir / "sweep_x.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "plan:" not in err
+        assert err == f"error: cannot invert problem kind {kind!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 def _run_argv(demo_dir, tmp_path, problem):
     """The CLI call that reads every field of a demo problem."""
@@ -577,6 +593,7 @@ class TestOutOfDomainInput:
              {"a": [1.7e308, 0.0], "alpha": [3.0, 0.0]}]
     _MATRIX = [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [12.0, 0.0]]]
     _ON_10 = {"variant": "point_set", "points": [[10.0, 0.0]]}
+    _GRID = {"t0": 0.0, "L": 5.0, "n": 8}
     # problem, its signal length, and the exit code each command gives:
     # every solve ends in a solution, with the plan's residues and identity
     # check and the sweep's regularized columns and norms taken in the
@@ -594,14 +611,31 @@ class TestOutOfDomainInput:
         "sweep": ({"kind": "sweep", "terms": _HUGE, "matrix": _MATRIX,
                    "alpha_grid": [1e-2, 1e-4]},
                   2, {"check": (0,), "sweep": (0,)}),
-        "integral": ({"kind": "integral", "kernel": _HUGE,
-                      "grid": {"t0": 0.0, "L": 5.0, "n": 8}},
+        "integral": ({"kind": "integral", "kernel": _HUGE, "grid": _GRID},
                      8, {"check": (0,), "invert": (0,)}),
         # the summand 1e308 / 0.5 is past the float range: an inf
         # summability, which is no pole on the spectrum
         "filter": ({"kind": "filter", "c": [[-0.5, 0.0], [1.0, 0.0]],
                     "b": [[1e308, 0.0]]},
                    8, {"check": (0,), "invert": (0,)}),
+        # poles near the float range: the zero solve and the sample
+        # circle overflowed with a warning; the residues past the float
+        # range are now the one error (exit 4)
+        "integral_poles": ({"kind": "integral", "grid": _GRID,
+                            "kernel": [{"a": [1, 0], "alpha": [1.7e308, 0]},
+                                       {"a": [1, 0], "alpha": [1e308, 0]}]},
+                           8, {"check": (0,), "invert": (4,)}),
+        "matrix_poles": ({"kind": "matrix", "matrix": _MATRIX,
+                          "terms": [{"a": [1, 0], "alpha": [1.7e308, 0]},
+                                    {"a": [1, 0], "alpha": [-1e308, 1e308]}]},
+                         2, {"check": (0,), "invert": (4,)}),
+        # residue -5e19, gamma 1e-140, beta -5e-301, taken in the poles'
+        # and the coefficients' frames: (alpha - z)^2 overflowed on the
+        # way, a false "residues of 1/f leave the float range" (exit 4)
+        "matrix_1e160": ({"kind": "matrix", "matrix": _MATRIX,
+                          "terms": [{"a": [1e300, 0], "alpha": [1e160, 0]},
+                                    {"a": [1e300, 0], "alpha": [3e160, 0]}]},
+                         2, {"check": (0,), "invert": (0,)}),
     }
 
     @pytest.mark.parametrize("name", FLOAT_LIMIT)
@@ -842,7 +876,8 @@ class TestSweepCommand:
               "--output", str(tmp_path / "o.csv")]
         assert main(["check", str(problem)]) == 2
         assert main(["sweep", str(problem)] + io) == 2
-        assert main(["invert", str(problem)] + io) == 2
+        # invert refuses the kind before the gate: exit 1 whatever the poles
+        assert main(["invert", str(problem)] + io) == 1
         assert not (tmp_path / "o.csv").exists()
         capsys.readouterr()
 
@@ -867,7 +902,8 @@ class TestSweepCommand:
                  main(["sweep", str(problem)] + io),
                  main(["check", str(matrix)]),
                  main(["invert", str(matrix)] + io)]
-        assert codes == [2] * 5
+        # invert refuses a sweep problem before the gate (exit 1)
+        assert codes == [2, 1, 2, 2, 2]
         assert not (tmp_path / "o.csv").exists()
         out = capsys.readouterr()
         report = json.loads(out.out.splitlines()[0])

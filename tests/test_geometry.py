@@ -18,7 +18,6 @@ from resolvinv.geometry import (
     convex_hull,
     hull_distance,
     hull_separated_from,
-    hull_spectrum_distance,
 )
 from resolvinv.tolerance import SPECTRUM_EPS
 
@@ -278,9 +277,9 @@ def test_spectrum_point_distances():
 
 def test_degenerate_hull_spectrum_distance():
     point = HullPolygon((0.25 + 0j,))
-    assert hull_spectrum_distance(point, UnitCircle()) == pytest.approx(0.75)
+    assert hull_separated_from(point, UnitCircle())[1] == pytest.approx(0.75)
     seg = HullPolygon((-0.5 + 0j, 0.5 + 0j))
-    assert hull_spectrum_distance(seg, UnitCircle()) == pytest.approx(0.5)
+    assert hull_separated_from(seg, UnitCircle())[1] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("k", range(-1060, 1020, 53))

@@ -31,7 +31,7 @@ from resolvinv.series import (
     gamma_beta,
     secular_zeros,
 )
-from resolvinv.tolerance import EPS
+from resolvinv.tolerance import EPS, magnitude
 
 # pole parts are multiples of 1/GRID in [-1, 1], and an interior target has
 # weights n / 8192 >= 0.01: every point is exact, so a target is inside the
@@ -106,8 +106,7 @@ class TestResolventSeries:
 
     def test_pole_gap_is_relative_to_the_poles(self):
         # no floor of 1: poles 1e-13 apart are distinct at scale 1e-12
-        s = ResolventSeries(((1, 1e-12), (1, 1.1e-12)))
-        assert s.scale == pytest.approx(1.1e-12)
+        ResolventSeries(((1, 1e-12), (1, 1.1e-12)))
         with pytest.raises(ValueError):
             ResolventSeries(((1, 1e12), (1, 1e12 + 0.5)))
 
@@ -261,13 +260,24 @@ class TestZeros:
                 secular_zeros([1.7e308, 1.7e308], [1.0, 3.0]), [2.0],
                 rtol=1e-15)
 
+    def test_zeros_of_poles_near_the_float_limit(self):
+        # the poles' mean and the block overflowed with a warning: the
+        # block is formed again on the poles in their frame
+        poles = [1.7e308, -1e308 + 1e308j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = secular_zeros([1.0, 1.0], poles)
+            assert z.size == 1 and np.isfinite(z).all()
+            assert hull_distance(convex_hull(poles), z[0]) == 0.0
+        assert z[0] == pytest.approx(0.35e308 + 0.5e308j, rel=1e-15)
+
     def test_zeros_in_hull_random(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             s = random_theorem_series(rng, 2, 8)
             hull = convex_hull(s.poles)
             for z in secular_zeros(s.coefficients, s.poles):
-                assert hull_distance(hull, z) <= 1e-8 * s.scale
+                assert hull_distance(hull, z) <= 1e-8 * magnitude(s.poles)
 
 
 class TestCaratheodory:
@@ -358,7 +368,7 @@ class TestProperties:
         for _ in range(20):
             s = random_theorem_series(rng, 2, 8)
             g, b = gamma_beta(s)
-            z = 1e6 * s.scale * cmath.exp(0.3j)
+            z = 1e6 * magnitude(s.poles) * cmath.exp(0.3j)
             f = evaluate(s, z)
             assert abs(1.0 / (z * f) - b) <= 1e-4
             assert abs(1.0 / f - b * z - g) <= 1e-3

@@ -11,6 +11,7 @@ exactly as the problem does.
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,63 @@ class TestFloatRange:
             np.testing.assert_array_equal(got, want)
             assert PointSpectrum(scale * points).distance_to(
                 scale * z[0]) == want[0]
+
+
+# subnormal, signed zero, the smallest normal and the ends of the range
+_LDEXP_EDGES = [5e-324, -5e-324, 1e-310, -0.0, 0.0, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ldexp_is_math_ldexp_part_by_part(data):
+    # the one way back from a frame: every part of a float or complex
+    # scalar or array, k an int or (for arrays) broadcast per row, as
+    # math.ldexp, inf with its sign past the float range, no warning
+    # (as an error here, not by a mark, which would also turn the
+    # warnings of hypothesis's own failure report into errors)
+    part = st.one_of(st.sampled_from(_LDEXP_EDGES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    exponent = st.integers(-2200, 2200)
+    n = data.draw(st.integers(1, 5))
+    parts = data.draw(st.lists(part, min_size=2 * n, max_size=2 * n))
+    ks = data.draw(st.lists(exponent, min_size=n, max_size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = ks[0]
+        got = tolerance.ldexp(parts[0], k)
+        assert type(got) is float
+        assert _bits(got) == _bits(_ldexp_part(parts[0], k))
+        got = tolerance.ldexp(complex(parts[0], parts[1]), k)
+        assert type(got) is complex
+        assert _bits(got) == _bits(complex(_ldexp_part(parts[0], k),
+                                           _ldexp_part(parts[1], k)))
+        z = np.array(parts).view(complex)
+        for x in (z, z.real.copy()):
+            for kk in (k, np.array(ks)):
+                want = [[_ldexp_part(p, int(e)) for p in (v.real, v.imag)]
+                        for v, e in zip(x.astype(complex),
+                                        np.broadcast_to(kk, n))]
+                want = np.array(want).view(complex)[:, 0]
+                assert _bits(tolerance.ldexp(x, kk)) == _bits(
+                    want if x.dtype == complex else want.real)
+        # a row per point, as geometry scales its distances back
+        rows = np.repeat(z[:, None], 3, axis=1)
+        assert _bits(tolerance.ldexp(rows, np.array(ks)[:, None])) == _bits(
+            np.repeat(tolerance.ldexp(z, np.array(ks))[:, None], 3, axis=1))
+
+
+def _ldexp_part(x: float, k: int) -> float:
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _bits(x) -> bytes:
+    """The bytes of x as complex or float numpy data: equal bits, with the
+    sign of a zero and of an inf."""
+    return np.asarray(x).tobytes()
 
 
 # --- the 6-term problem ------------------------------------------------------
