@@ -51,7 +51,6 @@ from .serialization import (
     write_sweep_csv,
 )
 from .series import caratheodory_zero_series, check_admissible, evaluate
-from .tolerance import DEFAULT_ROOT_TOL, EPS
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -134,7 +133,7 @@ def cmd_invert(args) -> int:
     if solve is None:
         raise MalformedSpecError(f"cannot invert problem kind {kind!r}")
     margin = args.margin if args.margin is not None else problem["margin"]
-    plan = checked_plan(series, spectrum, margin, tol=args.tol)
+    plan = checked_plan(series, spectrum, margin)
     print(_plan_summary(plan), file=sys.stderr)
     x = solve(plan, y)
     if kind == "integral":
@@ -154,7 +153,7 @@ def cmd_sweep(args) -> int:
     x_true = read_signal(args.input)
     series = problem["series"]
     A = DenseMatrixOperator(problem["matrix"])
-    plan = checked_plan(series, A.spectrum(), problem["margin"], tol=args.tol)
+    plan = checked_plan(series, A.spectrum(), problem["margin"])
     report = convergence_sweep(series, plan, A, x_true,
                                problem["regularizer"])
     write_sweep_csv(args.output, report)
@@ -196,13 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin", type=float, default=None,
                        help="required hull/spectrum separation")
 
-    def tol(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
-                       help="repeated-zero tolerance: zeros of the series "
-                            f"closer than max(tol, {EPS:g})*max|pole| (over "
-                            "the terms with a nonzero coefficient) count as "
-                            "repeated and are rejected")
-
     p = sub.add_parser("check", help="admissibility report for a problem")
     p.add_argument("problem")
     margin(p)
@@ -213,14 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="signal/vector to invert (CSV or JSON)")
     p.add_argument("--output", help="where to write the solution CSV")
     margin(p)
-    tol(p)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", help="regularization convergence sweep")
     p.add_argument("problem")
     p.add_argument("--input", help="true solution vector")
     p.add_argument("--output", help="sweep report CSV")
-    tol(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("counterexample",

@@ -68,39 +68,27 @@ class HullPolygon:
         ring = list(zip(v, v[1:] + v[:1]))
         return ring if len(v) > 2 else ring[:len(v) - 1]
 
-    def contains(self, z: complex) -> bool:
-        """Exact membership test: z in the closed hull."""
-        return bool(_distances(self.vertices, np.array([z], complex))[0] == 0)
-
 
 def convex_hull(points) -> HullPolygon:
     """Monotone-chain convex hull of complex points.
 
-    Exactly collinear points interior to an edge are dropped; duplicate
-    inputs are merged at ``tolerance.EPS`` relative to their own modulus.
-    The tests run on the points scaled by one exact power of two (see
-    :func:`tolerance.unit_frame`), so they neither overflow nor depend on
-    the scale; the vertices are input points.
+    The points must be pairwise distinct by the rule of
+    :func:`tolerance.distinct`, as a series' poles are: nothing here merges
+    near-duplicates (an exact duplicate gives a zero-length edge, never a
+    wrong distance).  Exactly collinear points interior to an edge are
+    dropped.  The tests run on the points scaled by one exact power of two
+    (see :func:`tolerance.unit_frame`), so they neither overflow nor
+    depend on the scale; the vertices are input points.
     """
-    pts = list(points)
-    if not pts:
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    if not pts.size:
         raise EmptyInputError("convex_hull of empty point set")
-    for p in pts:
-        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            raise InvalidInputError(f"non-finite point {p}")
+    bad = pts[~np.isfinite(pts)]
+    if bad.size:
+        raise InvalidInputError(f"non-finite point {bad[0]}")
     w = unit_frame(pts)[0].tolist()
-    # near-duplicates need not be adjacent in the sort (e.g. tiny real
-    # parts with different signs), so merge against every kept point. The
-    # merge radius is relative to the pair, not to the spread of the set:
-    # a dropped point then lies within EPS*|p| of the hull, where a
-    # spread-relative radius could cut a small extreme point off it.
-    uniq: list[int] = []
-    for i in sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag)):
-        if all(abs(w[i] - w[j]) > EPS * max(abs(w[i]), abs(w[j]))
-               for j in uniq):
-            uniq.append(i)
-    if len(uniq) == 1:
-        return HullPolygon((pts[uniq[0]],))
+    pts = pts.tolist()
+    order = sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag))
 
     # exact-sign popping: a tolerance here mistakes far points for collinear
     # ones whenever the chain base is much shorter than the point spread
@@ -113,14 +101,16 @@ def convex_hull(points) -> HullPolygon:
             out.append(i)
         return out
 
-    lower = chain(uniq)
-    upper = chain(reversed(uniq))
+    lower = chain(order)
+    upper = chain(reversed(order))
     ring = lower[:-1] + upper[:-1]
     if len(ring) <= 2:
         # collinear input: the sort order can hide the true extent (a tiny
         # real spread with a large imaginary one), so keep the farthest pair
-        ring = max(((i, j) for n, i in enumerate(uniq) for j in uniq[n + 1:]),
-                   key=lambda ij: abs(w[ij[0]] - w[ij[1]]))
+        # (one point is its own hull)
+        ring = max(((i, j) for n, i in enumerate(order)
+                    for j in order[n + 1:]),
+                   key=lambda ij: abs(w[ij[0]] - w[ij[1]]), default=order)
     return HullPolygon(tuple(pts[i] for i in ring))
 
 

@@ -647,7 +647,7 @@ def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
 
 def _series_plan(series: ResolventSeries) -> InversionPlan:
     """f as the plan gamma = beta = 0, zeros alpha_j and residues a_j != 0."""
-    a, alpha = np.array(series.terms).T
+    a, alpha = series.coefficients, series.poles
     return InversionPlan(0j, 0j, alpha[a != 0], a[a != 0])
 
 
@@ -669,10 +669,10 @@ def apply_plan(plan: InversionPlan, A: OperatorHandle,
 def volterra_kernel(series: ResolventSeries) -> ResolventSeries:
     """``series`` as the kernel k(t) = sum_j a_j exp(-alpha_j t), which
     must decay: raises :class:`HypothesisError` unless Re alpha_j > 0."""
-    for _, alpha in series.terms:
-        if alpha.real <= 0.0:
-            raise HypothesisError(
-                f"kernel exponent {alpha} must have positive real part")
+    bad = series.poles[series.poles.real <= 0.0].tolist()
+    if bad:
+        raise HypothesisError(
+            f"kernel exponent {bad[0]} must have positive real part")
     return series
 
 

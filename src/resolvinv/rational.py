@@ -15,7 +15,6 @@ simple here too.  Coefficients are ascending.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,8 @@ from .series import (
     theorem_mode,
 )
 from .tolerance import (
-    DEFAULT_ROOT_TOL,
     DERIVED_EPS,
-    EPS,
+    ROOT_TOL,
     ldexp,
     magnitude,
     min_gap,
@@ -101,29 +99,26 @@ class InversionPlan:
         return out
 
 
-def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
-                   ) -> InversionPlan:
+def invert_to_plan(series: ResolventSeries) -> InversionPlan:
     """Build the left-inverse plan for a theorem-mode series.
 
     gamma and beta come from the closed formulas.  The zeros z_k of f
     come from one eigenvalue solve (:func:`secular_zeros`, in its sorted
     order) and the residues are c_k = -1/f'(z_k) with
     f'(z) = sum_j a_j / (alpha_j - z)^2.  Two zeros closer than
-    ``max(tol, EPS) * max|alpha_j|`` (over the terms with a nonzero
+    ``ROOT_TOL * max|alpha_j|`` (over the terms with a nonzero
     coefficient) raise :class:`RepeatedRootError`; 1/f then has a pole of
     higher order, which the plan does not represent.  The gap is relative
     to the poles, not to the zeros: the zeros lie in the pole hull, and a
     double zero near the origin splits into two computed zeros whose
     modulus says nothing about the size of the problem.  The identity
     f(z) * (gamma + beta z + h(z)) = 1 is verified at sample points on a
-    circle around the poles and zeros before the plan is returned; residues
-    that leave the float range raise :class:`ConditioningError`.
-    ``tol`` must be finite and >= 0; every comparison is relative to the
-    data, so rescaling poles and operator together by any factor leaves
-    the decision unchanged (see :mod:`resolvinv.tolerance`).
+    circle around the poles and zeros before the plan is returned; a
+    gamma, beta or residue that leaves the float range raises
+    :class:`ConditioningError`.  Every comparison is relative to the data,
+    so rescaling poles and operator together by any factor leaves the
+    decision unchanged (see :mod:`resolvinv.tolerance`).
     """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidInputError("tol must be nonnegative and finite")
     if not series.is_theorem_mode():
         raise HypothesisError(
             "series must have nonnegative real coefficients with positive sum")
@@ -131,13 +126,13 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
     # gamma, beta, the residues and f h = 1 are taken on 2^-ka a_j and on
     # the poles and zeros in one frame 2^-kp, where nothing overflows: f, f'
     # and h are 2^(kp-ka), 2^(2kp-ka) and 2^(ka-kp) times theirs there
-    m = len(active.terms)
+    m = active.poles.size
     z = secular_zeros(active.coefficients, active.poles)
     a, ka = unit_frame(active.coefficients)
     framed, kp = unit_frame(np.concatenate([active.poles, z]))
     alpha, zf = framed[:m], framed[m:]
     gamma, beta = framed_gamma_beta(a, alpha.tolist())
-    if min_gap(zf) <= magnitude(alpha, max(tol, EPS)):
+    if min_gap(zf) <= magnitude(alpha.tolist(), ROOT_TOL):
         raise RepeatedRootError("f has a repeated zero")
     pts = _fit_sample_points(framed)
     with np.errstate(all="ignore"):  # a value past the float range fails
@@ -145,23 +140,24 @@ def invert_to_plan(series: ResolventSeries, tol: float = DEFAULT_ROOT_TOL
         fz = np.sum(a / (alpha - pts[:, None]), axis=1)
         hz = gamma + beta * pts + np.sum(c / (zf - pts[:, None]), axis=1)
         worst = float(np.max(np.abs(fz * hz - 1.0)))
+    gamma, beta = ldexp(gamma, kp - ka), ldexp(beta, -ka)
     c = ldexp(c, 2 * kp - ka)
-    if not np.isfinite(c).all():
-        raise ConditioningError("residues of 1/f leave the float range")
+    if not np.isfinite([gamma, beta, *c]).all():
+        raise ConditioningError("plan of 1/f leaves the float range")
     if not worst <= 1e-8:
         raise ConditioningError(
             "inversion plan fails the identity check", residual=worst)
-    return InversionPlan(ldexp(gamma, kp - ka), ldexp(beta, -ka), z, c)
+    return InversionPlan(gamma, beta, z, c)
 
 
-def checked_plan(series: ResolventSeries, spectrum, margin: float = 0.0,
-                 tol: float = DEFAULT_ROOT_TOL) -> InversionPlan:
+def checked_plan(series: ResolventSeries, spectrum,
+                 margin: float = 0.0) -> InversionPlan:
     """The one way a solve gets its plan: :func:`require_admissible`
     against ``spectrum`` with ``margin``, then :func:`invert_to_plan`.  The
     separation distance and the number of zeros are logged at DEBUG."""
     gate = require_admissible(series, spectrum, margin)
     log.debug("separation distance %.6g", gate.separation_distance)
-    plan = invert_to_plan(series, tol=tol)
+    plan = invert_to_plan(series)
     log.debug("plan zeros: %d", plan.zeros.size)
     return plan
 
@@ -198,7 +194,7 @@ def poly_roots(c) -> np.ndarray:
 
     ``numpy.roots`` (companion-matrix eigenvalues), then one Newton step,
     kept wherever it is finite and lowers |p|.  Two roots closer than
-    ``DEFAULT_ROOT_TOL * max|root|`` (1e-6 relative, wider than the
+    ``ROOT_TOL * max|root|`` (1e-6 relative, wider than the
     sqrt(machine epsilon) split of a computed double root) raise
     :class:`RepeatedRootError`, and a ratio c_k / c_N past the float range
     :class:`ConditioningError`.  The top coefficient c_N must be nonzero.
@@ -215,7 +211,7 @@ def poly_roots(c) -> np.ndarray:
         newton = z - pz / npp.polyval(z, npp.polyder(c))
         better = np.abs(npp.polyval(newton, c)) <= np.abs(pz)
     z = np.where(np.isfinite(newton) & better, newton, z)
-    if min_gap(z) <= magnitude(z, DEFAULT_ROOT_TOL):
+    if min_gap(z) <= magnitude(z, ROOT_TOL):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
     return z[np.lexsort((z.imag, z.real))]
@@ -268,4 +264,4 @@ def derived_series(a, poles) -> ResolventSeries:
             "derived coefficients or poles leave the float range")
     if theorem_mode(a.tolist(), rtol=DERIVED_EPS):
         a = a.real
-    return ResolventSeries(tuple(zip(a.tolist(), poles.tolist())))
+    return ResolventSeries.from_arrays(a, poles)

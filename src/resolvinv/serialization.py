@@ -97,7 +97,7 @@ def _terms(doc, key, fields) -> list[np.ndarray]:
 
 def _series(doc, key) -> ResolventSeries:
     a, alpha = _terms(doc, key, ("a", "alpha"))
-    return ResolventSeries(tuple(zip(a.tolist(), alpha.tolist())))
+    return ResolventSeries.from_arrays(a, alpha)
 
 
 def series_from_json(doc) -> ResolventSeries:

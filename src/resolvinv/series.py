@@ -61,48 +61,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ResolventSeries:
-    """Finite list of (coefficient a_j, pole alpha_j) pairs.
+    """Finite list of (coefficient a_j, pole alpha_j) pairs, held as two
+    read-only 1-d complex arrays of one length.
 
     Coefficients and poles must be finite and the poles pairwise distinct
     (see :mod:`resolvinv.tolerance`); zero coefficients are allowed and
-    can be removed with :meth:`pruned`.
+    can be removed with :meth:`pruned`.  Two series are equal when their
+    :attr:`terms` are.
     """
 
-    terms: tuple[tuple[complex, complex], ...]
+    coefficients: np.ndarray
+    poles: np.ndarray
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms):
+        pairs = [(complex(a), complex(al)) for a, al in terms]
+        if not pairs:
             raise EmptyInputError("series needs at least one term")
-        terms = tuple((complex(a), complex(al)) for a, al in self.terms)
-        object.__setattr__(self, "terms", terms)
-        values = np.array(terms)
-        if not np.isfinite(values).all():
+        a, alpha = np.array(pairs).T.copy()
+        if not (np.isfinite(a).all() and np.isfinite(alpha).all()):
             raise InvalidInputError(
                 "series coefficients and poles must be finite")
-        require_distinct(values[:, 1])
+        require_distinct(alpha)
+        a.flags.writeable = alpha.flags.writeable = False
+        object.__setattr__(self, "coefficients", a)
+        object.__setattr__(self, "poles", alpha)
+
+    @classmethod
+    def from_arrays(cls, coefficients, poles) -> "ResolventSeries":
+        """The series of the coefficients a_j at the poles alpha_j, two
+        sequences of one length (else ValueError)."""
+        return cls(zip(coefficients, poles, strict=True))
 
     @property
-    def coefficients(self) -> tuple[complex, ...]:
-        return tuple(a for a, _ in self.terms)
+    def terms(self) -> tuple[tuple[complex, complex], ...]:
+        return tuple(zip(self.coefficients.tolist(), self.poles.tolist()))
 
-    @property
-    def poles(self) -> tuple[complex, ...]:
-        return tuple(al for _, al in self.terms)
+    def __eq__(self, other):
+        if not isinstance(other, ResolventSeries):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def is_theorem_mode(self) -> bool:
         """See :func:`theorem_mode`."""
-        return theorem_mode(self.coefficients)
+        return theorem_mode(self.coefficients.tolist())
 
     def pruned(self) -> "ResolventSeries":
         """Drop the terms whose coefficient is zero."""
-        kept = tuple(t for t in self.terms if t[0] != 0)
-        if not kept:
+        kept = self.coefficients != 0
+        if not kept.any():
             raise DegenerateSeriesError("all coefficients vanish")
-        if len(kept) == len(self.terms):
+        if kept.all():
             return self
-        return ResolventSeries(kept)
+        return ResolventSeries.from_arrays(self.coefficients[kept],
+                                           self.poles[kept])
 
 
 def theorem_mode(coefficients, rtol: float = EPS) -> bool:
@@ -127,10 +143,10 @@ def evaluate(series: ResolventSeries, z: complex) -> complex:
     :func:`~resolvinv.tolerance.unit_frame`: inf only past the float range.
     """
     z = complex(z)
-    framed, k = unit_frame([*series.poles, z])
+    framed, k = unit_frame(np.append(series.poles, z))
     *alphas, zf = framed.tolist()
     tol = magnitude(framed, EPS)
-    for alpha, pole in zip(alphas, series.poles):
+    for alpha, pole in zip(alphas, series.poles.tolist()):
         if abs(zf - alpha) <= tol:
             raise PoleEvaluationError(pole, z)
     a, ka = unit_frame(series.coefficients)
@@ -147,7 +163,7 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     where their sum does not overflow, and scaled back by 2^-k.
     """
     a, k = unit_frame(series.coefficients)
-    gamma, beta = framed_gamma_beta(a, series.poles)
+    gamma, beta = framed_gamma_beta(a, series.poles.tolist())
     return ldexp(gamma, -k), ldexp(beta, -k)
 
 
@@ -216,10 +232,12 @@ def check_admissible(series: ResolventSeries, spectrum: Spectrum,
     """
     hull = convex_hull(series.poles)
     separated, dist = hull_separated_from(hull, spectrum, margin)
-    dists = np.array(spectrum.distance_to(np.array(series.poles)), float)
-    floor = magnitude(series.poles, SPECTRUM_EPS)
+    dists = np.array(spectrum.distance_to(series.poles), float)
+    poles = series.poles.tolist()
+    floor = magnitude(poles, SPECTRUM_EPS)
     diags = []
-    for (a, alpha), d in zip(series.terms, dists.tolist()):
+    for a, alpha, d in zip(series.coefficients.tolist(), poles,
+                           dists.tolist()):
         if d <= floor:
             d = 0.0
         try:
@@ -263,11 +281,11 @@ def numerator_coefficients(series: ResolventSeries) -> np.ndarray:
     not used to find zeros (see :func:`secular_zeros`): the monomial basis
     loses accuracy quickly as the number of terms grows.
     """
-    m = len(series.terms)
-    total = np.zeros(m, dtype=complex)
-    for j, (a, _) in enumerate(series.terms):
+    poles = series.poles.tolist()
+    total = np.zeros(len(poles), dtype=complex)
+    for j, a in enumerate(series.coefficients.tolist()):
         prod = np.array([a], dtype=complex)
-        for i, (_, alpha) in enumerate(series.terms):
+        for i, alpha in enumerate(poles):
             if i != j:
                 prod = np.convolve(prod, np.array([alpha, -1.0], dtype=complex))
         total[: len(prod)] += prod

@@ -10,7 +10,8 @@ the scale comes from the other operand.  Pole gaps (and the hull tests of
 power of two (:func:`unit_frame`), so that no difference or product of
 two points overflows near the top of the float range; points at most
 ``EPS * max|point|`` apart are one pole (:func:`require_distinct` refuses
-them, :func:`distinct` merges them).  Moduli (:func:`magnitude`) and sums
+them, :func:`distinct` merges them), the one such rule: the pole hull
+takes points that already pass it.  Moduli (:func:`magnitude`) and sums
 (:func:`fsum`) are taken in the same frame when they would pass the float
 range, and every result taken in a frame goes back by :func:`ldexp`, so
 only a result past the float range is inf.
@@ -19,8 +20,8 @@ Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
 
 * :data:`EPS` for quantities one step of arithmetic away from the data:
-  pole gaps, coefficient signs and sums, hull vertex merging, the pole
-  hull's distance to a point;
+  pole gaps, coefficient signs and sums, the pole hull's distance to a
+  point;
 * :data:`SPECTRUM_EPS` for a pole against spectrum or symbol samples
   that were themselves computed (eigenvalues, squared DFT frequencies,
   a characteristic polynomial at the roots of unity), and for the pole
@@ -30,11 +31,10 @@ carries:
   from the data (filter residues, mapped convolution weights), in
   :func:`resolvinv.rational.derived_series` alone.
 
-:data:`DEFAULT_ROOT_TOL` is the relative gap below which two roots of a
-filter polynomial count as one repeated root, and the default of the
-plan's repeated-zero gap (the CLI's ``--tol``): a double root comes out
-of an eigenvalue solve split by about sqrt(machine epsilon), so the gap
-must be wider than that.
+:data:`ROOT_TOL` is the relative gap below which two roots of a filter
+polynomial, or two zeros of a plan, count as one repeated root: a double
+root comes out of an eigenvalue solve split by about sqrt(machine
+epsilon), so the gap must be wider than that.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
     "EPS",
     "SPECTRUM_EPS",
     "DERIVED_EPS",
-    "DEFAULT_ROOT_TOL",
+    "ROOT_TOL",
     "magnitude",
     "fsum",
     "ldexp",
@@ -63,7 +63,7 @@ __all__ = [
 EPS = 1e-12
 SPECTRUM_EPS = 1e-10
 DERIVED_EPS = 1e-9
-DEFAULT_ROOT_TOL = 1e-6
+ROOT_TOL = 1e-6
 
 
 def magnitude(values, rtol: float = 1.0) -> float:

@@ -141,7 +141,7 @@ def _reference_filter_to_series(spec):
         z = np.where(np.abs(npp.polyval(newton, c)) <= np.abs(pz), newton, z)
     gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
     gap = gaps.min() if z.size > 1 else math.inf
-    if gap <= tolerance.DEFAULT_ROOT_TOL * tolerance.magnitude(z):
+    if gap <= tolerance.ROOT_TOL * tolerance.magnitude(z):
         raise RepeatedRootError(
             "characteristic polynomial has a repeated root")
     z = z[np.lexsort((z.imag, z.real))]

@@ -19,7 +19,7 @@ from resolvinv.geometry import (
     hull_distance,
     hull_separated_from,
 )
-from resolvinv.tolerance import SPECTRUM_EPS
+from resolvinv.tolerance import EPS, SPECTRUM_EPS, distinct, unit_frame
 
 finite_complex = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
                                     allow_nan=False, allow_infinity=False)
@@ -67,7 +67,7 @@ class TestConvexHull:
         assert len(hull.vertices) == 2
 
     def test_duplicates_collapse(self):
-        hull = convex_hull([2 + 1j, 2 + 1j, 2 + 1j])
+        hull = convex_hull(distinct([2 + 1j, 2 + 1j, 2 + 1j]))
         assert hull.vertices == (2 + 1j,)
 
     def test_small_extreme_point_kept(self):
@@ -193,6 +193,75 @@ def test_hull_contains_inputs(points):
         assert hull_distance(hull, p) <= 1e-12 * (1 + abs(p))
 
 
+def _merging_hull(points):
+    """The vertices of convex_hull as it was with a near-duplicate merge of
+    its own, relative to each pair: two framed points at most EPS * max of
+    their moduli apart were one vertex."""
+    pts = list(points)
+    w = unit_frame(pts)[0].tolist()
+    uniq = []
+    for i in sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag)):
+        if all(abs(w[i] - w[j]) > EPS * max(abs(w[i]), abs(w[j]))
+               for j in uniq):
+            uniq.append(i)
+    if len(uniq) == 1:
+        return (pts[uniq[0]],)
+
+    def chain(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2 and ((w[out[-1]] - w[out[-2]]).conjugate()
+                                     * (w[i] - w[out[-2]])).imag <= 0.0:
+                out.pop()
+            out.append(i)
+        return out
+
+    ring = chain(uniq)[:-1] + chain(reversed(uniq))[:-1]
+    if len(ring) <= 2:
+        ring = max(((i, j) for n, i in enumerate(uniq) for j in uniq[n + 1:]),
+                   key=lambda ij: abs(w[ij[0]] - w[ij[1]]))
+    return tuple(pts[i] for i in ring)
+
+
+@st.composite
+def planted_pairs(draw, spreads):
+    """Random points in the square [-1, 1]^2 with partners planted at one of
+    ``spreads`` times EPS * max|point| from some of them, all scaled by
+    2^j for |j| <= 1000."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 30))
+    pts = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+    if draw(st.booleans()):  # collinear
+        pts = pts.real * cmath.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    gap = draw(st.sampled_from(spreads)) * EPS * np.abs(pts).max()
+    near = pts[:draw(st.integers(0, m))]
+    near = near + gap * np.exp(2j * np.pi * rng.uniform(0, 1, near.size))
+    j = draw(st.integers(-1000, 1000))
+    return [complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
+            for z in np.concatenate([pts, near])]
+
+
+def _bits(points):
+    return [(z.real.hex(), z.imag.hex()) for z in points]
+
+
+@given(planted_pairs([1.0 + 2.0 ** -20]))
+@settings(max_examples=300, deadline=None)
+def test_hull_of_distinct_points_is_the_merging_hull(points):
+    # on points that pass the series' pole gap a pair-relative merge never
+    # fires, so dropping it leaves every vertex's bits
+    points = distinct(points)
+    assert _bits(convex_hull(points).vertices) == _bits(
+        _merging_hull(points))
+
+
+@given(planted_pairs([0.0, 0.5, 1.0, 1.0 + 2.0 ** -20]))
+@settings(max_examples=300, deadline=None)
+def test_hull_of_near_duplicates_holds_every_point(points):
+    hull = convex_hull(points)
+    assert (hull_distance(hull, np.array(points)) == 0.0).all()
+
+
 @given(points_strategy, finite_complex, st.floats(0, 10))
 @example([1e-9, 10], 0j, 0.0)  # 1e-9: past EPS, within SPECTRUM_EPS of 10
 @settings(max_examples=200, deadline=None)
@@ -306,7 +375,6 @@ def test_sliver_hull_membership():
     r = cmath.exp(2j)
     hull = convex_hull([0j, 1.5571239624309817e-78 * r, -1j * r])
     assert hull_distance(hull, -7j * r) == pytest.approx(6.0, rel=1e-12)
-    assert not hull.contains(-7j * r)
 
 
 @given(st.floats(-np.pi, np.pi), st.floats(-80, -10), st.floats(-3, 3),

@@ -61,8 +61,8 @@ def _unchecked_series(*poles):
     """A series holding the given poles, built without the constructor's
     finiteness check: apply_series must not rely on it."""
     series = object.__new__(ResolventSeries)
-    object.__setattr__(series, "terms", tuple((1 + 0j, complex(p))
-                                              for p in poles))
+    object.__setattr__(series, "coefficients", np.ones(len(poles), complex))
+    object.__setattr__(series, "poles", np.array(poles, dtype=complex))
     return series
 
 

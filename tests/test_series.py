@@ -104,6 +104,37 @@ class TestResolventSeries:
         with pytest.raises(InvalidInputError):
             ResolventSeries(terms)
 
+    def test_arrays_are_read_only(self):
+        s = ResolventSeries(((1, 2.0), (0.5, 3j)))
+        for values in (s.coefficients, s.poles):
+            assert values.dtype == complex and values.shape == (2,)
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_from_arrays_leaves_the_callers_arrays_writable(self):
+        a, poles = np.ones(2), np.array([1.0, 2.0])
+        s = ResolventSeries.from_arrays(a, poles)
+        assert a.flags.writeable and poles.flags.writeable
+        assert s == ResolventSeries(((1, 1.0), (1, 2.0)))
+
+    def test_terms_round_trip(self):
+        terms = ((1 + 0j, 2 + 0j), (0.5 + 0j, 3j))
+        s = ResolventSeries(terms)
+        assert s.terms == terms
+        assert all(type(x) is complex for term in s.terms for x in term)
+        assert ResolventSeries(s.terms) == s
+        assert hash(ResolventSeries(s.terms)) == hash(s)
+
+    def test_numpy_scalars_make_the_same_series(self):
+        rng = np.random.default_rng(7)
+        coeffs = rng.uniform(0.1, 1.0, 6)
+        poles = rng.uniform(0, 1, 6) + 1j * rng.uniform(0, 1, 6)
+        from_numpy = ResolventSeries(tuple(zip(coeffs, poles)))
+        assert from_numpy == ResolventSeries(
+            tuple(zip(coeffs.tolist(), poles.tolist())))
+        np.testing.assert_array_equal(from_numpy.poles, poles)
+        np.testing.assert_array_equal(from_numpy.coefficients, coeffs)
+
     def test_pole_gap_is_relative_to_the_poles(self):
         # no floor of 1: poles 1e-13 apart are distinct at scale 1e-12
         ResolventSeries(((1, 1e-12), (1, 1.1e-12)))
@@ -339,8 +370,9 @@ class TestCaratheodory:
         scaled = _construction([_scaled(p, j) for p in poles],
                                _scaled(target, j))
         if isinstance(got, ResolventSeries):
-            assert scaled.coefficients == got.coefficients
-            assert scaled.poles == tuple(_scaled(p, j) for p in got.poles)
+            assert scaled.coefficients.tolist() == got.coefficients.tolist()
+            assert scaled.poles.tolist() == [_scaled(p, j)
+                                             for p in got.poles.tolist()]
         else:
             assert scaled is got
 
