@@ -86,7 +86,8 @@ def convex_hull(points) -> HullPolygon:
     bad = pts[~np.isfinite(pts)]
     if bad.size:
         raise InvalidInputError(f"non-finite point {bad[0]}")
-    w = unit_frame(pts)[0].tolist()
+    frame = unit_frame(pts)[0]
+    w = frame.tolist()
     pts = pts.tolist()
     order = sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag))
 
@@ -104,14 +105,33 @@ def convex_hull(points) -> HullPolygon:
     lower = chain(order)
     upper = chain(reversed(order))
     ring = lower[:-1] + upper[:-1]
-    if len(ring) <= 2:
+    if len(order) <= 2:
+        ring = order  # a point, or the one pair
+    elif len(ring) <= 2:
         # collinear input: the sort order can hide the true extent (a tiny
         # real spread with a large imaginary one), so keep the farthest pair
-        # (one point is its own hull)
-        ring = max(((i, j) for n, i in enumerate(order)
-                    for j in order[n + 1:]),
-                   key=lambda ij: abs(w[ij[0]] - w[ij[1]]), default=order)
+        ring = [order[k] for k in _farthest_pair(frame[order])]
     return HullPolygon(tuple(pts[i] for i in ring))
+
+
+def _farthest_pair(w: np.ndarray) -> tuple[int, int]:
+    """(a, b) with a < b: the first pair, row by row, at the largest
+    |w[a] - w[b]|, the modulus rounded as Python's ``abs`` rounds it
+    (``np.hypot`` on the parts; ``np.abs`` of a complex array rounds
+    differently).  The table of all pairs is symmetric bit for bit, so
+    with its diagonal excluded its first maximum lies above the diagonal;
+    its rows go in blocks of about _BLOCK entries."""
+    m = w.size
+    step = max(1, _BLOCK // m)
+    best = (-1.0, 0, 1)
+    for lo in range(0, m, step):
+        dz = w[lo:lo + step, None] - w
+        d = np.hypot(dz.real, dz.imag)
+        d.ravel()[lo::m + 1] = -1.0
+        k = int(d.argmax())
+        if d.flat[k] > best[0]:
+            best = (d.flat[k], lo + k // m, k % m)
+    return best[1:]
 
 
 def _framed(kernel, ring: np.ndarray, z: np.ndarray) -> np.ndarray:

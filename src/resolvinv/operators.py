@@ -5,13 +5,14 @@ plan gamma + beta*A + sum_k c_k (z_k - A)^{-1} in ``apply_plan``, its one
 solve path.  A resolvent solve (alpha*I - A)^{-1} v is the plan with one
 zero alpha and residue 1, and a series the plan with gamma = beta = 0,
 its poles and its nonzero coefficients (:func:`apply_series`).  A dense
-matrix inherits the generic ``apply_plan``: per zero one LAPACK ``zgetrs``
-on the LU of alpha*I - A that ``zgetrf`` factors once per alpha and
-caches, with the eigenvalues and the SVD, and A applied only when
-beta != 0.  A multiplier makes one elementwise pass over its symbol, and
-the periodic shift and ``solve_convolution`` the same pass between one FFT
-pair, in the array the forward FFT returns.  The pass runs
-``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
+matrix of at most _BATCHED_DIM rows solves all of a plan's zeros in one
+batched ``np.linalg.solve``; a larger one makes per zero one LAPACK
+``zgetrs`` on the LU of alpha*I - A that ``zgetrf`` factors once per alpha
+and caches.  Both cache the eigenvalues and the SVD on the operator and
+apply A only when beta != 0.  A multiplier makes one elementwise pass
+over its symbol, and the periodic shift and ``solve_convolution`` the same
+pass between one FFT pair, in the array the forward FFT returns.  The pass
+runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
 temporaries stay in cache, with the bits of the whole-array product; the
 shift's roots of unity come from one table.  d/dt on a grid makes one
 backward pass over blocks of 4096 samples: per block and zero a numpy scan
@@ -41,8 +42,8 @@ The checked solvers take their plan from
 :func:`resolvinv.rational.checked_plan`, and the forward maps run the same
 gate; the plan-only solves (``solve_filter``, ``solve_convolution``, and
 ``apply_plan(plan, grid, y)`` for Volterra) check only the plan's poles.
-Only the dense solves import scipy, inside the solve, so every other
-path starts and runs without it.
+Only the dense solves above _BATCHED_DIM rows import scipy, inside the
+solve, so every other path starts and runs without it.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ from .tolerance import SPECTRUM_EPS, magnitude, negligible
 # samples per block of a Fourier-diagonal pass: a block's temporaries
 # (64 KiB each) stay in cache, and the unit roots are built block by block
 _BLOCK = 4096
+
+# rows up to which a dense matrix solves a plan in one batched
+# np.linalg.solve, without scipy: the largest power of two at which that
+# was no slower than the cached LU factors on an apply_plan and a
+# convergence_sweep, for series of 4 and of 12 terms; importing
+# scipy.linalg takes about 225 ms on a 2-vCPU Xeon VM, most of a CLI call
+_BATCHED_DIM = 16
 
 __all__ = [
     "OperatorHandle",
@@ -128,27 +136,18 @@ class OperatorHandle:
         return _checked_samples(v, self.dim)
 
     def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
-        """(gamma + beta A + h(A)) v for a checked v: the zeros checked
-        against ``eigenvalues()`` first, then one ``_solve`` per zero and
-        ``_apply`` only when beta != 0, the methods of a dense matrix, the
-        one operator that inherits this.  Raises :class:`ConditioningError`
-        when a sample leaves the float range."""
-        v = self.checked_vector(v)
-        if len(plan.zeros):
-            _check_symbol_gap(plan.zeros, self.eigenvalues())
-        with np.errstate(all="ignore"):
-            h = np.zeros_like(v)
-            for zk, ck in zip(plan.zeros, plan.residues):
-                h += ck * self._solve(zk, v)
-            out = plan.gamma * v
-            if plan.beta != 0:
-                out = out + plan.beta * self._apply(v)
-            return _require_finite(out + h)
+        """(gamma + beta A + h(A)) v: the operator's one solve path."""
+        raise NotImplementedError
 
 
 class DenseMatrixOperator(OperatorHandle):
-    """A as an explicit n x n complex matrix; resolvents on one LU of
-    alpha*I - A per shift alpha, factored by LAPACK ``zgetrf`` and cached."""
+    """A as an explicit n x n complex matrix.
+
+    Up to _BATCHED_DIM rows a plan's resolvents are one batched
+    ``np.linalg.solve`` over the stack of z_k I - A, nothing cached and no
+    scipy imported; the stack takes K n^2 complex entries for K zeros.
+    Above, each shift alpha has one LU of alpha*I - A, factored by LAPACK
+    ``zgetrf`` and cached, and each solve is one ``zgetrs`` on it."""
 
     # every operator class binds the inherited method in its own body, only
     # for the benchmark's tracer, which wraps cls.__dict__["resolvent_solve"]
@@ -202,6 +201,47 @@ class DenseMatrixOperator(OperatorHandle):
 
     def spectrum(self) -> PointSpectrum:
         return PointSpectrum(self.eigenvalues())
+
+    def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
+        """(gamma + beta A + h(A)) v: the zeros checked against
+        ``eigenvalues()`` first, then h = sum_k c_k w_k in the plan's order
+        over the solves w_k of :meth:`_solves`, and A applied only when
+        beta != 0.  Raises :class:`ConditioningError` when a sample leaves
+        the float range."""
+        v = self.checked_vector(v)
+        if len(plan.zeros):
+            _check_symbol_gap(plan.zeros, self.eigenvalues())
+        with np.errstate(all="ignore"):
+            h = np.zeros_like(v)
+            for ck, w in zip(plan.residues, self._solves(plan.zeros, v)):
+                h += ck * w
+            out = plan.gamma * v
+            if plan.beta != 0:
+                out = out + plan.beta * self._apply(v)
+            return _require_finite(out + h)
+
+    def _solves(self, zeros: np.ndarray, v: np.ndarray):
+        """(z_k I - A)^{-1} v for each zero z_k in turn, for a checked v:
+        up to _BATCHED_DIM rows one ``np.linalg.solve`` on the stack of the
+        z_k I - A, else ``_solve`` per zero.  An exactly singular shift
+        raises :class:`SingularResolventError` naming it."""
+        n = self.dim
+        if n > _BATCHED_DIM:
+            return (self._solve(zk, v) for zk in zeros)
+        # -A per zero, z_k added on its diagonal in place, as in _factor
+        shifted = np.empty((len(zeros), n, n), dtype=complex)
+        np.negative(self.matrix, out=shifted)
+        shifted.reshape(len(zeros), n * n)[:, ::n + 1] += zeros[:, None]
+        # a 1-d right-hand side does not broadcast over the stack: (n, 1)
+        b = v[:, None] if v.ndim == 1 else v
+        try:
+            w = np.linalg.solve(shifted, b)
+        except np.linalg.LinAlgError:
+            # the first shift whose LU has an exactly zero pivot
+            alpha = complex(zeros[np.linalg.slogdet(shifted)[0] == 0][0])
+            raise SingularResolventError(
+                f"pole {alpha} makes alpha*I - A exactly singular") from None
+        return w[..., 0] if v.ndim == 1 else w
 
     def _factor(self, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
         """The LU factors (lu, piv) of alpha*I - A, factored once per alpha;

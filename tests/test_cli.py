@@ -1056,6 +1056,26 @@ class TestColdStart:
     _SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.')))")
 
+    def test_demo_and_small_matrix_invert_and_sweep_import_no_scipy(
+            self, tmp_path):
+        # the demo matrices (4 x 4 and 8 x 8) solve by one batched
+        # np.linalg.solve, without scipy's cached LU factors
+        demo = tmp_path / "demo"
+        calls = [["demo", "--output-dir", str(demo)],
+                 ["invert", str(demo / "matrix.json"),
+                  "--input", str(demo / "matrix_y.csv"),
+                  "--output", str(tmp_path / "x.csv")],
+                 ["sweep", str(demo / "sweep.json"),
+                  "--input", str(demo / "sweep_x.csv"),
+                  "--output", str(tmp_path / "report.csv")]]
+        proc = run_python("-c", "import sys\n"
+                          "from resolvinv.cli import main\n"
+                          f"for argv in {calls!r}:\n"
+                          "    assert main(argv) == 0, argv\n"
+                          + self._SCIPY_LOADED)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_volterra_solve_and_integral_invert_import_no_scipy(
             self, demo_dir, tmp_path):
         # the grid's scan is numpy alone

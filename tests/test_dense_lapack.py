@@ -1,6 +1,7 @@
-"""The dense resolvent layer: one ``zgetrf`` per shift and one ``zgetrs``
-per solve, against the ``lu_factor``/``lu_solve`` loop it replaced, and
-the typed errors that take the place of the wrappers' checks."""
+"""The dense resolvent layer against the ``lu_factor``/``lu_solve`` loop:
+one batched ``np.linalg.solve`` per plan up to ``_BATCHED_DIM`` rows, one
+``zgetrf`` per shift and one ``zgetrs`` per solve above, and the typed
+errors that take the place of the wrappers' checks."""
 
 import warnings
 from dataclasses import replace
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import random_theorem_series
 from resolvinv.errors import InvalidInputError, SingularResolventError
-from resolvinv.operators import DenseMatrixOperator, apply_plan, apply_series
+from resolvinv.operators import (
+    _BATCHED_DIM,
+    DenseMatrixOperator,
+    apply_plan,
+    apply_series,
+)
 from resolvinv.rational import InversionPlan, invert_to_plan
 from resolvinv.regularize import (
     RegularizerConfig,
@@ -24,7 +30,7 @@ from resolvinv.regularize import (
 
 class LuLoop:
     """The reference: one ``lu_factor`` of alpha*I - A per shift and one
-    ``lu_solve`` per solve, summed as the generic ``apply_plan`` does."""
+    ``lu_solve`` per solve, summed as the dense ``apply_plan`` does."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -65,7 +71,8 @@ def _assert_close(got, want):
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 2 * _BATCHED_DIM + 8),
        k=st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_matches_the_lu_factor_loop(seed, n, k):
@@ -131,17 +138,20 @@ class TestTypedErrors:
         with pytest.raises(InvalidInputError):
             A.resolvent_solve(alpha, np.ones(A.dim))
 
-    def test_exactly_singular_shift(self, monkeypatch):
-        # the pole check passes against eigenvalues moved far away, so the
-        # zero pivot of diag(1, 2) at alpha = 1 must stop the solve itself
-        A = DenseMatrixOperator(np.diag([1.0, 2.0]))
+    @pytest.mark.parametrize("n", [_BATCHED_DIM, _BATCHED_DIM + 1])
+    def test_exactly_singular_shift(self, monkeypatch, n):
+        # J = 2I + N, a Jordan block: 2I - J = -N has an exactly zero pivot.
+        # The pole check passes against eigenvalues moved far away, so the
+        # solve itself must stop there, on either side of the batched rows
+        A = DenseMatrixOperator(2.0 * np.eye(n) + np.eye(n, k=1))
         monkeypatch.setattr(A, "eigenvalues", lambda: np.array([100.0 + 0j]))
+        plan = InversionPlan(0j, 0j, np.array([5.0, 2.0], dtype=complex),
+                             np.ones(2, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularResolventError):
-                A.resolvent_solve(1.0, np.ones(2))
-            with pytest.raises(SingularResolventError):
-                apply_plan(InversionPlan(0j, 0j, np.array([1.0 + 0j]),
-                                         np.array([1.0 + 0j])), A, np.ones(2))
+            with pytest.raises(SingularResolventError, match=r"\(2\+0j\)"):
+                A.resolvent_solve(2.0, np.ones(n))
+            with pytest.raises(SingularResolventError, match=r"\(2\+0j\)"):
+                apply_plan(plan, A, np.ones((n, 2)))
         # the failed factorisation is not cached
-        assert A._lu_cache == {}
+        assert 2.0 not in A._lu_cache

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resolvinv import geometry
 from resolvinv.errors import EmptyInputError
 from resolvinv.geometry import (
     HullPolygon,
@@ -69,6 +70,12 @@ class TestConvexHull:
     def test_duplicates_collapse(self):
         hull = convex_hull(distinct([2 + 1j, 2 + 1j, 2 + 1j]))
         assert hull.vertices == (2 + 1j,)
+
+    def test_exact_duplicates_give_the_first_pair(self):
+        # every pair is 0 apart, and the signs of the zeros tell the
+        # points apart: the farthest pair is the first, not a point twice
+        pts = [0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        assert _bits(convex_hull(pts).vertices) == _bits(pts[:2])
 
     def test_small_extreme_point_kept(self):
         # 1e-10 lies within 1e-12 of the spread of the set from 0, but is
@@ -253,6 +260,47 @@ def test_hull_of_distinct_points_is_the_merging_hull(points):
     points = distinct(points)
     assert _bits(convex_hull(points).vertices) == _bits(
         _merging_hull(points))
+
+
+@st.composite
+def collinear_sets(draw):
+    """3 to 40 points, equispaced or random along a line: one whose
+    direction scales them exactly (collinear bit for bit) or one at a
+    random angle, a quarter of them with each point moved off it by up to
+    2^-e of its modulus (e from 30 to 60), or a real spread of 2^-e (e
+    from 40 to 1100) under a large imaginary one; all scaled by 2^j for
+    |j| <= 1000."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(3, 40))
+    t = (np.arange(m) + rng.uniform(-5, 5) if draw(st.booleans())
+         else rng.standard_normal(m))
+    line = draw(st.sampled_from(["exact", "angle", "vertical"]))
+    if line == "vertical":
+        pts = 1j * t + np.ldexp(rng.uniform(-1, 1, m),
+                                -draw(st.integers(40, 1100)))
+    else:
+        pts = t * (draw(st.sampled_from([1, 1j, 1 + 1j, 0.5 - 2j]))
+                   if line == "exact" else
+                   cmath.exp(1j * draw(st.floats(-np.pi, np.pi))))
+        if draw(st.integers(0, 3)) == 0:
+            pts = pts * (1.0 + 1j * rng.uniform(-1, 1, m) * 2.0 ** -draw(
+                st.integers(30, 60)))
+    j = draw(st.integers(-1000, 1000))
+    return [complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
+            for z in rng.permutation(pts)]
+
+
+@given(collinear_sets())
+@settings(max_examples=300, deadline=None)
+def test_collinear_hull_is_the_scanned_farthest_pair(points):
+    # on distinct points the merging hull is the old one, whose collinear
+    # fallback scanned every pair in Python for the first farthest one
+    points = distinct(points)
+    want = _bits(_merging_hull(points))
+    assert _bits(convex_hull(points).vertices) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_BLOCK", 1)  # one row of pairs per block
+        assert _bits(convex_hull(points).vertices) == want
 
 
 @given(planted_pairs([0.0, 0.5, 1.0, 1.0 + 2.0 ** -20]))

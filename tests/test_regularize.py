@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_with_eigenvalues, random_theorem_series
+from resolvinv import operators
 from resolvinv.errors import (
     InvalidInputError,
     SingularOperatorError,
@@ -319,8 +320,9 @@ class TestConvergenceSweep:
 
 class TestSweepStructure:
     """What one sweep computes, counted at the numpy/LAPACK calls: one SVD,
-    no inverse, one LU per pole and zero, and per-pole solves that do not
-    grow with the number of alphas."""
+    no inverse, per-pole solves that do not grow with the number of
+    alphas, and one LU per pole and zero above the batched path's rows or
+    no scipy LAPACK call up to them."""
 
     @staticmethod
     def install_counters(monkeypatch):
@@ -336,36 +338,43 @@ class TestSweepStructure:
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.inv called")
 
-        solve = DenseMatrixOperator._solve
+        solves = DenseMatrixOperator._solves
 
-        def counted_solve(self, alpha, v):
-            solved[complex(alpha)] += 1
-            return solve(self, alpha, v)
+        def counted_solves(self, zeros, v):
+            solved.update(complex(z) for z in zeros)
+            return solves(self, zeros, v)
 
         monkeypatch.setattr(np.linalg, "svd",
                             counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "inv", refuse)
-        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
-                            counted("zgetrf", scipy.linalg.lapack.zgetrf))
-        monkeypatch.setattr(DenseMatrixOperator, "_solve", counted_solve)
+        for name in ("zgetrf", "zgetrs"):
+            monkeypatch.setattr(scipy.linalg.lapack, name,
+                                counted(name,
+                                        getattr(scipy.linalg.lapack, name)))
+        monkeypatch.setattr(DenseMatrixOperator, "_solves", counted_solves)
         return counts, solved
 
+    @pytest.mark.parametrize("n", [operators._BATCHED_DIM, 30])
     @pytest.mark.parametrize("k", [1, 3, 9])
-    def test_one_sweep(self, monkeypatch, k):
+    def test_one_sweep(self, monkeypatch, k, n):
         rng = np.random.default_rng(36)
         s = random_theorem_series(rng, 4, 4)
         plan = invert_to_plan(s)
-        m = matrix_with_eigenvalues(rng, 6.0 + rng.uniform(0, 2, 30))
+        m = matrix_with_eigenvalues(rng, 6.0 + rng.uniform(0, 2, n))
         A = DenseMatrixOperator(m)
         cfg = RegularizerConfig(tuple(10.0 ** -(2 + j) for j in range(k)))
         counts, solved = self.install_counters(monkeypatch)
-        convergence_sweep(s, plan, A, np.ones(30), cfg)
+        convergence_sweep(s, plan, A, np.ones(n), cfg)
         poles = [complex(p) for p in s.poles]
         zeros = [complex(z) for z in plan.zeros]
         assert counts["svd"] == 1
-        assert counts["zgetrf"] == len(set(poles + zeros))
+        if n > operators._BATCHED_DIM:
+            assert counts["zgetrf"] == len(set(poles + zeros))
+            assert counts["zgetrs"] == 2 * len(poles) + len(zeros)
+        else:
+            assert counts["zgetrf"] == counts["zgetrs"] == 0
         # y = f(A) x once, then every residual in one block solve per pole
         assert solved == Counter({**{p: 2 for p in poles},
                                   **{z: 1 for z in zeros}})
-        convergence_sweep(s, plan, A, np.ones(30), cfg)
+        convergence_sweep(s, plan, A, np.ones(n), cfg)
         assert counts["svd"] == 1  # cached on the operator
