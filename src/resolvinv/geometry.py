@@ -118,19 +118,23 @@ def _farthest_pair(w: np.ndarray) -> tuple[int, int]:
     """(a, b) with a < b: the first pair, row by row, at the largest
     |w[a] - w[b]|, the modulus rounded as Python's ``abs`` rounds it
     (``np.hypot`` on the parts; ``np.abs`` of a complex array rounds
-    differently).  The table of all pairs is symmetric bit for bit, so
-    with its diagonal excluded its first maximum lies above the diagonal;
-    its rows go in blocks of about _BLOCK entries."""
+    differently).  The rows go in blocks of at most _BLOCK entries, about
+    an eighth of the rows each but at least 64, and each block takes the
+    columns from its own first row on, so the table is formed about once
+    above the diagonal, not twice.  Only the diagonal is masked: the
+    block's own square is symmetric bit for bit, so a maximum below its
+    diagonal has its mirror above, in an earlier row."""
     m = w.size
-    step = max(1, _BLOCK // m)
+    step = max(1, min(_BLOCK // m, max(64, -(-m // 8))))
     best = (-1.0, 0, 1)
     for lo in range(0, m, step):
-        dz = w[lo:lo + step, None] - w
+        dz = w[lo:lo + step, None] - w[lo:]
         d = np.hypot(dz.real, dz.imag)
-        d.ravel()[lo::m + 1] = -1.0
+        width = m - lo
+        d.ravel()[::width + 1] = -1.0
         k = int(d.argmax())
         if d.flat[k] > best[0]:
-            best = (d.flat[k], lo + k // m, k % m)
+            best = (d.flat[k], lo + k // width, lo + k % width)
     return best[1:]
 
 

@@ -10,15 +10,19 @@ batched ``np.linalg.solve``; a larger one makes per zero one LAPACK
 ``zgetrs`` on the LU of alpha*I - A that ``zgetrf`` factors once per alpha
 and caches.  Both cache the eigenvalues and the SVD on the operator and
 apply A only when beta != 0.  A multiplier makes one elementwise pass
-over its symbol, and the periodic shift and ``solve_convolution`` the same
-pass between one FFT pair, in the array the forward FFT returns.  The pass
-runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
-temporaries stay in cache, with the bits of the whole-array product; the
-shift's roots of unity come from one table.  d/dt on a grid makes one
-backward pass over blocks of 4096 samples: per block and zero a numpy scan
-of the resolvent's recurrence, a reverse cumulative sum on segments that
-the grid fixes, with the bits of one scan over the whole grid;
-gamma v + beta v' + h is formed in the same block.
+over its symbol, and ``solve_convolution`` the same pass between one FFT
+pair, in the array the forward FFT returns.  The pass runs
+``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
+temporaries stay in cache, with the bits of the whole-array product.
+d/dt on a grid makes one backward pass over blocks of 4096 samples: per
+block and zero a numpy scan of the resolvent's recurrence, a reverse
+cumulative sum on segments that the grid fixes, with the bits of one scan
+over the whole grid; gamma v + beta v' + h is formed in the same block.
+The periodic shift runs each zero z on the same scan, with no FFT:
+(z - T)^{-1} v is the recurrence z w_i - w_i+1 = v_i closed once around
+the period, scanned backwards for |z| > 1 and over the reversed signal
+otherwise, entering with the carry that closes it.  Its roots of unity
+are built from one table, and only when ``symbol`` is asked for.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
@@ -49,6 +53,7 @@ solve, so every other path starts and runs without it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -362,7 +367,8 @@ class GridDerivativeOperator(OperatorHandle):
                         dtype=complex)
         y, dv, term = work[:3]
         with np.errstate(all="ignore"):
-            scans = [_ZeroScan(alpha, ck, self.dt, n - 1, work[3 + 2 * j:])
+            scans = [_ZeroScan.grid(alpha, ck, self.dt, n - 1,
+                                    work[3 + 2 * j:])
                      for j, (alpha, ck) in enumerate(zip(zeros,
                                                          plan.residues))]
             # per zero, u at the first sample of the block last solved;
@@ -379,8 +385,11 @@ class GridDerivativeOperator(OperatorHandle):
                 h = out[s]
                 h.fill(0)
                 for j, scan in enumerate(scans):
-                    carries[j] = scan.run(vc, dvc, carries[j], h[:cells],
-                                          y, term)
+                    # the cells as y = cell / i0 = v_i + (v_i+1 - v_i) rho
+                    yy = np.multiply(dvc, scan.rho, out=y[:cells])
+                    yy += vc
+                    carries[j] = scan.run(yy, yy, carries[j], h[:cells],
+                                          term)
                 lin = np.multiply(plan.gamma, v[s], out=term[:k])
                 if plan.beta != 0:
                     grad = self._derivative(v, s)
@@ -455,29 +464,57 @@ _RAMP = np.arange(64, dtype=complex)
 
 
 class _ZeroScan:
-    """One zero's recurrence in the grid's backward pass, as a scan.
+    """One zero's first-order recurrence as a numpy scan, backwards.
 
-    w_i = e w_i+1 + cell_i with e = exp(-alpha dt) and w = 0 at the grid
-    end, on segments of L cells at multiples of L from the grid's start:
-    with p_j = e^j, a segment's w = (revcumsum(p cell) + p_L carry) / p,
-    the carry being w at the next segment's first sample.  L is the
-    largest power of two up to _BLOCK with |e|^L >= 2^-_SCAN_BITS, so that
-    every e^j and e^-j of a segment is a normal float with room to spare.
+    w_i = e w_i+1 + i0 y_i with e = exp(-x), on segments of L cells at
+    multiples of L from the first cell: with p_j = e^j, a segment's
+    w = i0 (revcumsum(p y) + p_L carry) / p, the carry being w / i0 at the
+    next segment's first cell.  L is the largest power of two up to _BLOCK
+    with |e|^L >= 2^-_SCAN_BITS, so that every e^j and e^-j of a segment is
+    a normal float with room to spare, and at most the number of cells.
     When even |e| is below that (e near 0, or 0 past the float range),
-    L = 1: every cell is a segment, w = cell + e carry, the recurrence
-    itself.  The segments do not depend on the blocks of the pass, nor do
-    the bits.  A grid of at most L cells is one segment.
+    L = 1: every cell is a segment, w = i0 y + e carry, the recurrence
+    itself.  The segments do not depend on the blocks of a pass, nor do
+    the bits.  The grid runs its zeros on it, and the periodic shift on
+    :class:`_ShiftScan`, which builds its tables apart.
 
-    The pass takes the cells as y = cell / i0 = v_i + (v_i+1 - v_i) rho
-    and the table of 1/p as qi = i0 / p: c w = c (u qi) with
-    u = revcumsum(p y) + p_L carry.  A power of two 2^k moves from qi to p
-    when qi would come within 2^24 of the float range's end.
+    The table of 1/p is kept as qi = i0 / p: c w = c (u qi) with
+    u = revcumsum(p y) + p_L carry, and p_L = e_l past the table's end.
     """
 
-    def __init__(self, alpha: complex, ck: complex, d: float, cells: int,
+    def __init__(self, x: complex, i0: complex, ck: complex, cells: int,
                  tables: np.ndarray):
-        """The scan of the zero alpha with residue ck on a grid of step d
-        and ``cells`` cells, its two tables in the rows of ``tables``."""
+        """The scan of e = exp(-x), Re x >= 0, cell weight i0 and residue
+        ck over ``cells`` cells, its two tables in the rows of ``tables``."""
+        self.ck = ck
+        span = _SCAN_BITS * math.log(2.0) / x.real if x.real > 0 else math.inf
+        L = 1 << int(math.log2(min(span, _BLOCK))) if span >= 1.0 else 1
+        L = min(L, cells)
+        self.p, self.qi = tables[:2, :L]
+        self.e_l = self._tables(x, i0)
+
+    def _tables(self, x: complex, i0: complex) -> complex:
+        """Fills p and qi and returns e_l = e^L.  The grid's: the first 64
+        powers ``np.exp``'s, then :func:`_powers`' stretches, and
+        qi_j = i0 e^-(L-1) p_L-1-j; a power of two 2^k moves from qi to p
+        when qi would come within 2^24 of the float range's end."""
+        L = self.p.size
+        _powers(-x, self.p)
+        scale = i0 * cmath.exp(x * (L - 1))
+        k = max(0, math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
+                - 1000)
+        if k:
+            self.p *= 2.0 ** k
+            scale *= 2.0 ** (-2 * k)
+        np.multiply(self.p[::-1], scale, out=self.qi)
+        return cmath.exp(-x * L)
+
+    @classmethod
+    def grid(cls, alpha: complex, ck: complex, d: float, cells: int,
+             tables: np.ndarray) -> "_ZeroScan":
+        """The scan of (alpha - d/dt)^{-1} on a grid of step d: x = alpha d,
+        i0 and ``rho`` = i1 / (d i0) from :func:`_cell_weights`, so that a
+        cell is i0 y with y = v_i + (v_i+1 - v_i) rho."""
         alpha = complex(alpha)
         if alpha.real <= SPECTRUM_EPS * math.hypot(alpha.real, alpha.imag):
             raise SingularResolventError(
@@ -486,54 +523,42 @@ class _ZeroScan:
         i0, i1_d = _cell_weights(alpha, d) if cmath.isfinite(x) else (0, 0)
         if not (i0 != 0 and cmath.isfinite(i0) and cmath.isfinite(i1_d)):
             raise ConditioningError("cell weights exceed the float range")
-        self.rho = i1_d / i0
-        self.ck = ck
-        span = _SCAN_BITS * math.log(2.0) / x.real if x.real > 0 else math.inf
-        L = 1 << int(math.log2(min(span, _BLOCK))) if span >= 1.0 else 1
-        L = min(L, cells)
-        self.p, self.qi = tables[:2, :L]
-        _powers(-x, self.p)
-        # i0 / p_j = i0 e^-(L-1) p_L-1-j: one pass over the table
-        scale = i0 * cmath.exp(x * (L - 1))
-        k = max(0, math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
-                - 1000)
-        if k:
-            self.p *= 2.0 ** k
-            scale *= 2.0 ** (-2 * k)
-        np.multiply(self.p[::-1], scale, out=self.qi)
-        self.e_l = cmath.exp(-x * L)
+        scan = cls(x, i0, ck, cells, tables)
+        scan.rho = i1_d / i0
+        return scan
 
-    def run(self, vc, dvc, carry, h, y, term):
-        """h += c w on the cells of one block (v at them ``vc``, their
-        differences ``dvc``), whose next block left ``carry`` (None at the
-        grid's end); returns the carry for the block before it.  ``y`` and
-        ``term`` are scratch of the block's size."""
-        cells = vc.size
+    def run(self, y, u, carry, h, term):
+        """h += c w on the cells y of one block, whose next block left
+        ``carry`` (None past the last cell, where w = 0); returns the carry
+        for the block before it.  ``u`` (which may be y) and ``term`` are
+        scratch of the block's size.  Only the block holding the last cell
+        may end inside a segment."""
+        cells = y.size
         L = self.p.size
-        yy = np.multiply(dvc, self.rho, out=y[:cells])
-        yy += vc
         full, tail = divmod(cells, L)
-        if carry is None:
-            # the grid's last segment, up to L cells: it ends at w = 0
-            if not tail:
-                full, tail = full - 1, L
-            seg = yy[full * L:]
+        if carry is None and not tail:
+            # the last segment ends at w = 0: run it on its own
+            full, tail = full - 1, L
+        if tail:
+            seg = u[full * L:cells]
             buf = term[:tail]
-            np.multiply(seg, self.p[:tail], out=buf)
+            np.multiply(y[full * L:], self.p[:tail], out=buf)
             np.cumsum(buf[::-1], out=seg[::-1])
+            if carry is not None:
+                seg += self.p[tail] * carry
             carry = seg[0]
             np.multiply(seg, self.qi[:tail], out=buf)
             h[full * L:] += np.multiply(self.ck, buf, out=seg)
         if not full:
             return carry
-        u = yy[:full * L].reshape(full, L)
+        uu = u[:full * L].reshape(full, L)
         buf = term[:full * L].reshape(full, L)
-        np.multiply(u, self.p, out=buf)
-        np.cumsum(buf[:, ::-1], axis=1, out=u[:, ::-1])
-        u += np.multiply(self._carries(u[:, 0], carry), self.e_l)[:, None]
-        carry = u[0, 0]
-        np.multiply(u, self.qi, out=buf)
-        h[:full * L] += np.multiply(self.ck, buf, out=u).reshape(-1)
+        np.multiply(y[:full * L].reshape(full, L), self.p, out=buf)
+        np.cumsum(buf[:, ::-1], axis=1, out=uu[:, ::-1])
+        uu += np.multiply(self._carries(uu[:, 0], carry), self.e_l)[:, None]
+        carry = uu[0, 0]
+        np.multiply(uu, self.qi, out=buf)
+        h[:full * L] += np.multiply(self.ck, buf, out=uu).reshape(-1)
         return carry
 
     def _carries(self, starts: np.ndarray, carry) -> np.ndarray:
@@ -555,8 +580,131 @@ class _ZeroScan:
         return c
 
 
+class _ShiftScan(_ZeroScan):
+    """The scan of c (z - T)^{-1} for the cyclic shift T on n samples:
+    z w_i - w_i+1 = v_i, closed once around the period.
+
+    For |z| > 1 it runs backwards, w_i = e (w_i+1 + v_i): e = 1/z, taken
+    as exp(-log z), and cell weight 1/z on the cells v.  Else forwards,
+    w_i+1 = e w_i - v_i with e = z = exp(log z) (e = 0 for z = 0): the
+    backward scan with cell weight -1 of the reversed signal, whose cell k
+    is sample (n - 2 - k) mod n (:func:`_pass_cells`).  Either pass enters
+    the period's end with the carry of :meth:`periodic_carry`.
+
+    Every table entry e^j, its reciprocal and e_l is exp(w j) for
+    w = -x = hi + lo with hi short enough that hi j is exact
+    (:func:`_exp_ramp`), so they agree with each other and with the
+    periodic carry's e^n to a few ulps; exp(w j) with w j rounded, as the
+    grid takes its first 64 powers, is off by up to j |w| eps / 2, a
+    backward error of up to 60 eps at n = 63 next to the circle.
+    """
+
+    def __init__(self, z: complex, ck: complex, n: int, tables: np.ndarray):
+        z = complex(z)
+        self.forward = abs(z) <= 1.0
+        if z == 0:
+            self.x = complex(math.inf, 0.0)
+        else:
+            self.x = -cmath.log(z) if self.forward else cmath.log(z)
+        self.n = n
+        super().__init__(self.x, -1.0 if self.forward else 1.0 / z, ck, n,
+                         tables)
+
+    def _tables(self, x: complex, i0: complex) -> complex:
+        """p_j = e^j and qi_j = i0 / p_j, returning e_l = e^L."""
+        L = self.p.size
+        if x.real == math.inf:
+            # e = 0: w = i0 y
+            self.p[0], self.qi[0] = 1.0, i0
+            return 0j
+        _exp_ramp(-x, _INDEX[:L], out=self.p)
+        np.divide(i0, self.p, out=self.qi)
+        return complex(_exp_ramp(-x, np.array([float(L)]))[0])
+
+    def periodic_carry(self, read) -> complex:
+        """w_n / i0 = w_0 / i0 = (sum_j e^j y_j) / (1 - e^n) on the n cells
+        y that ``read(lo, hi)`` returns.  The sum runs over the cells whose
+        weight e^j has not underflowed, segment by segment on the table
+        and across segments by Horner's rule in e_l; 1 - e^n is formed
+        from x by :func:`_one_minus_exp`, not from e."""
+        n, x, L = self.n, self.x, self.p.size
+        head = n if x.real <= 0 else min(n, int(_UNDERFLOW / x.real) + 1)
+        sums = []
+        for lo in range(0, head, _BLOCK):
+            cells = read(lo, min(lo + _BLOCK, n))[:head - lo]
+            full, tail = divmod(cells.size, L)
+            sums.extend(np.dot(cells[:full * L].reshape(full, L), self.p))
+            if tail:
+                sums.append(np.dot(cells[full * L:], self.p[:tail]))
+        total = 0j
+        for segment in reversed(sums):
+            total = total * self.e_l + segment
+        if x.real == math.inf:
+            return total
+        return total / _one_minus_exp(-x, n)
+
+
+# the sum of the periodic carry takes only the j with e^j past 2^-1075,
+# where it rounds to 0: Re(x) j < 1075 log 2
+_UNDERFLOW = 1075 * math.log(2.0)
+
+# the indices j of a block, for the shift's tables
+_INDEX = np.arange(_BLOCK, dtype=float)
+
+
+def _split(w: complex, bits: int) -> tuple[complex, complex]:
+    """w = hi + lo, hi's parts rounded to 53 - bits significant bits: hi j
+    is exact for every integer j < 2^bits, and lo holds the rest of w."""
+    def head(a):
+        m, e = math.frexp(a)
+        return math.ldexp(round(math.ldexp(m, 53 - bits)), e - 53 + bits)
+    hi = complex(head(w.real), head(w.imag))
+    return hi, w - hi
+
+
+def _exp_ramp(w: complex, j: np.ndarray, out=None) -> np.ndarray:
+    """exp(w j) for the integers j (floats up to _BLOCK) as
+    exp(hi j) exp(lo j), w split by :func:`_split`: no rounding of w j, so
+    each entry is within a few ulps of exp(w j) for the float w."""
+    hi, lo = _split(w, _BLOCK.bit_length())
+    out = np.exp(np.multiply(hi, j, out=out, dtype=complex), out=out)
+    out *= np.exp(np.multiply(lo, j, dtype=complex))
+    return out
+
+
+def _one_minus_exp(w: complex, n: int) -> complex:
+    """1 - exp(w n), with w split by :func:`_split` so that hi n is exact:
+    -(expm1(hi n) (1 + expm1(lo n)) + expm1(lo n)), with no cancellation
+    when exp(w n) is near 1 and within a few ulps of the e^n the scan
+    reaches through its tables."""
+    hi, lo = _split(w, n.bit_length())
+    a, b = complex(np.expm1(hi * n)), complex(np.expm1(lo * n))
+    return -(a * (1.0 + b) + b)
+
+
+def _pass_cells(y: np.ndarray, forward: bool, lo: int, hi: int,
+                buf: np.ndarray) -> np.ndarray:
+    """The cells [lo, hi) of a pass: for a backward one the signal y
+    itself; for a forward one, y is the reversed signal and cell k is
+    y[k + 1], sample (n - 2 - k) mod n, the last cell wrapping to y[0],
+    which is copied with the rest of its block into ``buf``."""
+    if not forward or hi < y.size:
+        return y[lo + forward:hi + forward]
+    cells = buf[:hi - lo]
+    cells[:-1] = y[lo + 1:]
+    cells[-1] = y[0]
+    return cells
+
+
 class PeriodicShiftOperator(OperatorHandle):
-    """Cyclic shift x(k) -> x(k+1 mod n); unitary, diagonalized by the DFT."""
+    """Cyclic shift x(k) -> x(k+1 mod n); unitary, diagonalized by the DFT.
+
+    ``apply_plan`` solves each zero z's (z - T) w = v, the recurrence
+    z w_i - w_i+1 = v_i closed once around the period, as a numpy scan
+    (:class:`_ShiftScan`) over blocks of _BLOCK samples, backwards for
+    |z| > 1 and forwards otherwise, with no FFT and no n-sample array but
+    the output.  The roots of unity, ``symbol``, are built only when asked
+    for; the pole check computes the nearest root of each zero alone."""
 
     resolvent_solve = OperatorHandle.resolvent_solve
 
@@ -564,7 +712,12 @@ class PeriodicShiftOperator(OperatorHandle):
         if n < 1:
             raise InvalidInputError("signal length must be at least 1")
         self.dim = n
-        self.symbol = _unit_roots(n)
+
+    @functools.cached_property
+    def symbol(self) -> np.ndarray:
+        """The roots of unity exp(2 pi i k / n), the shift's eigenvalues,
+        built on first use by :func:`_unit_roots`."""
+        return _unit_roots(self.dim)
 
     def apply(self, v):
         return np.roll(self.checked_vector(v), -1, axis=-1)
@@ -573,25 +726,70 @@ class PeriodicShiftOperator(OperatorHandle):
         return PointSpectrum(self.symbol)
 
     def apply_plan(self, plan, v):
-        """The blocked (1/f)(symbol) pass between one FFT pair."""
+        """(gamma + beta T + h(T)) v: every zero checked against its nearest
+        root of unity first, then each signal on the last axis by
+        :meth:`_solve`.  Raises :class:`ConditioningError` when a sample
+        leaves the float range."""
         zeros = _check_finite_poles(plan.zeros)
-        _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.symbol))
-        return _fourier_plan_solve(plan, self.symbol, self.checked_vector(v))
+        _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.dim))
+        v = self.checked_vector(v)
+        out = np.empty(v.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            for row, dst in zip(v.reshape(-1, self.dim),
+                                out.reshape(-1, self.dim)):
+                self._solve(plan, row, dst)
+        return _require_finite(out)
+
+    def _solve(self, plan, v, out):
+        """out = (beta T v + gamma v) + sum_k c_k (z_k - T)^{-1} v for one
+        signal: the zeros outside the unit circle in one backward pass over
+        the blocks, then the others in one over the reversed signal."""
+        n = self.dim
+        # one allocation: a block's cells and two scratch rows, with one
+        # sample to spare, then each zero's two tables
+        work = np.empty((3 + 2 * plan.zeros.size, min(n, _BLOCK + 1)),
+                        dtype=complex)
+        buf, u, term = work[:3]
+        scans = [_ShiftScan(z, ck, n, work[3 + 2 * j:])
+                 for j, (z, ck) in enumerate(zip(plan.zeros, plan.residues))]
+        spans = _block_spans(n)
+        np.multiply(plan.beta, v[1:], out=out[:-1])
+        np.multiply(plan.beta, v[:1], out=out[-1:])
+        for s in spans:
+            out[s] += np.multiply(plan.gamma, v[s],
+                                  out=term[:s.stop - s.start])
+        for forward in (False, True):
+            group = [scan for scan in scans if scan.forward == forward]
+            if not group:
+                continue
+            # the signal and the output in the pass's order
+            y, h = (v[::-1], out[::-1]) if forward else (v, out)
+            read = functools.partial(_pass_cells, y, forward, buf=buf)
+            carries = [scan.periodic_carry(read) for scan in group]
+            for s in reversed(spans):
+                cells = read(s.start, s.stop)
+                for j, scan in enumerate(group):
+                    carries[j] = scan.run(cells, u, carries[j], h[s], term)
 
 
-def _unit_roots(n: int) -> np.ndarray:
-    """exp(2 pi i k / n) for k < n.  Up to _BLOCK of them are ``np.exp``'s,
-    bit for bit.  Past that, each block of _BLOCK is
-    a table of the first roots turned by the block's first root, one
-    complex product per sample, and every angle past a half turn is taken
-    as 2 pi (k - n) / n, whose rounding is half as large: each root is
-    then within 4 eps of the exact one (``np.exp``'s are up to 7 eps off)."""
+def _unit_roots(n: int, k=None) -> np.ndarray:
+    """exp(2 pi i k / n) for the indices k, by default every k < n.  Up to
+    _BLOCK of them are ``np.exp``'s, bit for bit.  Past that, each block of
+    _BLOCK is a table of the first roots turned by the block's first root,
+    one complex product per sample, and every angle past a half turn is
+    taken as 2 pi (k - n) / n, whose rounding is half as large: each root
+    is then within 4 eps of the exact one (``np.exp``'s are up to 7 eps
+    off).  Given indices, each root is the same product of the same two
+    factors, with the table's bits."""
     if n <= _BLOCK:
-        return np.exp(2j * np.pi * np.arange(n) / n)
+        return np.exp(2j * np.pi * (np.arange(n) if k is None else k) / n)
 
     def roots(k):
         return np.exp(1j * (2.0 * np.pi * np.where(2 * k > n, k - n, k) / n))
 
+    if k is not None:
+        r = k % _BLOCK
+        return roots(r) * roots(k - r)
     table = roots(np.arange(_BLOCK))
     out = np.empty(n, dtype=complex)
     for i, turn in zip(range(0, n, _BLOCK), roots(np.arange(0, n, _BLOCK))):
@@ -677,12 +875,11 @@ def _check_symbol_gap(poles, samples: np.ndarray):
                 f"pole {p} lies on or too near the spectrum")
 
 
-def _nearest_unit_roots(poles, sym: np.ndarray) -> np.ndarray:
-    """The sample of the roots of unity ``sym`` nearest each pole: the one
-    closest in angle, found without a pass over the n samples."""
-    n = sym.size
+def _nearest_unit_roots(poles, n: int) -> np.ndarray:
+    """The root of unity of order n nearest each pole, the one closest in
+    angle: ``_unit_roots(n)``'s entry, bit for bit, without the n roots."""
     turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
-    return sym[np.rint(n * turns).astype(int) % n]
+    return _unit_roots(n, np.rint(n * turns).astype(int) % n)
 
 
 def _series_plan(series: ResolventSeries) -> InversionPlan:

@@ -782,14 +782,22 @@ def test_filter_whose_companion_matrix_overflows_exits_four(tmp_path,
 def test_solution_past_the_float_range_exits_four(demo_dir, tmp_path,
                                                   capsys):
     # one pole at 0 with a = 1/1.12e307: beta = -1.12e307 takes the demo
-    # signal past the float range, which is an error, not an inf in the CSV
+    # signal, up to 1.00002 in modulus, to 1.12e307, still a float, and
+    # 32 times that signal past the float range, which is an error, not
+    # an inf in the CSV
     problem = tmp_path / "filter.json"
     problem.write_text(json.dumps({
         "kind": "filter", "c": [[0.0, 0.0], [0.0, 1.1235410651512325e307]],
         "b": [[0.0, 1.0]]}))
     out = tmp_path / "x.csv"
     assert main(["invert", str(problem), "--input",
-                 str(demo_dir / "filter_y.csv"), "--output", str(out)]) == 4
+                 str(demo_dir / "filter_y.csv"), "--output", str(out)]) == 0
+    capsys.readouterr()
+    y = np.loadtxt(demo_dir / "filter_y.csv", delimiter=",", ndmin=2)
+    np.savetxt(tmp_path / "y32.csv", 32.0 * y, delimiter=",")
+    out.unlink()
+    assert main(["invert", str(problem), "--input",
+                 str(tmp_path / "y32.csv"), "--output", str(out)]) == 4
     assert "error: solution exceeds the float range" in capsys.readouterr().err
     assert not out.exists()
 

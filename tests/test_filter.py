@@ -138,6 +138,6 @@ def test_nearest_unit_root_matches_a_full_scan(n):
     rng = np.random.default_rng(n)
     poles = rng.standard_normal(500) + 1j * rng.standard_normal(500)
     sym = PeriodicShiftOperator(n).symbol
-    got = np.abs(poles - _nearest_unit_roots(poles, sym))
+    got = np.abs(poles - _nearest_unit_roots(poles, n))
     want = np.min(np.abs(poles[:, None] - sym[None, :]), axis=1)
     assert np.array_equal(got, want)

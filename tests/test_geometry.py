@@ -303,6 +303,37 @@ def test_collinear_hull_is_the_scanned_farthest_pair(points):
         assert _bits(convex_hull(points).vertices) == want
 
 
+@st.composite
+def collinear_ties(draw):
+    """3 to 40 points at small integer steps along a line, so that many
+    pairs tie at the largest distance (and some points repeat), all
+    scaled by 2^j for |j| <= 1000."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(3, 40))
+    t = rng.integers(-3, 4, m).astype(float)
+    pts = t * draw(st.sampled_from([1, 1j, 1 + 1j, 0.5 - 2j, -3 + 4j]))
+    j = draw(st.integers(-1000, 1000))
+    return np.ldexp(pts.real, j) + 1j * np.ldexp(pts.imag, j)
+
+
+@given(st.one_of(collinear_ties(), collinear_sets().map(np.array)))
+@settings(max_examples=300, deadline=None)
+def test_farthest_pair_is_the_full_tables_first_maximum(w):
+    # only the pairs a < b are formed; the full symmetric table's first
+    # row-major maximum, its diagonal excluded, is the same pair
+    dz = w[:, None] - w
+    d = np.hypot(dz.real, dz.imag)
+    np.fill_diagonal(d, -1.0)
+    k = int(d.argmax())
+    want = (k // w.size, k % w.size)
+    assert geometry._farthest_pair(w) == want
+    # one row of pairs per block, and blocks of 300 // m rows
+    for block in [1, 300]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK", block)
+            assert geometry._farthest_pair(w) == want
+
+
 @given(planted_pairs([0.0, 0.5, 1.0, 1.0 + 2.0 ** -20]))
 @settings(max_examples=300, deadline=None)
 def test_hull_of_near_duplicates_holds_every_point(points):

@@ -216,8 +216,8 @@ class TestGridDerivativeOperator:
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v[5000:7000] = 0
-        scan = operators._ZeroScan(alpha, 1.0, g.dt, n - 1,
-                                   np.empty((2, n), dtype=complex))
+        scan = operators._ZeroScan.grid(alpha, 1.0, g.dt, n - 1,
+                                        np.empty((2, n), dtype=complex))
         assert scan.p.size == segment
         got = g.resolvent_solve(alpha, v)
         want, e = self._loop_resolvent(g, alpha, v)
@@ -531,10 +531,10 @@ def test_one_sample_shift():
 
 
 # --- the blocked Fourier-diagonal pass ---------------------------------------
-# A multiplier and the shift multiply (1/f)(symbol) into the vector in blocks
-# of operators._BLOCK samples.  The references below are the whole-array
-# expressions the two used before: ``r **= -1`` in the plan's evaluation and
-# one product over every sample.
+# A multiplier and the convolution multiply (1/f)(symbol) into the vector
+# in blocks of operators._BLOCK samples.  The references below are the
+# whole-array expressions the two used before: ``r **= -1`` in the plan's
+# evaluation and one product over every sample.
 
 # 4097 and 8193 end in a one-sample remainder, which numpy would round
 # differently in place (in about a third of draws, so each size takes 20)
@@ -572,7 +572,7 @@ def test_blocked_product_matches_the_whole_array_bit_for_bit(n):
         want = _bits(_whole_array_product(plan, symbol, v))
         np.testing.assert_array_equal(
             _bits(MultiplierOperator(symbol).apply_plan(plan, v)), want)
-        # in place, as the shift runs it on its spectrum
+        # in place, as the convolution runs it on its spectrum
         operators._plan_product(plan, symbol, v, v)
         np.testing.assert_array_equal(_bits(v), want)
 
@@ -641,21 +641,150 @@ def _parent_filter_solve(plan, y):
         plan, symbol, np.fft.fft(-np.roll(y, 1))))
 
 
+def _plans_for_the_shift():
+    # zeros 2.43 and 2.94 in modulus, then 0.26 and 1.55: both passes
+    inside = ResolventSeries(((1.0, 0.5 + 0.2j), (0.5, -0.3 - 0.4j),
+                              (2.0, 2.5 + 2j)))
+    return [_plan_for_blocks(), invert_to_plan(inside)]
+
+
 @pytest.mark.parametrize("n", [1, 64, 4095, 4096, 4097, 3 * 4096 + 17,
                                2 ** 16])
-def test_filter_solve_matches_the_whole_array_expression(n):
-    # bit for bit while the roots are np.exp's (n <= 4096), and to the
-    # rounding of the table's roots beyond
+def test_filter_solve_matches_the_fft_solve(n):
+    # the scan against the FFT pair it replaced, to 64 kappa eps with
+    # kappa = max|1/f| / min|1/f| over the roots of unity
     rng = np.random.default_rng(n)
-    plan = _plan_for_blocks()
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = solve_filter(plan, y)
-    want = _parent_filter_solve(plan, y)
-    if n <= 4096:
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-    else:
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for plan in _plans_for_the_shift():
+        g = np.abs(plan.evaluate_scalar(roots))
+        kappa = g.max() / g.min()
+        want = _parent_filter_solve(plan, y)
+        got = solve_filter(plan, y)
         assert (np.linalg.norm(got - want)
-                <= 1e-15 * np.linalg.norm(want))
+                <= 64 * kappa * EPS * np.linalg.norm(want))
+
+
+def _shift_zero(kind, n, turn):
+    """A zero of each hard kind for the shift on n samples: 0, 1e300 and
+    1e-300 in modulus, 1e-9 off the unit circle on either side, and on it
+    halfway between two roots of unity (opposite the one root at n = 1)."""
+    phase = cmath.exp(2j * cmath.pi * turn)
+    return {"zero": 0j, "huge": 1e300 * phase, "tiny": 1e-300 * phase,
+            "outside": (1 + 1e-9) * phase, "inside": (1 - 1e-9) * phase,
+            "between": cmath.exp(1j * cmath.pi * (2 * round(turn * n) + 1)
+                                 / n)}[kind]
+
+
+SHIFT_ZERO_KINDS = ["zero", "huge", "tiny", "outside", "inside", "between"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), kind=st.sampled_from(SHIFT_ZERO_KINDS),
+       turn=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_shift_resolvent_is_backward_stable(n, kind, turn, seed):
+    z = _shift_zero(kind, n, turn)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    T = PeriodicShiftOperator(n)
+    w = T.resolvent_solve(z, u)
+    residual = np.linalg.norm(z * w - T.apply(w) - u)
+    assert residual <= 8 * EPS * (np.linalg.norm(u)
+                                  + (1 + abs(z)) * np.linalg.norm(w))
+    # and against the dense circulant z I - C, to its condition number
+    shifted = z * np.eye(n) - np.roll(np.eye(n), 1, axis=1)
+    want = np.linalg.solve(shifted, u)
+    dist = np.abs(z - np.exp(2j * np.pi * np.arange(n) / n))
+    kappa = dist.max() / dist.min()
+    assert (np.linalg.norm(w - want)
+            <= 64 * kappa * EPS * np.linalg.norm(want))
+
+
+def _whole_signal_shift_resolvent(z, v):
+    """(z - T)^{-1} v as one scan over the whole signal, segment by
+    segment from its end, on the tables and periodic carry of the pass."""
+    n = v.size
+    scan = operators._ShiftScan(z, 1.0, n, np.empty((2, n), dtype=complex))
+    # the cells of the pass: the signal, or for a forward pass sample
+    # (n - 2 - k) mod n at cell k
+    cells = np.roll(v[::-1], -1) if scan.forward else v
+    carry = scan.periodic_carry(lambda lo, hi: cells[lo:hi])
+    L = scan.p.size
+    w = np.empty(n, dtype=complex)
+    for lo in reversed(range(0, n, L)):
+        seg = cells[lo:lo + L]
+        u = np.cumsum((seg * scan.p[:seg.size])[::-1])[::-1]
+        if seg.size < L:
+            u += scan.p[seg.size] * carry
+        else:
+            u += np.multiply([carry], scan.e_l)
+        w[lo:lo + seg.size] = u * scan.qi[:seg.size]
+        carry = u[0]
+    # added to gamma v + beta T v = 0 as in the plan, which makes -0 +0
+    return (w[::-1] if scan.forward else w) + 0.0
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096, 4097, 2 * 4096 + 1,
+                               3 * 4096 + 17, 2 ** 16])
+@pytest.mark.parametrize("z", [0.5 + 0.2j, -0.9j, (1 - 1e-9) * 1j, 1.6 - 0.3j,
+                               (1 + 1e-9) * cmath.exp(0.3j), 0j, 1e300])
+def test_blocked_shift_pass_is_one_scan_over_the_signal(n, z):
+    # blocks of operators._BLOCK samples and Jacobi carries give the bits
+    # of one scan over the whole signal
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v[n // 3:n // 2] = 0
+    np.testing.assert_array_equal(
+        _bits(PeriodicShiftOperator(n).resolvent_solve(z, v)),
+        _bits(_whole_signal_shift_resolvent(z, v)))
+
+
+def test_shift_solve_runs_each_signal_on_the_last_axis():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((2, 3, 4097)) + 1j * rng.standard_normal(
+        (2, 3, 4097))
+    T = PeriodicShiftOperator(4097)
+    for plan in _plans_for_the_shift():
+        got = T.apply_plan(plan, v)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(
+                _bits(got[idx]), _bits(T.apply_plan(plan, v[idx])))
+
+
+def test_forward_filter_round_trip_outside_the_circle():
+    # characteristic roots 1.6 and 2.4i, equal residues: the plan's zero
+    # 0.8 + 1.2i has modulus 1.44, so the shift runs its backward pass
+    c = (3.84j, -1.6 - 2.4j, 1.0)
+    spec = FilterSpec(c, (-1.6 - 2.4j, 2.0))
+    plan = checked_plan(filter_to_series(spec), UnitCircle())
+    np.testing.assert_allclose(plan.zeros, [0.8 + 1.2j], rtol=1e-14)
+    rng = np.random.default_rng(9)
+    for n in [1, 7, 4097, 2 ** 16]:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        back = invert_filter(spec, forward_filter(spec, x))
+        assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+
+
+def test_shift_solve_builds_no_root_table():
+    T = PeriodicShiftOperator(2 ** 12)
+    T.apply_plan(_plan_for_blocks(), np.ones(2 ** 12))
+    assert "symbol" not in vars(T)
+    np.testing.assert_array_equal(T.symbol, operators._unit_roots(2 ** 12))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 3 * 4096 + 17,
+                               2 ** 16, 2 ** 20])
+def test_nearest_root_is_the_table_entry_bit_for_bit(n):
+    # the pole check computes the m roots it needs; at the block edges and
+    # the table's ends they are the full table's entries
+    table = operators._unit_roots(n)
+    edges = [k for b in range(0, n + 4096, 4096) for k in (b - 1, b, b + 1)]
+    k = np.unique(np.array(edges + [n // 2, (n + 1) // 2]) % n)
+    poles = 1.5 * np.exp(2j * np.pi * k / n)
+    np.testing.assert_array_equal(
+        _bits(operators._nearest_unit_roots(poles, n)), _bits(table[k]))
+    np.testing.assert_array_equal(
+        _bits(operators._unit_roots(n, k)), _bits(table[k]))
 
 
 @pytest.mark.parametrize("n", [64, 4096, 4097, 4098, 2 * 4096 + 1,
@@ -692,8 +821,8 @@ GRID_SIZES = [3, 64, 4096, 4097, 4098, 2 * 4096 + 1, 2 * 4096 + 2,
 def _whole_array_resolvent(g, alpha, v):
     """(alpha - d/dt)^{-1} v as one scan over the whole grid, segment by
     segment from its end, on the segments and tables of the pass."""
-    scan = operators._ZeroScan(alpha, 1.0, g.dt, v.size - 1,
-                               np.empty((2, v.size), dtype=complex))
+    scan = operators._ZeroScan.grid(alpha, 1.0, g.dt, v.size - 1,
+                                    np.empty((2, v.size), dtype=complex))
     L = scan.p.size
     y = (v[1:] - v[:-1]) * scan.rho + v[:-1]
     out = np.zeros(v.size, dtype=complex)
@@ -816,12 +945,15 @@ def test_grid_pass_raises_when_the_solution_leaves_the_float_range():
 
 def test_solves_past_the_float_range_raise_without_a_warning():
     # one pole at 0 with a = 1/1.12e307: beta = -1.12e307 takes the demo
-    # filter output past the float range; RuntimeWarnings are errors here
+    # filter output, up to 1.00002 in modulus, to 1.12e307 and 32 times
+    # that output past the float range; RuntimeWarnings are errors here
     xf = np.zeros(16, dtype=complex)
     xf[0] = 1.0
     y = forward_filter(FilterSpec((-0.5, 1.0), (1.0,)), xf)
+    spec = FilterSpec((0, 1.1235410651512325e307j), (1j,))
+    assert np.isfinite(invert_filter(spec, y)).all()
     with pytest.raises(ConditioningError, match="float range"):
-        invert_filter(FilterSpec((0, 1.1235410651512325e307j), (1j,)), y)
+        invert_filter(spec, 32.0 * y)
 
     big = operators.InversionPlan(1e308 + 0j, 0j, np.array([3.0 + 0j]),
                                   np.array([1e308 + 0j]))
