@@ -21,8 +21,10 @@ over the whole grid; gamma v + beta v' + h is formed in the same block.
 The periodic shift runs each zero z on the same scan, with no FFT:
 (z - T)^{-1} v is the recurrence z w_i - w_i+1 = v_i closed once around
 the period, scanned backwards for |z| > 1 and over the reversed signal
-otherwise, entering with the carry that closes it.  Its roots of unity
-are built from one table, and only when ``symbol`` is asked for.
+otherwise, entering with the carry that closes it.  Both build each
+zero's tables of e^j one way, every power within a few eps of the
+others.  The shift's roots of unity are built from one table, and only
+when ``symbol`` is asked for.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
@@ -448,21 +450,6 @@ def _cell_weights(alpha: complex, d: float) -> tuple[complex, complex]:
             (1.0 - (1.0 + x) * cmath.exp(-x)) / (x * alpha))
 
 
-def _powers(w: complex, out: np.ndarray) -> None:
-    """out[j] = exp(w j) for j < out.size: up to 64 of them ``np.exp``'s,
-    each further stretch the ones before it turned by exp(w m), m = 64,
-    128, ..."""
-    m = min(out.size, 64)
-    np.exp(np.multiply(w, _RAMP[:m], out=out[:m]), out=out[:m])
-    while m < out.size:
-        np.multiply(out[:min(m, out.size - m)], cmath.exp(w * m),
-                    out=out[m:2 * m])
-        m *= 2
-
-
-_RAMP = np.arange(64, dtype=complex)
-
-
 class _ZeroScan:
     """One zero's first-order recurrence as a numpy scan, backwards.
 
@@ -476,7 +463,7 @@ class _ZeroScan:
     L = 1: every cell is a segment, w = i0 y + e carry, the recurrence
     itself.  The segments do not depend on the blocks of a pass, nor do
     the bits.  The grid runs its zeros on it, and the periodic shift on
-    :class:`_ShiftScan`, which builds its tables apart.
+    :class:`_ShiftScan`; both build their tables by :meth:`_tables`.
 
     The table of 1/p is kept as qi = i0 / p: c w = c (u qi) with
     u = revcumsum(p y) + p_L carry, and p_L = e_l past the table's end.
@@ -494,20 +481,35 @@ class _ZeroScan:
         self.e_l = self._tables(x, i0)
 
     def _tables(self, x: complex, i0: complex) -> complex:
-        """Fills p and qi and returns e_l = e^L.  The grid's: the first 64
-        powers ``np.exp``'s, then :func:`_powers`' stretches, and
-        qi_j = i0 e^-(L-1) p_L-1-j; a power of two 2^k moves from qi to p
-        when qi would come within 2^24 of the float range's end."""
-        L = self.p.size
-        _powers(-x, self.p)
-        scale = i0 * cmath.exp(x * (L - 1))
+        """Fills p_j = e^j and qi_j = i0 / p_j and returns e_l = e^L.  With
+        -x = hi + lo split by :func:`_split` so that hi j is exact, the
+        first 64 powers and every 64th are exp(hi j) exp(lo j); every other
+        power is one product of a first one and a 64th one, as
+        :func:`_unit_roots` turns its table.  qi_j = i0 e^-(L-1) p_L-1-j,
+        and a power of two 2^k moves from qi to p when qi would come within
+        2^24 of the float range's end.  e = 0 (x infinite) gives p = 1,
+        qi = i0 and e_l = 0."""
+        p, L = self.p, self.p.size
+        if x.real == math.inf:
+            p[0], self.qi[0] = 1.0, i0
+            return 0j
+        # the first powers, every 64th, e^-(L-1) and e^L
+        hi, lo = _split(-x, _BLOCK.bit_length())
+        j = np.concatenate((np.arange(64), np.arange(0, L, 64), [1 - L, L]))
+        powers = np.exp(hi * j) * np.exp(lo * j)
+        head, turns = powers[:64], powers[64:-2]
+        full = L // 64
+        np.multiply(turns[:full, None], head,
+                    out=p[:full * 64].reshape(full, 64))
+        np.multiply(turns[full:], head[:L - full * 64], out=p[full * 64:])
+        scale = i0 * complex(powers[-2])
         k = max(0, math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
                 - 1000)
         if k:
-            self.p *= 2.0 ** k
+            p *= 2.0 ** k
             scale *= 2.0 ** (-2 * k)
-        np.multiply(self.p[::-1], scale, out=self.qi)
-        return cmath.exp(-x * L)
+        np.multiply(p[::-1], scale, out=self.qi)
+        return complex(powers[-1])
 
     @classmethod
     def grid(cls, alpha: complex, ck: complex, d: float, cells: int,
@@ -591,12 +593,9 @@ class _ShiftScan(_ZeroScan):
     is sample (n - 2 - k) mod n (:func:`_pass_cells`).  Either pass enters
     the period's end with the carry of :meth:`periodic_carry`.
 
-    Every table entry e^j, its reciprocal and e_l is exp(w j) for
-    w = -x = hi + lo with hi short enough that hi j is exact
-    (:func:`_exp_ramp`), so they agree with each other and with the
-    periodic carry's e^n to a few ulps; exp(w j) with w j rounded, as the
-    grid takes its first 64 powers, is off by up to j |w| eps / 2, a
-    backward error of up to 60 eps at n = 63 next to the circle.
+    The tables are the grid's (:meth:`_ZeroScan._tables`), whose powers
+    of e agree with each other and with the periodic carry's e^n to a few
+    ulps.
     """
 
     def __init__(self, z: complex, ck: complex, n: int, tables: np.ndarray):
@@ -609,17 +608,6 @@ class _ShiftScan(_ZeroScan):
         self.n = n
         super().__init__(self.x, -1.0 if self.forward else 1.0 / z, ck, n,
                          tables)
-
-    def _tables(self, x: complex, i0: complex) -> complex:
-        """p_j = e^j and qi_j = i0 / p_j, returning e_l = e^L."""
-        L = self.p.size
-        if x.real == math.inf:
-            # e = 0: w = i0 y
-            self.p[0], self.qi[0] = 1.0, i0
-            return 0j
-        _exp_ramp(-x, _INDEX[:L], out=self.p)
-        np.divide(i0, self.p, out=self.qi)
-        return complex(_exp_ramp(-x, np.array([float(L)]))[0])
 
     def periodic_carry(self, read) -> complex:
         """w_n / i0 = w_0 / i0 = (sum_j e^j y_j) / (1 - e^n) on the n cells
@@ -648,10 +636,6 @@ class _ShiftScan(_ZeroScan):
 # where it rounds to 0: Re(x) j < 1075 log 2
 _UNDERFLOW = 1075 * math.log(2.0)
 
-# the indices j of a block, for the shift's tables
-_INDEX = np.arange(_BLOCK, dtype=float)
-
-
 def _split(w: complex, bits: int) -> tuple[complex, complex]:
     """w = hi + lo, hi's parts rounded to 53 - bits significant bits: hi j
     is exact for every integer j < 2^bits, and lo holds the rest of w."""
@@ -660,16 +644,6 @@ def _split(w: complex, bits: int) -> tuple[complex, complex]:
         return math.ldexp(round(math.ldexp(m, 53 - bits)), e - 53 + bits)
     hi = complex(head(w.real), head(w.imag))
     return hi, w - hi
-
-
-def _exp_ramp(w: complex, j: np.ndarray, out=None) -> np.ndarray:
-    """exp(w j) for the integers j (floats up to _BLOCK) as
-    exp(hi j) exp(lo j), w split by :func:`_split`: no rounding of w j, so
-    each entry is within a few ulps of exp(w j) for the float w."""
-    hi, lo = _split(w, _BLOCK.bit_length())
-    out = np.exp(np.multiply(hi, j, out=out, dtype=complex), out=out)
-    out *= np.exp(np.multiply(lo, j, dtype=complex))
-    return out
 
 
 def _one_minus_exp(w: complex, n: int) -> complex:

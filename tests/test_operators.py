@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -679,6 +679,14 @@ def _shift_zero(kind, n, turn):
 SHIFT_ZERO_KINDS = ["zero", "huge", "tiny", "outside", "inside", "between"]
 
 
+def _backward_error(residual, w, rhs, weight):
+    """The norm-wise backward error, in eps, of a first-order recurrence's
+    solution w with right side rhs: ||residual|| against
+    ||rhs|| + weight ||w||."""
+    return np.linalg.norm(residual) / (
+        EPS * (np.linalg.norm(rhs) + weight * np.linalg.norm(w)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 64), kind=st.sampled_from(SHIFT_ZERO_KINDS),
        turn=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 32 - 1))
@@ -688,9 +696,7 @@ def test_shift_resolvent_is_backward_stable(n, kind, turn, seed):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     T = PeriodicShiftOperator(n)
     w = T.resolvent_solve(z, u)
-    residual = np.linalg.norm(z * w - T.apply(w) - u)
-    assert residual <= 8 * EPS * (np.linalg.norm(u)
-                                  + (1 + abs(z)) * np.linalg.norm(w))
+    assert _backward_error(z * w - T.apply(w) - u, w, u, 1 + abs(z)) <= 8
     # and against the dense circulant z I - C, to its condition number
     shifted = z * np.eye(n) - np.roll(np.eye(n), 1, axis=1)
     want = np.linalg.solve(shifted, u)
@@ -816,6 +822,46 @@ def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
 
 GRID_SIZES = [3, 64, 4096, 4097, 4098, 2 * 4096 + 1, 2 * 4096 + 2,
               3 * 4096 + 2, 3 * 4096 + 17, 2 ** 16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 9000), re=st.floats(-8.0, 1.0),
+       im=st.floats(-4.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4097, re=-4.0, im=3.1, seed=0)
+def test_grid_resolvent_is_backward_stable(n, re, im, seed):
+    # x = alpha dt = 10^re + i im on [0, 10]; the recurrence
+    # w_i = e w_i+1 + cell_i with e = exp(-x) and the cells of
+    # _cell_weights.  Tables of exp(x j) with x j rounded gave 43 eps at the
+    # example and hundreds of eps at |Im x| near 4
+    g = GridDerivativeOperator(0.0, 10.0, n)
+    alpha = complex(10.0 ** re, im) / g.dt
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = g.resolvent_solve(alpha, v)
+    e = cmath.exp(-(alpha * g.dt))
+    i0, i1_d = operators._cell_weights(alpha, g.dt)
+    cells = v[:-1] * i0 + (v[1:] - v[:-1]) * i1_d
+    assert _backward_error(w[:-1] - e * w[1:] - cells, w, cells, 1.0) <= 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.one_of(st.just(0.0), st.just(math.inf),
+                    st.floats(-12.0, 2.0).map(lambda u: 10.0 ** u)),
+       im=st.floats(-math.pi, math.pi),
+       cells=st.sampled_from([1, 2, 63, 64, 65, 100, 4095, 4096, 5000]),
+       scale=st.floats(-100.0, 100.0), turn=st.floats(-0.5, 0.5))
+def test_scan_tables_are_powers_of_one_e(re, im, cells, scale, turn):
+    # p_j qi_j = i0, p_j+1 = e p_j and e_l = e p_L-1 for e = exp(-x), each
+    # to 8 eps; x infinite is e = 0
+    x = complex(re, im)
+    i0 = 10.0 ** scale * cmath.exp(2j * cmath.pi * turn)
+    scan = operators._ZeroScan(x, i0, 1.0, cells,
+                               np.empty((2, operators._BLOCK + 1), complex))
+    p, qi = scan.p, scan.qi
+    e = cmath.exp(-x)
+    assert np.abs(p * qi - i0).max() <= 8 * EPS * abs(i0)
+    assert (np.abs(p[1:] - e * p[:-1]) <= 8 * EPS * np.abs(p[1:])).all()
+    assert abs(scan.e_l - e * p[-1]) <= 8 * EPS * abs(scan.e_l)
 
 
 def _whole_array_resolvent(g, alpha, v):
