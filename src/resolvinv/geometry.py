@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidInputError
-from .tolerance import EPS, SPECTRUM_EPS, ldexp, magnitude, unit_frame
+from .tolerance import (
+    EPS,
+    SPECTRUM_EPS,
+    frame_exponents,
+    ldexp,
+    magnitude,
+    unit_frame,
+)
 
 __all__ = [
     "HullPolygon",
@@ -140,23 +147,30 @@ def _farthest_pair(w: np.ndarray) -> tuple[int, int]:
 
 def _framed(kernel, ring: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``kernel(rings, zs)``, one distance per point of z (1-d), with each
-    point's row (the point and ``ring``) scaled by 2^-k to largest part in
-    [1/2, 1): exact, nothing overflows, and the ring's squared edge lengths
-    underflow only when they are negligible against that point's own
-    distance, whatever the other points' scale.  The distances are scaled
-    back (inf past the float range); the rows go in blocks of about
-    _BLOCK entries, which bounds the memory."""
+    point's row (the point and ``ring``) in the frame of
+    :func:`~resolvinv.tolerance.unit_frame`: exact, nothing overflows, and
+    the ring's squared edge lengths underflow only when they are
+    negligible against that point's own distance, whatever the other
+    points' scale.  When every row lies inside the frame's window, the
+    kernel runs on the one unscaled ring, broadcast against the points;
+    else the rows are scaled and their distances scaled back (inf past
+    the float range).  The rows go in blocks of about _BLOCK entries,
+    which bounds the memory."""
     # the parts as floats: one ldexp scales a row's real and imaginary parts
     ring = np.ascontiguousarray(ring, dtype=complex).view(float)
     z = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-    k = -np.frexp(np.maximum(abs(ring).max(), abs(z).max(axis=1)))[1][:, None]
+    k = -frame_exponents(np.maximum(abs(ring).max(), abs(z).max(axis=1)))
+    framed = k.any()
     d = np.empty(z.shape[0])
     step = max(1, 2 * _BLOCK // ring.size)
     for i in range(0, d.size, step):
         s = slice(i, i + step)
-        d[s] = kernel(np.ldexp(ring, k[s]).view(complex),
-                      np.ldexp(z[s], k[s]).view(complex)[:, 0])
-    return ldexp(d, -k[:, 0])
+        if framed:
+            d[s] = kernel(np.ldexp(ring, k[s, None]).view(complex),
+                          np.ldexp(z[s], k[s, None]).view(complex)[:, 0])
+        else:
+            d[s] = kernel(ring.view(complex)[None], z[s].view(complex)[:, 0])
+    return ldexp(d, -k) if framed else d
 
 
 def _hull_rows(ring: np.ndarray, z: np.ndarray) -> np.ndarray:

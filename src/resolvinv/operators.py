@@ -59,7 +59,6 @@ import functools
 import math
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import (
     ConditioningError,
@@ -79,6 +78,7 @@ from .geometry import (
 from .rational import (
     FilterSpec,
     InversionPlan,
+    _polyval,
     checked_plan,
     derived_series,
     filter_to_series,
@@ -331,15 +331,26 @@ class GridDerivativeOperator(OperatorHandle):
             raise InvalidInputError("grid needs at least 3 points")
         if not L > t0:
             raise InvalidInputError("grid end must exceed grid start")
+        self._ends = (t0, L)
+        # t[1] - t[0] of np.linspace(t0, L, n), from its own step
+        # arithmetic, without the n points
+        t0, L = float(t0), float(L)
+        step = (L - t0) / (n - 1)
+        if step == 0:  # np.linspace's branch for a step that underflows
+            step = 1.0 / (n - 1) * (L - t0)
+        self.dt = (t0 + step) - t0
+        if not 0.0 < self.dt < np.inf:
+            raise InvalidInputError("grid exceeds the float range")
+        self.dim = n
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        """The grid points ``np.linspace(t0, L, n)``, built on first use."""
         # np.linspace's product of its step and n - 1, past the float range
         # for an end near it, only ever stands for the end it then sets;
         # the points are finite unless the step is not
         with np.errstate(over="ignore", invalid="ignore"):
-            self.t = np.linspace(t0, L, n)
-        self.dt = float(self.t[1] - self.t[0])
-        if not 0.0 < self.dt < np.inf:
-            raise InvalidInputError("grid exceeds the float range")
-        self.dim = n
+            return np.linspace(*self._ends, self.dim)
 
     def checked_vector(self, v) -> np.ndarray:
         """v as a finite complex vector of shape (n,)."""
@@ -842,11 +853,20 @@ def _check_finite_poles(poles):
 def _check_symbol_gap(poles, samples: np.ndarray):
     """The one pole rule (module docstring): every pole p finite and
     min_s |p - s| > SPECTRUM_EPS * |p| over the spectrum samples s (a symbol,
-    the roots of unity nearest each pole, xi^2 or eigenvalues)."""
-    for p in _check_finite_poles(poles):
-        if negligible(np.abs(p - samples).min(), p, rtol=SPECTRUM_EPS):
+    the roots of unity nearest each pole, xi^2 or eigenvalues); the first
+    pole that fails it is named.  The poles go in blocks of about _BLOCK
+    entries of |p - s| (one pole a block from _BLOCK samples on), with |p|
+    as ``abs`` of each pole rounds it (``np.hypot`` on the parts)."""
+    poles = np.asarray(_check_finite_poles(poles))
+    step = max(1, _BLOCK // max(1, samples.size))
+    for lo in range(0, poles.size, step):
+        block = poles[lo:lo + step]
+        gaps = np.abs(block[:, None] - samples).min(axis=1, initial=np.inf)
+        failing = block[gaps <= SPECTRUM_EPS * np.hypot(block.real,
+                                                        block.imag)]
+        if failing.size:
             raise SingularResolventError(
-                f"pole {p} lies on or too near the spectrum")
+                f"pole {failing[0]} lies on or too near the spectrum")
 
 
 def _nearest_unit_roots(poles, n: int) -> np.ndarray:
@@ -991,11 +1011,11 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     T = PeriodicShiftOperator(x.size)
     x = T.checked_vector(x)
     omega = T.symbol
-    p = npp.polyval(omega, spec.c)
+    p = _polyval(omega, np.array(spec.c))
     if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
         raise SingularTransferError(
             "characteristic polynomial vanishes at a grid frequency")
-    q = npp.polyval(omega, (0j,) + spec.b)
+    q = _polyval(omega, np.array((0j,) + spec.b))
     with np.errstate(all="ignore"):
         return _require_finite(np.fft.ifft(np.fft.fft(x) * q / p))
 

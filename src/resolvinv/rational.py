@@ -9,16 +9,17 @@ A filter's transfer function is the one quotient of polynomials in the
 package.  :func:`poly_roots` finds the roots of its characteristic
 polynomial with ``numpy.roots`` and :func:`partial_fractions` takes the
 residues at them in closed form, num(z_k)/den'(z_k); every root is
-simple here too.  Coefficients are ascending.
+simple here too.  Coefficients are ascending, and polynomials are
+evaluated by Horner's rule in this module.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import (
     ConditioningError,
@@ -30,13 +31,14 @@ from .errors import (
 from .series import (
     ResolventSeries,
     framed_gamma_beta,
+    framed_secular_zeros,
     require_admissible,
-    secular_zeros,
     theorem_mode,
 )
 from .tolerance import (
     DERIVED_EPS,
     ROOT_TOL,
+    _gaps,
     ldexp,
     magnitude,
     min_gap,
@@ -57,6 +59,10 @@ __all__ = [
 log = logging.getLogger("resolvinv")
 
 
+# the directions of the identity check's 50 sample points
+_SAMPLE_DIRECTIONS = np.exp(2j * np.pi * (np.arange(50) + 0.37) / 50)
+
+
 def _fit_sample_points(points) -> np.ndarray:
     """Deterministic sample points, 50 of them, on a circle around the
     points (the poles and zeros of a plan).
@@ -70,7 +76,7 @@ def _fit_sample_points(points) -> np.ndarray:
     points = np.asarray(points, dtype=complex)
     center = points.mean() if points.size else 0j
     r = (2.0 * magnitude(points - center) + abs(center)) or 1.0
-    return center + r * np.exp(2j * np.pi * (np.arange(50) + 0.37) / 50)
+    return center + r * _SAMPLE_DIRECTIONS
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +133,26 @@ def invert_to_plan(series: ResolventSeries) -> InversionPlan:
     # the poles and zeros in one frame 2^-kp, where nothing overflows: f, f'
     # and h are 2^(kp-ka), 2^(2kp-ka) and 2^(ka-kp) times theirs there
     m = active.poles.size
-    z = secular_zeros(active.coefficients, active.poles)
     a, ka = unit_frame(active.coefficients)
+    z = framed_secular_zeros(a, ka, active.poles)
     framed, kp = unit_frame(np.concatenate([active.poles, z]))
     alpha, zf = framed[:m], framed[m:]
-    gamma, beta = framed_gamma_beta(a, alpha.tolist())
-    if min_gap(zf) <= magnitude(alpha.tolist(), ROOT_TOL):
+    poles = alpha.tolist()
+    gamma, beta = framed_gamma_beta(a, poles)
+    # the zeros' gaps in this frame, where none overflows
+    if _gaps(zf)[0].min(initial=np.inf) <= magnitude(poles, ROOT_TOL):
         raise RepeatedRootError("f has a repeated zero")
     pts = _fit_sample_points(framed)
     with np.errstate(all="ignore"):  # a value past the float range fails
-        c = -1.0 / np.sum(a / (alpha - zf[:, None]) ** 2, axis=1)
-        fz = np.sum(a / (alpha - pts[:, None]), axis=1)
-        hz = gamma + beta * pts + np.sum(c / (zf - pts[:, None]), axis=1)
-        worst = float(np.max(np.abs(fz * hz - 1.0)))
+        c = -1.0 / (a / (alpha - zf[:, None]) ** 2).sum(axis=1)
+        # the identity's two sums as products with the tables of 1/(x - z)
+        fz = np.reciprocal(alpha - pts[:, None]) @ a
+        hz = gamma + beta * pts + np.reciprocal(zf - pts[:, None]) @ c
+        worst = float(abs(fz * hz - 1.0).max())
     gamma, beta = ldexp(gamma, kp - ka), ldexp(beta, -ka)
     c = ldexp(c, 2 * kp - ka)
-    if not np.isfinite([gamma, beta, *c]).all():
+    if not (cmath.isfinite(gamma) and cmath.isfinite(beta)
+            and np.isfinite(c).all()):
         raise ConditioningError("plan of 1/f leaves the float range")
     if not worst <= 1e-8:
         raise ConditioningError(
@@ -189,6 +199,25 @@ class FilterSpec:
         return len(self.c) - 1
 
 
+def _polyval(x, c: np.ndarray):
+    """sum_k c_k x^k for the ascending coefficient array c, by Horner's
+    rule in the operations and order of ``numpy.polynomial``'s
+    ``polyval``, bit for bit."""
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """The ascending coefficients j c_j of the derivative ([0] for a
+    constant), as ``numpy.polynomial``'s ``polyder`` forms them, down to
+    the sign of a zero part: it scales c by 1 first."""
+    if c.size < 2:
+        return c[:1] * 0
+    return c[1:] * 1 * np.arange(1, c.size)
+
+
 def poly_roots(c) -> np.ndarray:
     """Roots of p(z) = sum_k c_k z^k, all simple, sorted by (real, imag).
 
@@ -207,9 +236,9 @@ def poly_roots(c) -> np.ndarray:
             raise ConditioningError(
                 "coefficients over the top one exceed the float range")
         z = np.roots(c[::-1])
-        pz = npp.polyval(z, c)
-        newton = z - pz / npp.polyval(z, npp.polyder(c))
-        better = np.abs(npp.polyval(newton, c)) <= np.abs(pz)
+        pz = _polyval(z, c)
+        newton = z - pz / _polyval(z, _polyder(c))
+        better = np.abs(_polyval(newton, c)) <= np.abs(pz)
     z = np.where(np.isfinite(newton) & better, newton, z)
     if min_gap(z) <= magnitude(z, ROOT_TOL):
         raise RepeatedRootError(
@@ -227,7 +256,8 @@ def partial_fractions(num, den) -> tuple[np.ndarray, np.ndarray]:
     """
     z = poly_roots(den)
     with np.errstate(all="ignore"):
-        parts = npp.polyval(z, num), npp.polyval(z, npp.polyder(den))
+        parts = (_polyval(z, np.asarray(num, dtype=complex)),
+                 _polyval(z, _polyder(np.asarray(den, dtype=complex))))
         residues = parts[0] / parts[1]
     if not np.isfinite([*parts, residues]).all():
         raise ConditioningError("residues leave the float range")

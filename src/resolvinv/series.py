@@ -159,12 +159,14 @@ def gamma_beta(series: ResolventSeries) -> tuple[complex, complex]:
     """Affine part of 1/f at infinity.
 
     gamma = sum(a_j alpha_j) / (sum a_j)^2 and beta = -1 / sum(a_j), taken
-    on the coefficients in their :func:`~resolvinv.tolerance.unit_frame`,
-    where their sum does not overflow, and scaled back by 2^-k.
+    on the coefficients and the poles each in their
+    :func:`~resolvinv.tolerance.unit_frame`, where no sum or product
+    overflows, and scaled back.
     """
     a, k = unit_frame(series.coefficients)
-    gamma, beta = framed_gamma_beta(a, series.poles.tolist())
-    return ldexp(gamma, -k), ldexp(beta, -k)
+    alpha, kp = unit_frame(series.poles)
+    gamma, beta = framed_gamma_beta(a, alpha.tolist())
+    return ldexp(gamma, kp - k), ldexp(beta, -k)
 
 
 def framed_gamma_beta(a, poles) -> tuple[complex, complex]:
@@ -309,11 +311,17 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
     is formed again on the poles in their frame (eigenvalues do not scale
     bit for bit, so only then).
     """
+    return framed_secular_zeros(*unit_frame(coefficients), poles)
+
+
+def framed_secular_zeros(a, k: int, poles) -> np.ndarray:
+    """:func:`secular_zeros` for the coefficients given in their frame,
+    a = 2^-k a_j (an array, left as it is)."""
     alpha = np.asarray(poles, dtype=complex)
-    if len(coefficients) < 2:
+    if a.size < 2:
         return np.zeros(0, dtype=complex)
-    a, k = unit_frame(coefficients)
-    a *= 2.0 ** (k % 2)
+    if k % 2:
+        a = 2.0 * a
     s2 = a.sum()
     if negligible(s2, magnitude(a)):
         raise DegenerateSeriesError("coefficient sum vanishes")
@@ -331,9 +339,12 @@ def secular_zeros(coefficients, poles) -> np.ndarray:
             shift = alpha.mean()  # eigenvalue errors scale with the norm
             d = (alpha - shift) * w
             w1, d1 = w[1:], d[1:]
-            block = (np.diag(alpha[1:] - shift)
-                     + np.outer(w1, 4.0 * (w @ d) * w1 - 2.0 * d1)
-                     - 2.0 * np.outer(d1, w1))
+            # diag(alpha_i - shift) + outer(...) - 2 outer(d1, w1), in place
+            # on the diagonal's own zeros: the same operations, bit for bit
+            block = np.zeros((w1.size, w1.size), dtype=complex)
+            block.flat[::w.size] = alpha[1:] - shift
+            block += np.outer(w1, 4.0 * (w @ d) * w1 - 2.0 * d1)
+            block -= 2.0 * np.outer(d1, w1)
             if np.isfinite(block).all():
                 break
         else:

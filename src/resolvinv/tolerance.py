@@ -16,6 +16,20 @@ takes points that already pass it.  Moduli (:func:`magnitude`) and sums
 range, and every result taken in a frame goes back by :func:`ldexp`, so
 only a result past the float range is inf.
 
+A frame is free where the float range does not need it: data whose
+largest real or imaginary part has a binary exponent of at most W = 64 in
+modulus (:data:`_WINDOW`; parts in [2^-65, 2^64)) get k = 0 and an
+unscaled copy, and :func:`ldexp` by 0 skips its scaling.  W comes from the
+highest power any framed formula forms: each multiplies or divides at
+most three data factors (the residues' a_j / (alpha_j - z_k)^2; the hull
+kernels form squares), so inside the window an intermediate is at most
+2^(3W) = 2^192 from its value in the frame.  It overflows, or loses bits
+as a subnormal, only if its framed value lies beyond 2^832 or below
+2^-830, which takes parts or gaps of the data some 2^276 (1e83) apart,
+far past every tolerance here.  For all other data the frame changes no
+bit, since a power-of-two scaling is exact; out of the window it is what
+it was.
+
 Three levels of ``rtol``, by how much rounding the compared quantity
 carries:
 
@@ -58,12 +72,18 @@ __all__ = [
     "require_distinct",
     "distinct",
     "unit_frame",
+    "frame_exponents",
 ]
 
 EPS = 1e-12
 SPECTRUM_EPS = 1e-10
 DERIVED_EPS = 1e-9
 ROOT_TOL = 1e-6
+
+# a frame's k is 0 while the largest part's binary exponent is at most this
+# in modulus (module docstring): 3 * 64 leaves the intermediates of every
+# framed formula far inside the float range
+_WINDOW = 64
 
 
 def magnitude(values, rtol: float = 1.0) -> float:
@@ -99,8 +119,12 @@ def ldexp(x, k):
     """x * 2^k part by part, for a float or complex scalar x and an int k
     (a Python scalar back), or an array x and k broadcast against it:
     exact but for a subnormal part, inf with its sign past the float
-    range, no warning.  The one way back from a :func:`unit_frame`."""
+    range, no warning.  The one way back from a :func:`unit_frame`; an
+    int k = 0 (inside the window) skips the scaling: a scalar comes back
+    at once, an array as a new float or complex copy."""
     if isinstance(x, complex):
+        if k == 0:
+            return complex(x)
         return complex(ldexp(x.real, k), ldexp(x.imag, k))
     if isinstance(x, float):
         try:
@@ -108,6 +132,8 @@ def ldexp(x, k):
         except OverflowError:
             return math.copysign(math.inf, x)
     x = np.asarray(x)
+    if isinstance(k, int) and k == 0:
+        return np.array(x, dtype=np.result_type(x, 1.0))
     if np.iscomplexobj(x):  # the parts as a last axis, k broadcast over it
         parts = np.ascontiguousarray(x)[..., None].view(float)
         return ldexp(parts, np.asarray(k)[..., None]).view(complex)[..., 0]
@@ -121,14 +147,27 @@ def negligible(x, *scales, rtol: float = EPS) -> bool:
 
 
 def unit_frame(points) -> tuple[np.ndarray, int]:
-    """(points * 2^-k, k), with k such that the largest real or imaginary
-    part lies in [1/2, 1) (k = 0 without a nonzero part).  The scaling is
-    exact except for parts more than 2^1021 times smaller than the largest,
-    which lose bits as subnormals, and no difference or product of two
-    scaled points overflows."""
-    parts = np.ascontiguousarray(points, dtype=complex).view(float)
-    k = math.frexp(abs(parts).max(initial=0.0))[1]
-    return np.ldexp(parts, -k).view(complex), k
+    """(points * 2^-k, k) as a new complex array of at least one dimension,
+    with k such that the largest real or imaginary part lies in [1/2, 1),
+    or k = 0 when that part's exponent lies inside the window (module
+    docstring).  The scaling is exact except for parts more than 2^1021
+    times smaller than the largest, which lose bits as subnormals, and no
+    difference or product of two scaled points overflows."""
+    parts = np.array(points, dtype=complex, order="C", ndmin=1).view(float)
+    k = frame_exponents(abs(parts).max(initial=0.0))
+    if k:
+        np.ldexp(parts, -k, out=parts)
+    return parts.view(complex), k
+
+
+def frame_exponents(largest):
+    """The k of :func:`unit_frame` for the largest part (a float, an int
+    back) or for each of an array of them."""
+    if isinstance(largest, float):
+        k = math.frexp(largest)[1]
+        return k if abs(k) > _WINDOW else 0
+    k = np.frexp(largest)[1]
+    return np.where(abs(k) > _WINDOW, k, 0)
 
 
 def _gaps(z: np.ndarray) -> tuple[np.ndarray, float]:

@@ -283,6 +283,33 @@ class TestGridDerivativeOperator:
         with pytest.raises(InvalidInputError, match="float range"):
             GridDerivativeOperator(-1.7e308, 1.7e308, 4)
 
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False),
+           st.integers(3, 5000))
+    @example(0.0, 1.7976931348623157e308, 4)
+    @example(-1.7976931348623157e308, 1.7976931348623157e308, 4)
+    @example(0.0, 5e-324, 3)  # the step underflows to 0
+    @example(0.0, 1e-320, 7)
+    @example(-1e-310, 1e-310, 5)
+    @example(1e308, 1.7e308, 3)
+    @example(-math.inf, 0.0, 3)
+    @example(0.0, 10.0, 400)
+    @settings(max_examples=500, deadline=None)
+    def test_grid_step_is_linspace_s_own(self, t0, L, n):
+        # dt comes from np.linspace's step arithmetic without the n points,
+        # which are built on first use, as np.linspace builds them
+        assume(L > t0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.linspace(t0, L, n)
+        dt = float(t[1] - t[0])
+        if not 0.0 < dt < math.inf:
+            with pytest.raises(InvalidInputError, match="float range"):
+                GridDerivativeOperator(t0, L, n)
+            return
+        g = GridDerivativeOperator(t0, L, n)
+        assert type(g.dt) is float and g.dt == dt
+        assert "t" not in vars(g)
+        np.testing.assert_array_equal(_bits(g.t), _bits(t))
+
 
 class TestPeriodicShiftOperator:
     def test_apply_shifts(self):
@@ -791,6 +818,74 @@ def test_nearest_root_is_the_table_entry_bit_for_bit(n):
         _bits(operators._nearest_unit_roots(poles, n)), _bits(table[k]))
     np.testing.assert_array_equal(
         _bits(operators._unit_roots(n, k)), _bits(table[k]))
+
+
+def _first_pole_off_the_samples(poles, samples):
+    """The pole rule as one pass per pole: the message naming the first
+    pole p with min_s |p - s| <= SPECTRUM_EPS * |p|, or None."""
+    for p in poles:
+        if tolerance.negligible(np.abs(p - samples).min(), p,
+                                rtol=tolerance.SPECTRUM_EPS):
+            return f"pole {p} lies on or too near the spectrum"
+    return None
+
+
+@st.composite
+def planted_pole_sets(draw):
+    """(poles, samples): 1 to 8 poles against the eigenvalues of a random
+    matrix, the nearest roots of unity of the poles, or xi^2 of a DFT
+    grid, with sample counts on both sides of _BLOCK poles times samples;
+    some poles are planted on a sample or near it (the spectrum's own
+    rounding), at the origin or past the rule's gap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["eigenvalues", "unit_roots", "xi2"]))
+    bound = operators._BLOCK // m
+    n = draw(st.sampled_from([1, 2, 16, bound, bound + 1, 3 * bound]))
+    scale = 2.0 ** draw(st.integers(-80, 80))
+    poles = scale * (rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m))
+    if kind == "eigenvalues":
+        samples = np.linalg.eigvals(
+            scale * (rng.standard_normal((min(n, 40),) * 2) + 0j))
+    elif kind == "unit_roots":
+        poles /= scale
+        samples = None  # each pole's nearest root, after the planting
+    else:
+        samples = operators._squared_frequencies(n, 8.0 * scale)
+    for i in range(m):
+        plant = draw(st.sampled_from(["none", "none", "on", "near",
+                                      "outside", "origin"]))
+        if plant == "origin":
+            poles[i] = 0.0
+        elif plant != "none":
+            if kind == "unit_roots":
+                target = np.exp(2j * np.pi * rng.integers(n) / max(n, 1))
+            else:
+                target = samples[rng.integers(samples.size)]
+            rel = {"on": 0.0, "near": 0.5e-10, "outside": 2e-10}[plant]
+            poles[i] = target * (1.0 + rel)
+    if kind == "unit_roots":
+        samples = operators._nearest_unit_roots(poles, max(n, 1))
+    return poles, samples
+
+
+@given(planted_pole_sets())
+@settings(max_examples=300, deadline=None)
+def test_symbol_gap_keeps_the_one_pole_rule(case):
+    # the blocks of poles (all in one, several, or one pole each, by how
+    # many samples the _BLOCK entries hold) raise as the rule applied
+    # pole by pole, naming the same first pole
+    poles, samples = case
+    want = _first_pole_off_the_samples(poles, samples)
+    for block in (operators._BLOCK, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_BLOCK", block)
+            if want is None:
+                operators._check_symbol_gap(poles, samples)
+            else:
+                with pytest.raises(SingularResolventError) as err:
+                    operators._check_symbol_gap(poles, samples)
+                assert str(err.value) == want
 
 
 @pytest.mark.parametrize("n", [64, 4096, 4097, 4098, 2 * 4096 + 1,

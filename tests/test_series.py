@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ class TestGammaBeta:
         g, b = gamma_beta(ResolventSeries(((2.0 ** 1023, 1.0),
                                            (2.0 ** 1023, 3.0))))
         assert (g, b) == (2.0 ** -1023, -2.0 ** -1024)
+
+    def test_poles_near_the_top_of_the_float_range(self):
+        # the coefficients lie inside the frame's window and stay unscaled,
+        # so a_j alpha_j = 4e308 overflows unless the poles are framed too
+        g, b = gamma_beta(ResolventSeries(((4.0, 1e308), (4.0, 1.5e308))))
+        want = (4 * Fraction(1e308) + 4 * Fraction(1.5e308)) / 64
+        assert (g, b) == (complex(float(want)), -0.125)
+
+    @pytest.mark.parametrize("e", [-1000, 990])
+    def test_rescaled_poles_rescale_gamma(self, e):
+        # gamma (about 2^31 at scale 1) scales with the poles by an exact
+        # power of two, also at 2^-1000, where the product of the smallest
+        # coefficient and its pole was a subnormal (kept to 43 bits) when
+        # only the coefficients were framed
+        def series(scale):
+            return ResolventSeries(((1.0, scale), (-1.0, scale * (1 + 2**-30)),
+                                    (2.0**-30, scale * math.pi)))
+        g, b = gamma_beta(series(1.0))
+        assert gamma_beta(series(2.0**e)) == (
+            complex(math.ldexp(g.real, e), math.ldexp(g.imag, e)), b)
 
     def test_tiny_coefficients(self):
         # the squared coefficient sum 4e-400 underflows to 0

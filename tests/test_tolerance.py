@@ -36,10 +36,12 @@ from resolvinv.operators import (
     DenseMatrixOperator,
     GridDerivativeOperator,
     MultiplierOperator,
+    PeriodicShiftOperator,
     apply_plan,
     apply_series,
     convolution_series,
     forward_even_convolution,
+    solve_convolution,
     solve_even_convolution,
     solve_exponential_volterra,
 )
@@ -244,6 +246,16 @@ def test_ldexp_is_math_ldexp_part_by_part(data):
             np.repeat(tolerance.ldexp(z, np.array(ks))[:, None], 3, axis=1))
 
 
+def test_ldexp_by_zero_returns_a_new_float_array():
+    # k = 0 (inside the window) skips the scaling, not the copy: the
+    # caller may write into what comes back
+    for x in (np.arange(3), np.array([1.5, -0.0]), np.array([1 + 2j])):
+        got = tolerance.ldexp(x, 0)
+        assert got is not x and not np.shares_memory(got, x)
+        assert got.dtype == np.result_type(x, 1.0)
+        assert _bits(got) == _bits(x.astype(got.dtype))
+
+
 def _ldexp_part(x: float, k: int) -> float:
     try:
         return math.ldexp(x, k)
@@ -255,6 +267,89 @@ def _bits(x) -> bytes:
     """The bytes of x as complex or float numpy data: equal bits, with the
     sign of a zero and of an inf."""
     return np.asarray(x).tobytes()
+
+
+# --- the frame's window ------------------------------------------------------
+
+
+def _flat_bits(x):
+    """x as nested tuples of bytes: a dataclass by its fields, a sequence
+    item by item, numbers and arrays by :func:`_bits`."""
+    if hasattr(x, "__dataclass_fields__"):
+        return tuple(_flat_bits(getattr(x, f)) for f in x.__dataclass_fields__)
+    if isinstance(x, (tuple, list)):
+        return tuple(_flat_bits(v) for v in x)
+    return x if isinstance(x, bool) else _bits(x)
+
+
+def _window_outcomes(a, poles, eig, y):
+    """The bits of the gate against four spectra, the plan, and the plan
+    and the series applied on a dense matrix (batched and LU paths), a
+    multiplier, the shift, the grid and the convolution solve; for an
+    error its type, message and residual."""
+    def record(fn):
+        try:
+            return _flat_bits(fn())
+        except ResolvinvError as exc:
+            return (type(exc).__name__, str(exc),
+                    _bits(getattr(exc, "residual", None) or 0.0))
+
+    series = ResolventSeries.from_arrays(a, poles)
+    out = [record(lambda: check_admissible(series, s)) for s in (
+        PointSpectrum(eig), geometry.UnitCircle(), PositiveHalfLine(),
+        geometry.ImaginaryAxis())]
+    out.append(record(lambda: invert_to_plan(series)))
+    scale = float(np.abs(poles).max())
+    backends = [DenseMatrixOperator(np.diag(eig[:6])),
+                DenseMatrixOperator(np.diag(eig)), MultiplierOperator(eig),
+                PeriodicShiftOperator(eig.size),
+                GridDerivativeOperator(0.0, 10.0 / scale, eig.size)]
+    for A in backends:
+        v = y[:A.dim]
+        out.append(record(lambda: apply_series(series, A, v)))
+        out.append(record(lambda: apply_plan(invert_to_plan(series), A, v)))
+    out.append(record(lambda: solve_convolution(
+        invert_to_plan(series), y, 8.0 / math.sqrt(scale))))
+    return out
+
+
+@st.composite
+def window_problems(draw):
+    """1 to 8 terms with poles in the right half plane (random, on a line
+    or on a circle), one coefficient zero at times, 20 eigenvalues around
+    and outside the poles, and a signal; the poles, coefficients and
+    spectrum scaled by 2^j for |j| <= 60, inside the window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "line", "circle"]))
+    if kind == "random":
+        poles = rng.uniform(0.5, 2, m) + 1j * rng.uniform(-1, 1, m)
+    elif kind == "line":
+        poles = np.arange(1.0, m + 1) + 0.25j
+    else:
+        poles = 2.0 + np.exp(2j * np.pi * np.arange(m) / m)
+    a = rng.uniform(0.05, 1.0, m)
+    if m > 1 and draw(st.booleans()):
+        a[rng.integers(m)] = 0.0
+    center = poles.mean()
+    eig = center + (1.0 + abs(poles - center).max()) * rng.uniform(
+        0.2, 2.0, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
+    sp, sa = (draw(st.integers(-60, 60)) for _ in range(2))
+    y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    return (np.ldexp(a, sa), np.ldexp(poles.real, sp) + 1j * np.ldexp(
+        poles.imag, sp), np.ldexp(eig.real, sp) + 1j * np.ldexp(eig.imag, sp),
+        y)
+
+
+@given(window_problems())
+@settings(max_examples=150, deadline=None)
+def test_window_changes_no_bit(problem):
+    # inside the window a frame is the identity (k = 0); with the window
+    # closed every array is framed, as before it: the same bits everywhere
+    want = _window_outcomes(*problem)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tolerance, "_WINDOW", -1)
+        assert _window_outcomes(*problem) == want
 
 
 # --- the 6-term problem ------------------------------------------------------
