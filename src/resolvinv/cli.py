@@ -28,7 +28,6 @@ from .errors import (
     SeparationError,
     SingularOperatorError,
     SingularResolventError,
-    SingularTransferError,
 )
 from .geometry import PositiveHalfLine, UnitCircle
 from .operators import (
@@ -64,7 +63,7 @@ EXIT_CODES = (
     (MalformedSpecError, EXIT_MALFORMED),
     ((HypothesisError, SeparationError, ConstructionError,
       SingularOperatorError), EXIT_INADMISSIBLE),
-    ((SingularResolventError, SingularTransferError), EXIT_SINGULAR),
+    (SingularResolventError, EXIT_SINGULAR),
     (ConditioningError, EXIT_NUMERICAL),
     (ResolvinvError, EXIT_MALFORMED),
 )

@@ -36,10 +36,6 @@ class SingularResolventError(ResolvinvError):
     """A resolvent solve was requested at a point on or too near the spectrum."""
 
 
-class SingularTransferError(ResolvinvError):
-    """The filter characteristic polynomial vanishes at a grid frequency."""
-
-
 class SingularOperatorError(ResolvinvError):
     """The operator matrix is singular where invertibility is required."""
 

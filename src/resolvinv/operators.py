@@ -23,8 +23,8 @@ The periodic shift runs each zero z on the same scan, with no FFT:
 the period, scanned backwards for |z| > 1 and over the reversed signal
 otherwise, entering with the carry that closes it.  Both build each
 zero's tables of e^j one way, every power within a few eps of the
-others.  The shift's roots of unity are built from one table, and only
-when ``symbol`` is asked for.
+others.  ``forward_filter`` runs on the same scan, one resolvent solve
+per characteristic root.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
@@ -66,7 +66,6 @@ from .errors import (
     HypothesisError,
     InvalidInputError,
     SingularResolventError,
-    SingularTransferError,
 )
 from .geometry import (
     ImaginaryAxis,
@@ -78,16 +77,16 @@ from .geometry import (
 from .rational import (
     FilterSpec,
     InversionPlan,
-    _polyval,
     checked_plan,
     derived_series,
     filter_to_series,
+    poly_roots,
 )
 from .series import ResolventSeries, require_admissible
-from .tolerance import SPECTRUM_EPS, magnitude, negligible
+from .tolerance import SPECTRUM_EPS
 
-# samples per block of a Fourier-diagonal pass: a block's temporaries
-# (64 KiB each) stay in cache, and the unit roots are built block by block
+# samples per block of a pass: a block's temporaries (64 KiB each) stay in
+# cache
 _BLOCK = 4096
 
 # rows up to which a dense matrix solves a plan in one batched
@@ -495,11 +494,10 @@ class _ZeroScan:
         """Fills p_j = e^j and qi_j = i0 / p_j and returns e_l = e^L.  With
         -x = hi + lo split by :func:`_split` so that hi j is exact, the
         first 64 powers and every 64th are exp(hi j) exp(lo j); every other
-        power is one product of a first one and a 64th one, as
-        :func:`_unit_roots` turns its table.  qi_j = i0 e^-(L-1) p_L-1-j,
-        and a power of two 2^k moves from qi to p when qi would come within
-        2^24 of the float range's end.  e = 0 (x infinite) gives p = 1,
-        qi = i0 and e_l = 0."""
+        power is one product of a first one and a 64th one.
+        qi_j = i0 e^-(L-1) p_L-1-j, and a power of two 2^k moves from qi to
+        p when qi would come within 2^24 of the float range's end.  e = 0
+        (x infinite) gives p = 1, qi = i0 and e_l = 0."""
         p, L = self.p, self.p.size
         if x.real == math.inf:
             p[0], self.qi[0] = 1.0, i0
@@ -688,8 +686,8 @@ class PeriodicShiftOperator(OperatorHandle):
     z w_i - w_i+1 = v_i closed once around the period, as a numpy scan
     (:class:`_ShiftScan`) over blocks of _BLOCK samples, backwards for
     |z| > 1 and forwards otherwise, with no FFT and no n-sample array but
-    the output.  The roots of unity, ``symbol``, are built only when asked
-    for; the pole check computes the nearest root of each zero alone."""
+    the output.  No root of unity is built but the one nearest each
+    zero, which the pole check computes alone."""
 
     resolvent_solve = OperatorHandle.resolvent_solve
 
@@ -698,17 +696,12 @@ class PeriodicShiftOperator(OperatorHandle):
             raise InvalidInputError("signal length must be at least 1")
         self.dim = n
 
-    @functools.cached_property
-    def symbol(self) -> np.ndarray:
-        """The roots of unity exp(2 pi i k / n), the shift's eigenvalues,
-        built on first use by :func:`_unit_roots`."""
-        return _unit_roots(self.dim)
-
     def apply(self, v):
         return np.roll(self.checked_vector(v), -1, axis=-1)
 
-    def spectrum(self) -> PointSpectrum:
-        return PointSpectrum(self.symbol)
+    def spectrum(self) -> UnitCircle:
+        """The unit circle, which holds the n roots of unity."""
+        return UnitCircle()
 
     def apply_plan(self, plan, v):
         """(gamma + beta T + h(T)) v: every zero checked against its nearest
@@ -757,29 +750,21 @@ class PeriodicShiftOperator(OperatorHandle):
                     carries[j] = scan.run(cells, u, carries[j], h[s], term)
 
 
-def _unit_roots(n: int, k=None) -> np.ndarray:
-    """exp(2 pi i k / n) for the indices k, by default every k < n.  Up to
-    _BLOCK of them are ``np.exp``'s, bit for bit.  Past that, each block of
-    _BLOCK is a table of the first roots turned by the block's first root,
-    one complex product per sample, and every angle past a half turn is
-    taken as 2 pi (k - n) / n, whose rounding is half as large: each root
-    is then within 4 eps of the exact one (``np.exp``'s are up to 7 eps
-    off).  Given indices, each root is the same product of the same two
-    factors, with the table's bits."""
+def _unit_roots(n: int, k: np.ndarray) -> np.ndarray:
+    """exp(2 pi i k / n) for the indices 0 <= k < n.  For n up to _BLOCK
+    they are ``np.exp``'s, bit for bit.  Past that, each root is the
+    product of the roots of k mod _BLOCK and of k's block start, and every
+    angle past a half turn is taken as 2 pi (k - n) / n, whose rounding is
+    half as large: each root is then within 4 eps of the exact one
+    (``np.exp``'s are up to 7 eps off)."""
     if n <= _BLOCK:
-        return np.exp(2j * np.pi * (np.arange(n) if k is None else k) / n)
+        return np.exp(2j * np.pi * k / n)
 
     def roots(k):
         return np.exp(1j * (2.0 * np.pi * np.where(2 * k > n, k - n, k) / n))
 
-    if k is not None:
-        r = k % _BLOCK
-        return roots(r) * roots(k - r)
-    table = roots(np.arange(_BLOCK))
-    out = np.empty(n, dtype=complex)
-    for i, turn in zip(range(0, n, _BLOCK), roots(np.arange(0, n, _BLOCK))):
-        np.multiply(table[:n - i], turn, out=out[i:i + _BLOCK])
-    return out
+    r = k % _BLOCK
+    return roots(r) * roots(k - r)
 
 
 def _plan_product(plan: InversionPlan, symbol: np.ndarray, v: np.ndarray,
@@ -871,7 +856,7 @@ def _check_symbol_gap(poles, samples: np.ndarray):
 
 def _nearest_unit_roots(poles, n: int) -> np.ndarray:
     """The root of unity of order n nearest each pole, the one closest in
-    angle: ``_unit_roots(n)``'s entry, bit for bit, without the n roots."""
+    angle, by :func:`_unit_roots`."""
     turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
     return _unit_roots(n, np.rint(n * turns).astype(int) % n)
 
@@ -1000,24 +985,29 @@ def forward_even_convolution(terms, x: np.ndarray,
 
 
 def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
-    """Run the difference equation on a length-n periodic signal.
+    """Run the difference equation on a length-n periodic signal:
+    y = p(T)^{-1} q(T) x for the cyclic shift T.
 
-    In frequency space y_hat = (q/p)(omega) * x_hat at each DFT frequency;
-    the characteristic polynomial must not vanish at any grid frequency.
-    x meets the operators' input rule; a result past the float range
-    raises :class:`ConditioningError`.
+    q(T) x = sum_l b_l T^l x, and p(T)^{-1} = c_N^{-1} prod_j (T - z_j)^{-1}
+    is one ``resolvent_solve`` of T per characteristic root z_j
+    (:func:`poly_roots`, which raises :class:`RepeatedRootError` for a
+    repeated one).  The sign (-1)^N of the (z_j - T)^{-1} is folded into
+    c_N, which divides the b_l before the solves: no negation then turns
+    a zero imaginary part into -0.  A root on or too near a root of unity
+    raises :class:`SingularResolventError`.  x meets the operators' input
+    rule; a result past the float range raises :class:`ConditioningError`.
     """
     x = np.asarray(x, dtype=complex)
     T = PeriodicShiftOperator(x.size)
     x = T.checked_vector(x)
-    omega = T.symbol
-    p = _polyval(omega, np.array(spec.c))
-    if negligible(np.min(np.abs(p)), magnitude(spec.c), rtol=SPECTRUM_EPS):
-        raise SingularTransferError(
-            "characteristic polynomial vanishes at a grid frequency")
-    q = _polyval(omega, np.array((0j,) + spec.b))
+    roots = poly_roots(spec.c)
+    scale = (-1) ** spec.order * spec.c[-1]
     with np.errstate(all="ignore"):
-        return _require_finite(np.fft.ifft(np.fft.fft(x) * q / p))
+        y = _require_finite(sum(b / scale * np.roll(x, -l)
+                                for l, b in enumerate(spec.b, start=1)))
+    for z in roots:
+        y = T.resolvent_solve(z, y)
+    return y
 
 
 def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:

@@ -128,14 +128,17 @@ def invert_to_plan(series: ResolventSeries) -> InversionPlan:
     if not series.is_theorem_mode():
         raise HypothesisError(
             "series must have nonnegative real coefficients with positive sum")
-    active = series.pruned()
+    # the terms with a nonzero coefficient, of which theorem mode leaves one
+    # at least; their poles stay distinct, since the gap floor only shrinks
+    kept = series.coefficients != 0
+    active = series.poles[kept]
     # gamma, beta, the residues and f h = 1 are taken on 2^-ka a_j and on
     # the poles and zeros in one frame 2^-kp, where nothing overflows: f, f'
     # and h are 2^(kp-ka), 2^(2kp-ka) and 2^(ka-kp) times theirs there
-    m = active.poles.size
-    a, ka = unit_frame(active.coefficients)
-    z = framed_secular_zeros(a, ka, active.poles)
-    framed, kp = unit_frame(np.concatenate([active.poles, z]))
+    m = active.size
+    a, ka = unit_frame(series.coefficients[kept])
+    z = framed_secular_zeros(a, ka, active)
+    framed, kp = unit_frame(np.concatenate([active, z]))
     alpha, zf = framed[:m], framed[m:]
     poles = alpha.tolist()
     gamma, beta = framed_gamma_beta(a, poles)

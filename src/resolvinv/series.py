@@ -67,9 +67,9 @@ class ResolventSeries:
     read-only 1-d complex arrays of one length.
 
     Coefficients and poles must be finite and the poles pairwise distinct
-    (see :mod:`resolvinv.tolerance`); zero coefficients are allowed and
-    can be removed with :meth:`pruned`.  Two series are equal when their
-    :attr:`terms` are.
+    (see :mod:`resolvinv.tolerance`); zero coefficients are allowed, and
+    the plan and every operator skip their terms.  Two series are equal
+    when their :attr:`terms` are.
     """
 
     coefficients: np.ndarray
@@ -109,16 +109,6 @@ class ResolventSeries:
     def is_theorem_mode(self) -> bool:
         """See :func:`theorem_mode`."""
         return theorem_mode(self.coefficients.tolist())
-
-    def pruned(self) -> "ResolventSeries":
-        """Drop the terms whose coefficient is zero."""
-        kept = self.coefficients != 0
-        if not kept.any():
-            raise DegenerateSeriesError("all coefficients vanish")
-        if kept.all():
-            return self
-        return ResolventSeries.from_arrays(self.coefficients[kept],
-                                           self.poles[kept])
 
 
 def theorem_mode(coefficients, rtol: float = EPS) -> bool:

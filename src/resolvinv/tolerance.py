@@ -38,9 +38,9 @@ carries:
   point;
 * :data:`SPECTRUM_EPS` for a pole against spectrum or symbol samples
   that were themselves computed (eigenvalues, squared DFT frequencies,
-  a characteristic polynomial at the roots of unity), and for the pole
-  hull's distance to a spectrum, the admissibility gate's one floor,
-  which holds the plan's zeros to that rule too;
+  roots of unity), and for the pole hull's distance to a spectrum, the
+  admissibility gate's one floor, which holds the plan's zeros to that
+  rule too;
 * :data:`DERIVED_EPS` for the theorem-mode test of coefficients derived
   from the data (filter residues, mapped convolution weights), in
   :func:`resolvinv.rational.derived_series` alone.

@@ -242,6 +242,19 @@ class TestInvertCommand:
         x0 = read_signal(demo_dir / "filter_x0.csv")
         assert np.max(np.abs(x - x0)) < 1e-9
 
+    def test_filter_output_and_solution_are_real(self, demo_dir, tmp_path,
+                                                 capsys):
+        # the demo filter's root 0.5 and its impulse are real, and the
+        # shift's scan keeps every imaginary part at +0.0 both ways
+        out = tmp_path / "x.csv"
+        assert main(["invert", str(demo_dir / "filter.json"),
+                     "--input", str(demo_dir / "filter_y.csv"),
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        for path in (demo_dir / "filter_y.csv", out):
+            imag = read_signal(path).imag
+            assert (imag == 0.0).all() and not np.signbit(imag).any()
+
     def test_filter_series_built_once(self, demo_dir, tmp_path, capsys,
                                       monkeypatch):
         calls = []

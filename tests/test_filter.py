@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from conftest import planted_filter
 from resolvinv.errors import (
     HypothesisError,
+    RepeatedRootError,
     SeparationError,
     SingularResolventError,
-    SingularTransferError,
 )
 from resolvinv.operators import forward_filter, invert_filter, solve_filter
 from resolvinv.rational import FilterSpec, invert_to_plan
@@ -70,7 +73,20 @@ class TestForwardFilter:
     def test_singular_transfer_rejected(self):
         # p(z) = z - 1 vanishes at the DFT frequency omega = 1
         spec = FilterSpec((-1.0, 1.0), (1.0,))
-        with pytest.raises(SingularTransferError):
+        with pytest.raises(SingularResolventError):
+            forward_filter(spec, np.ones(16))
+
+    @pytest.mark.parametrize("roots", [(0.5, 1.0), (-0.5, 1j)])
+    def test_root_on_a_root_of_unity_rejected(self, roots):
+        # a root of unity of order 16, solved after the root +-0.5
+        spec = FilterSpec(tuple(np.poly(roots)[::-1]), (1.0, 0.5))
+        with pytest.raises(SingularResolventError):
+            forward_filter(spec, np.ones(16))
+
+    def test_repeated_root_rejected(self):
+        # p(z) = (z - 0.5)^2, as invert_filter rejects it
+        spec = FilterSpec((0.25, -1.0, 1.0), (1.0, 0.0))
+        with pytest.raises(RepeatedRootError):
             forward_filter(spec, np.ones(16))
 
 
@@ -133,11 +149,57 @@ class TestInvertFilter:
 def test_nearest_unit_root_matches_a_full_scan(n):
     # invert_filter's gap check looks up each pole's nearest root of unity
     # by angle instead of scanning the n samples
-    from resolvinv.operators import PeriodicShiftOperator, _nearest_unit_roots
+    from resolvinv.operators import _nearest_unit_roots
 
     rng = np.random.default_rng(n)
     poles = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    sym = PeriodicShiftOperator(n).symbol
+    sym = np.exp(2j * np.pi * np.arange(n) / n)
     got = np.abs(poles - _nearest_unit_roots(poles, n))
     want = np.min(np.abs(poles[:, None] - sym[None, :]), axis=1)
     assert np.array_equal(got, want)
+
+
+EPS = np.finfo(float).eps
+
+# a characteristic root inside the unit circle, |z| <= 0.9, or outside it,
+# 1.1 <= |z| <= 3, at a turn of the circle
+_ROOTS = st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0),
+                            st.floats(0.0, 1.0)), min_size=1, max_size=8)
+_COEFFICIENT = st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=_ROOTS, top=_COEFFICIENT, b=st.lists(_COEFFICIENT, min_size=8,
+                                                  max_size=8),
+       n=st.sampled_from([1, 2, 3, 16, 4097]), seed=st.integers(0, 2 ** 32))
+def test_forward_filter_matches_the_transfer_function(roots, top, b, n, seed):
+    # the reference: (q/p)(omega) at the roots of unity by np.exp, applied
+    # between an FFT pair. Both routes round q and p on the circle, to
+    # sigma = sum_l |b_l| / |q(omega)| + sum_k |c_k| / |p(omega)| eps
+    # relative; the cascade also finds root z_j to cond_j eps, with
+    # cond_j = sum_k |c_k| |z_j|^k / |p'(z_j)|, which moves
+    # (omega - z_j)^{-1} by cond_j / |omega - z_j| eps (rho). kappa, the
+    # spread of |q/p| on the circle, takes an error relative to each
+    # frequency's term to one relative to the largest output sample
+    z = np.array([(1.1 + 1.9 * r if out else 0.9 * r) * np.exp(2j * np.pi * t)
+                  for out, r, t in roots])
+    gaps = np.abs(z[:, None] - z) + np.eye(z.size)
+    assume(gaps.min() > 1e-3 * max(1.0, np.abs(z).max()))
+    c = top * np.poly(z)[::-1]
+    spec = FilterSpec(tuple(c), tuple(b[:z.size]))
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    q = P.polyval(omega, (0,) + spec.b)
+    p = P.polyval(omega, c)
+    assume(np.abs(q).min() > 0)
+    h = q / p
+    kappa = np.abs(h).max() / np.abs(h).min()
+    sigma = (np.abs(spec.b).sum() / np.abs(q)
+             + np.abs(c).sum() / np.abs(p)).max()
+    cond = P.polyval(np.abs(z), np.abs(c)) / np.abs(P.polyval(z, P.polyder(c)))
+    rho = (cond / np.abs(omega[:, None] - z)).sum(axis=1).max()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = np.fft.ifft(np.fft.fft(x) * h)
+    got = forward_filter(spec, x)
+    assert (np.abs(got - want).max()
+            <= 16 * kappa * (sigma + rho) * EPS * np.abs(got).max())

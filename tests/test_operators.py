@@ -362,8 +362,8 @@ class TestApplySeries:
         lambda: DenseMatrixOperator(np.diag([1.0, 2.0, 3.0])),
     ], ids=["multiplier", "dense"])
     def test_zero_term_skipped_on_every_operator(self, make):
-        # the zero term's pole 2 lies on the spectrum; like
-        # ResolventSeries.pruned, every operator drops the term
+        # the zero term's pole 2 lies on the spectrum; like the plan
+        # (invert_to_plan), every operator drops the term
         s = ResolventSeries(((1, 5.0), (0, 2.0)))
         got = apply_series(s, make(), np.ones(3))
         np.testing.assert_allclose(got, [0.25, 1 / 3, 0.5], rtol=1e-15)
@@ -638,7 +638,7 @@ def test_plan_evaluates_a_scalar_as_the_array_does():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 4095, 4096])
 def test_unit_roots_up_to_one_block_are_np_exp(n):
     np.testing.assert_array_equal(
-        _bits(PeriodicShiftOperator(n).symbol),
+        _bits(operators._unit_roots(n, np.arange(n))),
         _bits(np.exp(2j * np.pi * np.arange(n) / n)))
 
 
@@ -653,7 +653,7 @@ def test_unit_roots_past_one_block_are_within_4_eps(n):
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
     theta = two_pi * np.arange(n, dtype=np.longdouble) / n
     exact_re, exact_im = np.cos(theta), np.sin(theta)
-    got = PeriodicShiftOperator(n).symbol
+    got = operators._unit_roots(n, np.arange(n))
     err = np.hypot((got.real - exact_re).astype(float),
                    (got.imag - exact_im).astype(float))
     assert err.max() <= 4 * EPS
@@ -798,19 +798,32 @@ def test_forward_filter_round_trip_outside_the_circle():
         assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
 
 
-def test_shift_solve_builds_no_root_table():
-    T = PeriodicShiftOperator(2 ** 12)
-    T.apply_plan(_plan_for_blocks(), np.ones(2 ** 12))
-    assert "symbol" not in vars(T)
-    np.testing.assert_array_equal(T.symbol, operators._unit_roots(2 ** 12))
+def test_shift_solve_builds_no_root_table(monkeypatch):
+    # the solve and the forward filter take only the root of unity nearest
+    # each zero or characteristic root
+    sizes = []
+    unit_roots = operators._unit_roots
+
+    def counted(n, k):
+        sizes.append(np.size(k))
+        return unit_roots(n, k)
+
+    monkeypatch.setattr(operators, "_unit_roots", counted)
+    n = 2 ** 12
+    plan = _plan_for_blocks()
+    PeriodicShiftOperator(n).apply_plan(plan, np.ones(n))
+    assert sizes and max(sizes) <= plan.zeros.size
+    sizes.clear()
+    forward_filter(FilterSpec((0.06, -0.5, 1.0), (1.0, 0.5)), np.ones(n))
+    assert sizes == [1, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 3 * 4096 + 17,
                                2 ** 16, 2 ** 20])
 def test_nearest_root_is_the_table_entry_bit_for_bit(n):
     # the pole check computes the m roots it needs; at the block edges and
-    # the table's ends they are the full table's entries
-    table = operators._unit_roots(n)
+    # the ends they are the entries of all n roots
+    table = operators._unit_roots(n, np.arange(n))
     edges = [k for b in range(0, n + 4096, 4096) for k in (b - 1, b, b + 1)]
     k = np.unique(np.array(edges + [n // 2, (n + 1) // 2]) % n)
     poles = 1.5 * np.exp(2j * np.pi * k / n)
@@ -1233,7 +1246,7 @@ def test_only_the_dense_matrix_has_solve_and_apply_helpers():
 
 @pytest.mark.parametrize("A", [
     PeriodicShiftOperator(8),
-    MultiplierOperator(PeriodicShiftOperator(8).symbol),
+    MultiplierOperator(np.exp(2j * np.pi * np.arange(8) / 8)),
 ], ids=["shift", "multiplier"])
 def test_resolvent_solve_past_the_float_range_raises_without_a_warning(A):
     # RuntimeWarnings are errors in this suite: the division by
@@ -1272,7 +1285,7 @@ def test_forward_filter_rejects_a_nonfinite_input_and_an_overflow():
     x[2] = np.nan
     with pytest.raises(InvalidInputError, match="NaN or infinite"):
         forward_filter(spec, x)
-    # the FFT of a finite x overflows: a typed error, without a warning
+    # the solve of a finite x overflows: a typed error, without a warning
     with pytest.raises(ConditioningError, match="float range"):
         forward_filter(spec, np.full(16, 1e308))
 

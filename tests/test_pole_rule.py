@@ -101,7 +101,12 @@ def _samples_and_solve(name):
         return (_squared_frequencies(N, 8.0),
                 lambda p: solve_convolution(_plan(p), np.ones(N), 8.0))
     A = BACKENDS[name]()
-    samples = A.eigenvalues() if name == "dense" else A.symbol
+    if name == "dense":
+        samples = A.eigenvalues()
+    elif name == "shift":
+        samples = np.exp(2j * np.pi * np.arange(N) / N)
+    else:
+        samples = A.symbol
     return samples, lambda p: A.resolvent_solve(p, np.ones(N))
 
 

@@ -89,10 +89,6 @@ class TestResolventSeries:
         assert not ResolventSeries(((-1, 1j),)).is_theorem_mode()
         assert not ResolventSeries(((0, 1j), (0, 2j))).is_theorem_mode()
 
-    def test_pruned(self):
-        s = ResolventSeries(((1, 1.0), (0, 2.0)))
-        assert s.pruned().terms == ((1 + 0j, 1 + 0j),)
-
     @pytest.mark.parametrize("terms", [
         ((complex(1.0, float("nan")), 1), (1, 3)),
         ((1, float("nan")), (1, 3)),
