@@ -23,8 +23,8 @@ The periodic shift runs each zero z on the same scan, with no FFT:
 the period, scanned backwards for |z| > 1 and over the reversed signal
 otherwise, entering with the carry that closes it.  Both build each
 zero's tables of e^j one way, every power within a few eps of the
-others.  ``forward_filter`` runs on the same scan, one resolvent solve
-per characteristic root.
+others.  ``forward_filter`` runs on the same scan, one solve per
+characteristic root and one more per root for its refinement step.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
@@ -80,10 +80,9 @@ from .rational import (
     checked_plan,
     derived_series,
     filter_to_series,
-    poly_roots,
 )
 from .series import ResolventSeries, require_admissible
-from .tolerance import SPECTRUM_EPS
+from .tolerance import SPECTRUM_EPS, ldexp, unit_frame
 
 # samples per block of a pass: a block's temporaries (64 KiB each) stay in
 # cache
@@ -988,26 +987,67 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     """Run the difference equation on a length-n periodic signal:
     y = p(T)^{-1} q(T) x for the cyclic shift T.
 
-    q(T) x = sum_l b_l T^l x, and p(T)^{-1} = c_N^{-1} prod_j (T - z_j)^{-1}
-    is one ``resolvent_solve`` of T per characteristic root z_j
-    (:func:`poly_roots`, which raises :class:`RepeatedRootError` for a
-    repeated one).  The sign (-1)^N of the (z_j - T)^{-1} is folded into
-    c_N, which divides the b_l before the solves: no negation then turns
-    a zero imaginary part into -0.  A root on or too near a root of unity
-    raises :class:`SingularResolventError`.  x meets the operators' input
-    rule; a result past the float range raises :class:`ConditioningError`.
+    p(T) = K prod_j M_j(T) over the roots z_j of p
+    (:func:`_characteristic_roots`): M_j = z_j - T in the closed unit disk,
+    1 - T / z_j outside, and K = (-1)^N c_N prod z_j over the roots
+    outside.  Each M_j^{-1} is one ``apply_plan`` (a repeated root is two
+    of them); one refinement step then solves the residual q(T)x - p(T)y
+    the same way, which leaves the rounding of q and p on the circle.  x,
+    b, c and K are framed by powers of two, so an intermediate leaves the
+    float range only with y.  A root on or near a root of unity raises
+    :class:`SingularResolventError`, a root or y past the float range
+    :class:`ConditioningError`.
     """
     x = np.asarray(x, dtype=complex)
     T = PeriodicShiftOperator(x.size)
-    x = T.checked_vector(x)
-    roots = poly_roots(spec.c)
-    scale = (-1) ** spec.order * spec.c[-1]
+    x, kx = unit_frame(T.checked_vector(x))
+    b, kb = unit_frame(spec.b)
+    c, kc = unit_frame(spec.c)
+    z = _characteristic_roots(c)
+    outside = np.abs(z) > 1.0
+    K, k = 1 + 0j, 0  # K 2^k, framed again after each factor
+    for factor in [(-1) ** spec.order * c[-1], *z[outside]]:
+        (w,), e = unit_frame(factor)
+        (K,), f = unit_frame(K * w)
+        k += e + f
+    residues = np.where(outside, z, 1.0 + 0j)
+
+    def solve(u):  # M(T)^{-1} u, one one-zero plan per root
+        for j in range(z.size):
+            u = T.apply_plan(InversionPlan(0j, 0j, z[j:j + 1],
+                                           residues[j:j + 1]), u)
+        return u
+
     with np.errstate(all="ignore"):
-        y = _require_finite(sum(b / scale * np.roll(x, -l)
-                                for l, b in enumerate(spec.b, start=1)))
-    for z in roots:
-        y = T.resolvent_solve(z, y)
-    return y
+        qx = sum(b_l / K * np.roll(x, -l) for l, b_l in enumerate(b, 1))
+        y = solve(qx)
+        m = ldexp(c, -k) / K  # M(T) = sum_j m_j T^j
+        y = y + solve(qx - sum(m_j * np.roll(y, -j)
+                               for j, m_j in enumerate(m)))
+    return _require_finite(ldexp(y, kx + kb - kc - k))
+
+
+def _characteristic_roots(c: np.ndarray) -> np.ndarray:
+    """The roots of sum_k c_k z^k (c_N != 0) as one set, the companion
+    matrix's eigenvalues (``numpy.roots``): no polish and no gap rule, so
+    not :func:`~resolvinv.rational.poly_roots`, whose roots (and the
+    filter plans built on them) keep their bits.  They are found for
+    w = z 2^-t on the framed coefficients, t giving the lowest nonzero and
+    the top coefficient one binary exponent, so that a ratio c_k / c_N or
+    a root leaves the float range, raising :class:`ConditioningError`,
+    only with the roots' spread."""
+    e = np.frexp(np.abs(c))[1]
+    nonzero = np.flatnonzero(c)
+    low, top = nonzero[0], c.size - 1
+    t = round((e[low] - e[top]) / (top - low)) if low < top else 0
+    k = t * np.arange(c.size)
+    w = ldexp(c, k - (e + k)[nonzero].max())
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(w / w[-1]).all()
+        z = ldexp(np.roots(w[::-1]) if finite else np.full(1, np.inf), t)
+    if not np.isfinite(z).all():
+        raise ConditioningError("characteristic roots exceed the float range")
+    return z
 
 
 def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
