@@ -11,20 +11,26 @@ batched ``np.linalg.solve``; a larger one makes per zero one LAPACK
 and caches.  Both cache the eigenvalues and the SVD on the operator and
 apply A only when beta != 0.  A multiplier makes one elementwise pass
 over its symbol, and ``solve_convolution`` the same pass between one FFT
-pair, in the array the forward FFT returns.  The pass runs
-``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
+pair, in the array the forward FFT returns, on the n // 2 + 1 distinct
+xi^2 only, each value's 1/f multiplied in at k and at n - k.  The pass
+runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
 temporaries stay in cache, with the bits of the whole-array product.
-d/dt on a grid makes one backward pass over blocks of 4096 samples: per
-block and zero a numpy scan of the resolvent's recurrence, a reverse
+d/dt on a grid makes one backward pass over blocks of 4096 samples:
+gamma v + beta v' is written into the output block, then per zero a
+numpy scan of the resolvent's recurrence adds its term, a reverse
 cumulative sum on segments that the grid fixes, with the bits of one scan
-over the whole grid; gamma v + beta v' + h is formed in the same block.
-The periodic shift runs each zero z on the same scan, with no FFT:
-(z - T)^{-1} v is the recurrence z w_i - w_i+1 = v_i closed once around
-the period, scanned backwards for |z| > 1 and over the reversed signal
-otherwise, entering with the carry that closes it.  Both build each
+over the whole grid.  A zero makes four passes over a block: the product
+by its table of e^j, the cumsum, the product by its table of c e^-j and
+the sum into the output; a block of several segments adds their carries
+in a fifth.  The periodic shift runs each zero z on the same scan, with
+no FFT: (z - T)^{-1} v is the recurrence z w_i - w_i+1 = v_i closed once
+around the period, scanned backwards for |z| > 1 and over the reversed
+signal otherwise, entering with the carry that closes it; a filter solve
+reads T^-1 y through the scan's indexing, with no copy.  Both build each
 zero's tables of e^j one way, every power within a few eps of the
 others.  ``forward_filter`` runs on the same scan, one solve per
-characteristic root and one more per root for its refinement step.
+characteristic root and one more per root for its refinement step, each
+root checked once and its tables built once.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
@@ -312,14 +318,14 @@ class GridDerivativeOperator(OperatorHandle):
 
     ``apply_plan`` runs the recurrence of every zero in one backward pass
     over blocks of _BLOCK samples as a numpy scan (:class:`_ZeroScan`): on
-    segments of L cells fixed by the grid, w = (revcumsum(p cell) +
-    p_L carry) / p with p_j = e^j, the carry being w at the next segment's
-    first sample.  L is a power of two up to _BLOCK, or the whole grid
-    when that is shorter, so a block holds whole segments, and the bits
-    are those of one scan over the whole grid.
-    gamma v + beta v' is added in the same block, so the temporaries hold
-    at most _BLOCK + 1 samples each, and the tables two times L per zero,
-    all in one allocation that stays in cache.
+    segments of L cells fixed by the grid, w = revcumsum(p cell) / p with
+    p_j = e^j and the next segment's carry in the last cell.  L is a power
+    of two up to _BLOCK, or the whole grid when that is shorter, so a
+    block holds whole segments, and the bits are those of one scan over
+    the whole grid.  gamma v + beta v' is written into the output block
+    first and each zero's term added to it, so the temporaries hold at
+    most _BLOCK + 1 samples each, and the tables two rows per zero, all in
+    one allocation that stays in cache.
     """
 
     resolvent_solve = OperatorHandle.resolvent_solve
@@ -359,21 +365,22 @@ class GridDerivativeOperator(OperatorHandle):
     def apply(self, v):
         """v' by second-order central differences (one sided at the ends),
         the derivative of the beta*y' term of a Volterra solve."""
-        return self._derivative(self.checked_vector(v), slice(0, self.dim))
+        return self._derivative(self.checked_vector(v), slice(0, self.dim),
+                                np.empty(self.dim, dtype=complex))
 
     def spectrum(self) -> ImaginaryAxis:
         return ImaginaryAxis()
 
     def apply_plan(self, plan, v):
         """(gamma + beta d/dt + h(d/dt)) v in one backward pass: every zero
-        checked first, then per block h = sum_k c_k w_k and
-        (gamma v + beta v') + h, the order of the whole-array expression.
-        Raises :class:`ConditioningError` past the float range."""
+        checked first, then per block (gamma v + beta v') + c_1 w_1 + ...,
+        each term added into the output block in the plan's order.  Raises
+        :class:`ConditioningError` past the float range."""
         v = self.checked_vector(v)
         n = self.dim
         zeros = _check_finite_poles(plan.zeros)
-        # one allocation: a block's cells, their differences and a term,
-        # with one sample to spare, then each zero's two tables
+        # one allocation: a block's cells (or v'), their differences and a
+        # term, with one sample to spare, then each zero's two tables
         work = np.empty((3 + 2 * zeros.size, min(n, _BLOCK + 1)),
                         dtype=complex)
         y, dv, term = work[:3]
@@ -389,36 +396,32 @@ class GridDerivativeOperator(OperatorHandle):
             for s in reversed(_block_spans(n)):
                 lo, hi = s.start, s.stop
                 k = hi - lo
+                h = np.multiply(plan.gamma, v[s], out=out[s])
+                if plan.beta != 0:
+                    grad = self._derivative(v, s, y[:k])
+                    h += np.multiply(plan.beta, grad, out=grad)
                 cells = k - (hi == n)
                 vc = v[lo:lo + cells]
                 dvc = np.subtract(v[lo + 1:lo + cells + 1], vc, out=dv[:cells])
-                # h summed in the output block, from 0 as on the whole array
-                h = out[s]
-                h.fill(0)
                 for j, scan in enumerate(scans):
                     # the cells as y = cell / i0 = v_i + (v_i+1 - v_i) rho
                     yy = np.multiply(dvc, scan.rho, out=y[:cells])
                     yy += vc
                     carries[j] = scan.run(yy, yy, carries[j], h[:cells],
                                           term)
-                lin = np.multiply(plan.gamma, v[s], out=term[:k])
-                if plan.beta != 0:
-                    grad = self._derivative(v, s)
-                    lin += np.multiply(plan.beta, grad, out=grad)
-                # addition commutes bit for bit: (gamma v + beta v') + h
-                h += lin
                 _require_finite(h)
         return out
 
-    def _derivative(self, v: np.ndarray, s: slice) -> np.ndarray:
-        """v' on the samples s: ``np.gradient(v, dt, edge_order=2)[s]``
-        but for the sign of a zero.  Inside the grid its central difference
-        over 2 dt, which numpy's complex division forms as the product by
-        the reciprocal 0.5 / dt, taken here on the float view; at a grid
-        end its one-sided formula, in its own order."""
+    def _derivative(self, v: np.ndarray, s: slice,
+                    out: np.ndarray) -> np.ndarray:
+        """v' on the samples s, into ``out``:
+        ``np.gradient(v, dt, edge_order=2)[s]`` but for the sign of a zero.
+        Inside the grid its central difference over 2 dt, which numpy's
+        complex division forms as the product by the reciprocal 0.5 / dt,
+        taken here on the float view; at a grid end its one-sided formula,
+        in its own order."""
         lo, hi = s.start, s.stop
         n, d = self.dim, self.dt
-        out = np.empty(hi - lo, dtype=complex)
         a, b = max(lo, 1), min(hi, n - 1)
         mid = np.subtract(v[a + 1:b + 1], v[a - 1:b - 1],
                           out=out[a - lo:b - lo])
@@ -464,8 +467,9 @@ class _ZeroScan:
 
     w_i = e w_i+1 + i0 y_i with e = exp(-x), on segments of L cells at
     multiples of L from the first cell: with p_j = e^j, a segment's
-    w = i0 (revcumsum(p y) + p_L carry) / p, the carry being w / i0 at the
-    next segment's first cell.  L is the largest power of two up to _BLOCK
+    w = i0 revcumsum(p y) / p, where the cell past the segment's end
+    enters its last cell as p_L carry, the carry being w / i0 at the next
+    segment's first cell.  L is the largest power of two up to _BLOCK
     with |e|^L >= 2^-_SCAN_BITS, so that every e^j and e^-j of a segment is
     a normal float with room to spare, and at most the number of cells.
     When even |e| is below that (e near 0, or 0 past the float range),
@@ -474,32 +478,37 @@ class _ZeroScan:
     the bits.  The grid runs its zeros on it, and the periodic shift on
     :class:`_ShiftScan`; both build their tables by :meth:`_tables`.
 
-    The table of 1/p is kept as qi = i0 / p: c w = c (u qi) with
-    u = revcumsum(p y) + p_L carry, and p_L = e_l past the table's end.
+    The residue c is folded into the table of 1/p, qi = c i0 / p, so that
+    c w = u qi with u = revcumsum(p y), and p_L = e_l past the table's
+    end.  Both tables repeat with period L along their rows, so that a
+    block's products with them are each one contiguous multiply.
     """
 
     def __init__(self, x: complex, i0: complex, ck: complex, cells: int,
                  tables: np.ndarray):
         """The scan of e = exp(-x), Re x >= 0, cell weight i0 and residue
-        ck over ``cells`` cells, its two tables in the rows of ``tables``."""
-        self.ck = ck
+        ck over ``cells`` cells, its two tables in the rows of ``tables``
+        (p and qi in their first L entries, repeated along the rows)."""
         span = _SCAN_BITS * math.log(2.0) / x.real if x.real > 0 else math.inf
         L = 1 << int(math.log2(min(span, _BLOCK))) if span >= 1.0 else 1
         L = min(L, cells)
-        self.p, self.qi = tables[:2, :L]
-        self.e_l = self._tables(x, i0)
+        self.rows = tables[:2]
+        self.p, self.qi = self.rows[:, :L]
+        self.e_l = self._tables(x, i0, ck)
+        for row in self.rows:
+            _repeat(row, L)
 
-    def _tables(self, x: complex, i0: complex) -> complex:
-        """Fills p_j = e^j and qi_j = i0 / p_j and returns e_l = e^L.  With
-        -x = hi + lo split by :func:`_split` so that hi j is exact, the
+    def _tables(self, x: complex, i0: complex, ck: complex) -> complex:
+        """Fills p_j = e^j and qi_j = ck i0 / p_j and returns e_l = e^L.
+        With -x = hi + lo split by :func:`_split` so that hi j is exact, the
         first 64 powers and every 64th are exp(hi j) exp(lo j); every other
         power is one product of a first one and a 64th one.
-        qi_j = i0 e^-(L-1) p_L-1-j, and a power of two 2^k moves from qi to
-        p when qi would come within 2^24 of the float range's end.  e = 0
-        (x infinite) gives p = 1, qi = i0 and e_l = 0."""
+        qi_j = (i0 e^-(L-1) ck) p_L-1-j, and a power of two 2^k moves from
+        qi to p when qi would come within 2^24 of the float range's end.
+        e = 0 (x infinite) gives p = 1, qi = i0 ck and e_l = 0."""
         p, L = self.p, self.p.size
         if x.real == math.inf:
-            p[0], self.qi[0] = 1.0, i0
+            p[0], self.qi[0] = 1.0, i0 * ck
             return 0j
         # the first powers, every 64th, e^-(L-1) and e^L
         hi, lo = _split(-x, _BLOCK.bit_length())
@@ -511,12 +520,12 @@ class _ZeroScan:
                     out=p[:full * 64].reshape(full, 64))
         np.multiply(turns[full:], head[:L - full * 64], out=p[full * 64:])
         scale = i0 * complex(powers[-2])
-        k = max(0, math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
-                - 1000)
+        # the largest |qi| is about |scale ck|, its binary exponent the sum
+        # of theirs
+        k = min(1000, max(0, _exponent(scale) + _exponent(ck) - 1000))
+        np.multiply(p[::-1], scale * 2.0 ** -k * ck, out=self.qi)
         if k:
             p *= 2.0 ** k
-            scale *= 2.0 ** (-2 * k)
-        np.multiply(p[::-1], scale, out=self.qi)
         return complex(powers[-1])
 
     @classmethod
@@ -542,33 +551,36 @@ class _ZeroScan:
         ``carry`` (None past the last cell, where w = 0); returns the carry
         for the block before it.  ``u`` (which may be y) and ``term`` are
         scratch of the block's size.  Only the block holding the last cell
-        may end inside a segment."""
+        may end inside a segment.  The carry entering a segment from
+        outside the block's full segments, the block's own or the one its
+        tail segment leaves, joins that segment's last cell before the
+        cumsum; the carries between full segments of one block are added
+        after it."""
         cells = y.size
         L = self.p.size
         full, tail = divmod(cells, L)
         if carry is None and not tail:
             # the last segment ends at w = 0: run it on its own
             full, tail = full - 1, L
+        buf = np.multiply(y, self.rows[0, :cells], out=term[:cells])
+        head = full * L
         if tail:
-            seg = u[full * L:cells]
-            buf = term[:tail]
-            np.multiply(y[full * L:], self.p[:tail], out=buf)
-            np.cumsum(buf[::-1], out=seg[::-1])
             if carry is not None:
-                seg += self.p[tail] * carry
+                # e^tail: p_tail over p_0, the frame's power of two
+                buf[-1] += self.p[tail] / self.p[0] * carry
+            seg = u[head:cells]
+            np.cumsum(buf[head:][::-1], out=seg[::-1])
             carry = seg[0]
-            np.multiply(seg, self.qi[:tail], out=buf)
-            h[full * L:] += np.multiply(self.ck, buf, out=seg)
-        if not full:
-            return carry
-        uu = u[:full * L].reshape(full, L)
-        buf = term[:full * L].reshape(full, L)
-        np.multiply(y[:full * L].reshape(full, L), self.p, out=buf)
-        np.cumsum(buf[:, ::-1], axis=1, out=uu[:, ::-1])
-        uu += np.multiply(self._carries(uu[:, 0], carry), self.e_l)[:, None]
-        carry = uu[0, 0]
-        np.multiply(uu, self.qi, out=buf)
-        h[:full * L] += np.multiply(self.ck, buf, out=uu).reshape(-1)
+        if full:
+            buf[head - 1] += self.e_l * carry
+            uu = u[:head].reshape(full, L)
+            np.cumsum(buf[:head].reshape(full, L)[:, ::-1], axis=1,
+                      out=uu[:, ::-1])
+            if full > 1:
+                uu[:-1] += np.multiply(self._carries(uu[:-1, 0], uu[-1, 0]),
+                                       self.e_l)[:, None]
+            carry = uu[0, 0]
+        h += np.multiply(u[:cells], self.rows[1, :cells], out=buf)
         return carry
 
     def _carries(self, starts: np.ndarray, carry) -> np.ndarray:
@@ -654,6 +666,21 @@ def _split(w: complex, bits: int) -> tuple[complex, complex]:
     return hi, w - hi
 
 
+def _exponent(z: complex) -> int:
+    """The binary exponent of z's larger part, 0 for 0 or a non-finite
+    part (``math.frexp``'s)."""
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+
+
+def _repeat(row: np.ndarray, L: int) -> None:
+    """Repeats the row's first L entries along the whole row, in place."""
+    done = L
+    while done < row.size:
+        m = min(done, row.size - done)
+        row[done:done + m] = row[:m]
+        done += m
+
+
 def _one_minus_exp(w: complex, n: int) -> complex:
     """1 - exp(w n), with w split by :func:`_split` so that hi n is exact:
     -(expm1(hi n) (1 + expm1(lo n)) + expm1(lo n)), with no cancellation
@@ -664,17 +691,21 @@ def _one_minus_exp(w: complex, n: int) -> complex:
     return -(a * (1.0 + b) + b)
 
 
-def _pass_cells(y: np.ndarray, forward: bool, lo: int, hi: int,
+def _pass_cells(y: np.ndarray, shift: int, lo: int, hi: int,
                 buf: np.ndarray) -> np.ndarray:
-    """The cells [lo, hi) of a pass: for a backward one the signal y
-    itself; for a forward one, y is the reversed signal and cell k is
-    y[k + 1], sample (n - 2 - k) mod n, the last cell wrapping to y[0],
-    which is copied with the rest of its block into ``buf``."""
-    if not forward or hi < y.size:
-        return y[lo + forward:hi + forward]
+    """The cells [lo, hi) of a pass that reads cell k at y[(k + shift) mod
+    n]: a view of y where no cell wraps around the period, else the cells
+    copied into ``buf``."""
+    n = y.size
+    if 0 <= lo + shift and hi + shift <= n:
+        return y[lo + shift:hi + shift]
     cells = buf[:hi - lo]
-    cells[:-1] = y[lo + 1:]
-    cells[-1] = y[0]
+    done = 0
+    while done < cells.size:
+        start = (lo + shift + done) % n
+        m = min(cells.size - done, n - start)
+        cells[done:done + m] = y[start:start + m]
+        done += m
     return cells
 
 
@@ -685,8 +716,9 @@ class PeriodicShiftOperator(OperatorHandle):
     z w_i - w_i+1 = v_i closed once around the period, as a numpy scan
     (:class:`_ShiftScan`) over blocks of _BLOCK samples, backwards for
     |z| > 1 and forwards otherwise, with no FFT and no n-sample array but
-    the output.  No root of unity is built but the one nearest each
-    zero, which the pole check computes alone."""
+    the output; each zero's tables serve every signal of a block of them.
+    No root of unity is built but the one nearest each zero, which the
+    pole check computes alone."""
 
     resolvent_solve = OperatorHandle.resolvent_solve
 
@@ -707,41 +739,56 @@ class PeriodicShiftOperator(OperatorHandle):
         root of unity first, then each signal on the last axis by
         :meth:`_solve`.  Raises :class:`ConditioningError` when a sample
         leaves the float range."""
+        return self._apply_lagged(plan, v, 0)
+
+    def _apply_lagged(self, plan, y, lag: int):
+        """:meth:`apply_plan` on v = T^-lag y, which the passes read
+        through their cells' indexing, with no copy of y."""
         zeros = _check_finite_poles(plan.zeros)
         _check_symbol_gap(zeros, _nearest_unit_roots(zeros, self.dim))
-        v = self.checked_vector(v)
-        out = np.empty(v.shape, dtype=complex)
+        y = self.checked_vector(y)
+        out = np.empty(y.shape, dtype=complex)
         with np.errstate(all="ignore"):
-            for row, dst in zip(v.reshape(-1, self.dim),
+            work, scans = self._scans(zeros, plan.residues)
+            for row, dst in zip(y.reshape(-1, self.dim),
                                 out.reshape(-1, self.dim)):
-                self._solve(plan, row, dst)
+                self._solve(plan.gamma, plan.beta, scans, row, dst, lag,
+                            work)
         return _require_finite(out)
 
-    def _solve(self, plan, v, out):
-        """out = (beta T v + gamma v) + sum_k c_k (z_k - T)^{-1} v for one
-        signal: the zeros outside the unit circle in one backward pass over
-        the blocks, then the others in one over the reversed signal."""
+    def _scans(self, zeros, residues):
+        """One allocation: a block's cells and two scratch rows, with one
+        sample to spare, then each zero's two tables; and each zero's
+        :class:`_ShiftScan` on its tables, which serve every signal."""
         n = self.dim
-        # one allocation: a block's cells and two scratch rows, with one
-        # sample to spare, then each zero's two tables
-        work = np.empty((3 + 2 * plan.zeros.size, min(n, _BLOCK + 1)),
+        work = np.empty((3 + 2 * zeros.size, min(n, _BLOCK + 1)),
                         dtype=complex)
-        buf, u, term = work[:3]
-        scans = [_ShiftScan(z, ck, n, work[3 + 2 * j:])
-                 for j, (z, ck) in enumerate(zip(plan.zeros, plan.residues))]
-        spans = _block_spans(n)
-        np.multiply(plan.beta, v[1:], out=out[:-1])
-        np.multiply(plan.beta, v[:1], out=out[-1:])
+        return work[:3], [_ShiftScan(z, ck, n, work[3 + 2 * j:])
+                          for j, (z, ck) in enumerate(zip(zeros, residues))]
+
+    def _solve(self, gamma, beta, scans, y, out, lag, work):
+        """out = (gamma v + beta T v) + sum_k c_k (z_k - T)^{-1} v for one
+        signal v = T^-lag y: gamma and beta in one pass over the blocks,
+        then the zeros outside the unit circle in one backward pass, then
+        the others in one over the reversed signal."""
+        buf, u, term = work
+        spans = _block_spans(self.dim)
         for s in spans:
-            out[s] += np.multiply(plan.gamma, v[s],
-                                  out=term[:s.stop - s.start])
+            h = np.multiply(gamma, _pass_cells(y, -lag, s.start, s.stop, buf),
+                            out=out[s])
+            if beta != 0:
+                h += np.multiply(beta, _pass_cells(y, 1 - lag, s.start,
+                                                   s.stop, buf),
+                                 out=term[:h.size])
         for forward in (False, True):
             group = [scan for scan in scans if scan.forward == forward]
             if not group:
                 continue
-            # the signal and the output in the pass's order
-            y, h = (v[::-1], out[::-1]) if forward else (v, out)
-            read = functools.partial(_pass_cells, y, forward, buf=buf)
+            # the signal and the output in the pass's order: a forward
+            # pass's cell k is sample (n - 2 - k) mod n of v
+            read = functools.partial(_pass_cells, y[::-1] if forward else y,
+                                     1 + lag if forward else -lag, buf=buf)
+            h = out[::-1] if forward else out
             carries = [scan.periodic_carry(read) for scan in group]
             for s in reversed(spans):
                 cells = read(s.start, s.stop)
@@ -789,15 +836,27 @@ def _block_spans(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _fourier_plan_solve(plan: InversionPlan, symbol: np.ndarray,
+def _fourier_plan_solve(plan: InversionPlan, half: np.ndarray,
                         v: np.ndarray) -> np.ndarray:
-    """ifft((1/f)(symbol) * fft(v)) along the last axis for a checked v:
-    the blocked plan product and the inverse FFT both in the array the
-    forward FFT returns.  Raises :class:`ConditioningError` when a sample
-    leaves the float range."""
+    """ifft((1/f)(symbol) * fft(v)) along the last axis for a checked v and
+    an even symbol, symbol[k] = symbol[n - k], given as its n // 2 + 1
+    values ``half`` at k <= n / 2: the plan is evaluated once per value,
+    in blocks of _BLOCK, and multiplied into the spectrum at k and at
+    n - k, each product formed as on the whole array; the inverse FFT runs
+    in the array the forward FFT returns.  Raises
+    :class:`ConditioningError` when a sample leaves the float range."""
+    n = v.shape[-1]
     with np.errstate(all="ignore"):
         spectrum = np.fft.fft(v)
-        _plan_product(plan, symbol, spectrum, spectrum)
+        for s in _block_spans(half.size):
+            g = plan.evaluate_scalar(half[s])
+            spectrum[..., s] = g * spectrum[..., s]
+            # k in [lo, hi) below n / 2 mirrors to n - k
+            lo, hi = max(s.start, 1), min(s.stop, (n + 1) // 2)
+            if lo < hi:
+                mirror = slice(n - hi + 1, n - lo + 1)
+                spectrum[..., mirror] = (g[lo - s.start:hi - s.start][::-1]
+                                         * spectrum[..., mirror])
         return _require_finite(np.fft.ifft(spectrum, out=spectrum))
 
 
@@ -938,9 +997,11 @@ def convolution_series(terms) -> ResolventSeries:
 
 
 def _squared_frequencies(n: int, period: float) -> np.ndarray:
-    """xi^2 for the angular frequencies xi = 2 pi k / period of the DFT."""
+    """xi^2 for the angular frequencies xi = 2 pi k / period of the DFT at
+    k = 0, ..., n // 2: ``np.fft.fftfreq``'s, whose squares at k and n - k
+    are equal bit for bit."""
     with np.errstate(all="ignore"):
-        xi = np.fft.fftfreq(n, d=period / (2.0 * np.pi * n))
+        xi = np.fft.rfftfreq(n, d=period / (2.0 * np.pi * n))
         xi *= xi
     return xi
 
@@ -967,7 +1028,7 @@ def solve_convolution(plan: InversionPlan, y: np.ndarray,
         raise InvalidInputError("need a nonempty y and a finite period > 0")
     xi2 = _squared_frequencies(y.size, period)
     _check_symbol_gap(plan.zeros, xi2)
-    return _fourier_plan_solve(plan, xi2, _checked_samples(y, xi2.size))
+    return _fourier_plan_solve(plan, xi2, _checked_samples(y, y.size))
 
 
 def forward_even_convolution(terms, x: np.ndarray,
@@ -990,35 +1051,39 @@ def forward_filter(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
     p(T) = K prod_j M_j(T) over the roots z_j of p
     (:func:`_characteristic_roots`): M_j = z_j - T in the closed unit disk,
     1 - T / z_j outside, and K = (-1)^N c_N prod z_j over the roots
-    outside.  Each M_j^{-1} is one ``apply_plan`` (a repeated root is two
-    of them); one refinement step then solves the residual q(T)x - p(T)y
-    the same way, which leaves the rounding of q and p on the circle.  x,
-    b, c and K are framed by powers of two, so an intermediate leaves the
-    float range only with y.  A root on or near a root of unity raises
-    :class:`SingularResolventError`, a root or y past the float range
-    :class:`ConditioningError`.
+    outside.  The roots are checked once against their nearest roots of
+    unity; each M_j^{-1} is then one solve on the shift's scan, every root's
+    tables built once (a repeated root is two solves).  One refinement
+    step solves the residual q(T)x - p(T)y the same way, which leaves the
+    rounding of q and p on the circle.  x, b, c and K are framed by powers
+    of two, so an intermediate leaves the float range only with y.  A root
+    on or near a root of unity raises :class:`SingularResolventError`, a
+    root or y past the float range :class:`ConditioningError`.
     """
     x = np.asarray(x, dtype=complex)
-    T = PeriodicShiftOperator(x.size)
+    n = x.size
+    T = PeriodicShiftOperator(n)
     x, kx = unit_frame(T.checked_vector(x))
     b, kb = unit_frame(spec.b)
     c, kc = unit_frame(spec.c)
     z = _characteristic_roots(c)
+    _check_symbol_gap(z, _nearest_unit_roots(z, n))
     outside = np.abs(z) > 1.0
     K, k = 1 + 0j, 0  # K 2^k, framed again after each factor
     for factor in [(-1) ** spec.order * c[-1], *z[outside]]:
         (w,), e = unit_frame(factor)
         (K,), f = unit_frame(K * w)
         k += e + f
-    residues = np.where(outside, z, 1.0 + 0j)
-
-    def solve(u):  # M(T)^{-1} u, one one-zero plan per root
-        for j in range(z.size):
-            u = T.apply_plan(InversionPlan(0j, 0j, z[j:j + 1],
-                                           residues[j:j + 1]), u)
-        return u
 
     with np.errstate(all="ignore"):
+        work, scans = T._scans(z, np.where(outside, z, 1.0 + 0j))
+
+        def solve(u):  # M(T)^{-1} u, one solve per root
+            for scan in scans:
+                u, w = np.empty(n, dtype=complex), u
+                T._solve(0j, 0j, [scan], w, u, 0, work)
+            return u
+
         qx = sum(b_l / K * np.roll(x, -l) for l, b_l in enumerate(b, 1))
         y = solve(qx)
         m = ldexp(c, -k) / K  # M(T) = sum_j m_j T^j
@@ -1060,10 +1125,11 @@ def invert_filter(spec: FilterSpec, y: np.ndarray) -> np.ndarray:
 
 def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:
     """:func:`invert_filter` without its checks of the filter: the shift T
-    applies the plan to -T^{-1} y = -roll(y, 1), checking its poles.  The
+    applies the plan to -T^{-1} y = -roll(y, 1), checking its poles, and
+    reads T^{-1} y through its passes' indexing, with no rolled copy.  The
     sign goes on the plan (gamma, beta and the residues), which gives the
     same bits as negating the signal, without a pass over it."""
     y = np.asarray(y, dtype=complex)
     negated = InversionPlan(-plan.gamma, -plan.beta, plan.zeros,
                             -plan.residues)
-    return PeriodicShiftOperator(y.size).apply_plan(negated, np.roll(y, 1))
+    return PeriodicShiftOperator(y.size)._apply_lagged(negated, y, 1)

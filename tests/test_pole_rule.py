@@ -98,7 +98,10 @@ def test_nonfinite_pole_is_an_invalid_input_in_the_free_solves(bad):
 
 def _samples_and_solve(name):
     if name == "convolution":
-        return (_squared_frequencies(N, 8.0),
+        # the n // 2 + 1 distinct xi^2 mirrored to all n, as the solve
+        # multiplies them into the spectrum
+        half = _squared_frequencies(N, 8.0)
+        return (np.concatenate((half, half[1:(N + 1) // 2][::-1])),
                 lambda p: solve_convolution(_plan(p), np.ones(N), 8.0))
     A = BACKENDS[name]()
     if name == "dense":
