@@ -6,13 +6,15 @@ solve path.  A resolvent solve (alpha*I - A)^{-1} v is the plan with one
 zero alpha and residue 1, and a series the plan with gamma = beta = 0,
 its poles and its nonzero coefficients (:func:`apply_series`).  A dense
 matrix of at most _BATCHED_DIM rows solves all of a plan's zeros in one
-batched ``np.linalg.solve``; a larger one makes per zero one LAPACK
-``zgetrs`` on the LU of alpha*I - A that ``zgetrf`` factors once per alpha
-and caches.  Both cache the eigenvalues and the SVD on the operator and
-apply A only when beta != 0.  A multiplier makes one elementwise pass
-over its symbol, and ``solve_convolution`` the same pass between one FFT
-pair, in the array the forward FFT returns, on the n // 2 + 1 distinct
-xi^2 only, each value's 1/f multiplied in at k and at n - k.  The pass
+batched ``np.linalg.solve``, and settles the pole rule from the norms of
+the inverses of a second one, unless its eigenvalues are cached; a larger
+one makes per zero one LAPACK ``zgetrs`` on the LU of alpha*I - A that
+``zgetrf`` factors once per alpha and caches.  Both cache the eigenvalues
+and the SVD on the operator and apply A only when beta != 0.  A
+multiplier makes one elementwise pass over its symbol, and
+``solve_convolution`` the same pass between one FFT pair, in the array
+the forward FFT returns, on the n // 2 + 1 distinct xi^2 only, each
+value's 1/f multiplied in at k and at n - k.  The pass
 runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
 temporaries stay in cache, with the bits of the whole-array product.
 d/dt on a grid makes one backward pass over blocks of 4096 samples:
@@ -34,13 +36,16 @@ root checked once and its tables built once.
 
 One contract holds on every operator.  ``checked_vector`` raises
 :class:`InvalidInputError` for a vector of the wrong shape or with a NaN
-or infinite entry.  Every pole is checked before anything is solved, by
-one rule: a pole that is not finite raises :class:`InvalidInputError`,
+or infinite entry.  Every pole is checked before anything is solved, and
+on a dense matrix's batched path before any result is returned, by one
+rule: a pole that is not finite raises :class:`InvalidInputError`,
 and :class:`SingularResolventError` for a pole p with min_s |p - s| <=
 SPECTRUM_EPS * |p| over the spectrum samples s (the rounding of p - s).
 The samples are a multiplier's symbol, the shift's nearest root of
 unity by angle, xi^2 for ``solve_convolution`` or a dense matrix's
-eigenvalues; d/dt on a grid needs Re p > SPECTRUM_EPS * |p|, the rule
+eigenvalues, which its batched path computes only for a zero that the
+resolvent bound dist(z, Lambda) >= 1 / ||(z I - A)^{-1}|| leaves open;
+d/dt on a grid needs Re p > SPECTRUM_EPS * |p|, the rule
 against the imaginary axis with the left half plane excluded.
 :func:`resolvinv.series.check_admissible` counts a pole's distance and the
 pole hull's as 0 up to SPECTRUM_EPS * max|alpha|, which covers this rule
@@ -88,7 +93,7 @@ from .rational import (
     filter_to_series,
 )
 from .series import ResolventSeries, require_admissible
-from .tolerance import SPECTRUM_EPS, ldexp, unit_frame
+from .tolerance import SPECTRUM_EPS, frame_exponents, ldexp, unit_frame
 
 # samples per block of a pass: a block's temporaries (64 KiB each) stay in
 # cache
@@ -157,8 +162,12 @@ class DenseMatrixOperator(OperatorHandle):
     Up to _BATCHED_DIM rows a plan's resolvents are one batched
     ``np.linalg.solve`` over the stack of z_k I - A, nothing cached and no
     scipy imported; the stack takes K n^2 complex entries for K zeros.
-    Above, each shift alpha has one LU of alpha*I - A, factored by LAPACK
-    ``zgetrf`` and cached, and each solve is one ``zgetrs`` on it."""
+    Unless the eigenvalues are cached, or K >= n, a second solve of the
+    stack on the identity settles the pole rule by the resolvent bound
+    (:meth:`_certified`), with no eigenvalue computed for a zero it
+    certifies.  Above, each shift alpha has one LU of alpha*I - A,
+    factored by LAPACK ``zgetrf`` and cached, and each solve is one
+    ``zgetrs`` on it."""
 
     # every operator class binds the inherited method in its own body, only
     # for the benchmark's tracer, which wraps cls.__dict__["resolvent_solve"]
@@ -214,17 +223,16 @@ class DenseMatrixOperator(OperatorHandle):
         return PointSpectrum(self.eigenvalues())
 
     def apply_plan(self, plan: InversionPlan, v: np.ndarray) -> np.ndarray:
-        """(gamma + beta A + h(A)) v: the zeros checked against
-        ``eigenvalues()`` first, then h = sum_k c_k w_k in the plan's order
-        over the solves w_k of :meth:`_solves`, and A applied only when
+        """(gamma + beta A + h(A)) v: h = sum_k c_k w_k in the plan's order
+        over the solves w_k of :meth:`_solves`, which settle the pole rule at
+        every zero before any result is returned, and A applied only when
         beta != 0.  Raises :class:`ConditioningError` when a sample leaves
         the float range."""
         v = self.checked_vector(v)
-        if len(plan.zeros):
-            _check_symbol_gap(plan.zeros, self.eigenvalues())
+        zeros = _check_finite_poles(plan.zeros)
         with np.errstate(all="ignore"):
             h = np.zeros_like(v)
-            for ck, w in zip(plan.residues, self._solves(plan.zeros, v)):
+            for ck, w in zip(plan.residues, self._solves(zeros, v)):
                 h += ck * w
             out = plan.gamma * v
             if plan.beta != 0:
@@ -232,11 +240,22 @@ class DenseMatrixOperator(OperatorHandle):
             return _require_finite(out + h)
 
     def _solves(self, zeros: np.ndarray, v: np.ndarray):
-        """(z_k I - A)^{-1} v for each zero z_k in turn, for a checked v:
-        up to _BATCHED_DIM rows one ``np.linalg.solve`` on the stack of the
-        z_k I - A, else ``_solve`` per zero.  An exactly singular shift
-        raises :class:`SingularResolventError` naming it."""
+        """(z_k I - A)^{-1} v for each finite zero z_k in turn, for a
+        checked v, once the pole rule has passed at every zero.  Above
+        _BATCHED_DIM rows the rule runs on ``eigenvalues()`` first, then
+        ``_solve`` per zero.  Up to it, one ``np.linalg.solve`` on the stack
+        of the z_k I - A; the rule runs on the eigenvalues when they are
+        cached or there are at least n zeros, else :meth:`_certified`
+        settles it from the z_k I - A themselves, and only a zero it leaves
+        open has the eigenvalues computed and cached.  An exactly singular
+        shift raises :class:`SingularResolventError` naming it, by the rule
+        first."""
         n = self.dim
+        # K inverses cost about as much as the eigenvalues once K nears n
+        by_eigenvalues = (n > _BATCHED_DIM or self._eigvals is not None
+                          or len(zeros) >= n)
+        if by_eigenvalues and len(zeros):
+            _check_symbol_gap(zeros, self.eigenvalues())
         if n > _BATCHED_DIM:
             return (self._solve(zk, v) for zk in zeros)
         # -A per zero, z_k added on its diagonal in place, as in _factor
@@ -248,11 +267,39 @@ class DenseMatrixOperator(OperatorHandle):
         try:
             w = np.linalg.solve(shifted, b)
         except np.linalg.LinAlgError:
+            _check_symbol_gap(zeros, self.eigenvalues())
             # the first shift whose LU has an exactly zero pivot
             alpha = complex(zeros[np.linalg.slogdet(shifted)[0] == 0][0])
             raise SingularResolventError(
                 f"pole {alpha} makes alpha*I - A exactly singular") from None
+        if not (by_eigenvalues or self._certified(zeros, shifted)):
+            _check_symbol_gap(zeros, self.eigenvalues())
         return w[..., 0] if v.ndim == 1 else w
+
+    def _certified(self, zeros: np.ndarray, shifted: np.ndarray) -> bool:
+        """Whether the pole rule passes at every zero without eigenvalues:
+        every square A has dist(z, Lambda(A)) >= 1 / ||(z I - A)^{-1}||
+        (Trefethen and Embree, Spectra and Pseudospectra, 2005, ch. 2), so
+        the rule holds at z_k when ||R_k||_F SPECTRUM_EPS (|z_k| + ||A||_F)
+        <= 1/2, with R_k = (z_k I - A)^{-1} from one ``np.linalg.solve`` of
+        the stack ``shifted`` on the identity.  The ||A||_F term covers an
+        eigensolver's backward error of up to SPECTRUM_EPS ||A||_F, the
+        factor 1/2 the rounding of R_k, which keeps kappa(z_k I - A) eps
+        below about 1e-6.  Both norms are taken in their own frames
+        (:func:`_frobenius`), so the test is scale-invariant.  The v
+        columns are solved apart from the identity's, whose number of
+        right-hand sides changes their bits on some OpenBLAS kernels."""
+        n = self.dim
+        eye = np.zeros((n, n), dtype=complex)
+        eye.reshape(-1)[::n + 1] = 1.0
+        # A and the R_k as one stack: ||A|| = r_0 2^k_0, ||R_k|| = r_k 2^k_k
+        r, k = _frobenius(np.concatenate((self.matrix[None],
+                                          np.linalg.solve(shifted, eye))))
+        if k.any():  # |z_k| + ||A||, times 2^k_k
+            scale = np.abs(ldexp(zeros, k[1:])) + ldexp(r[:1], k[0] + k[1:])
+        else:
+            scale = np.abs(zeros) + r[0]
+        return bool((SPECTRUM_EPS * r[1:] * scale <= 0.5).all())
 
     def _factor(self, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
         """The LU factors (lu, piv) of alpha*I - A, factored once per alpha;
@@ -912,6 +959,19 @@ def _check_symbol_gap(poles, samples: np.ndarray):
                 f"pole {failing[0]} lies on or too near the spectrum")
 
 
+def _frobenius(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, k) with ||X||_F = r 2^k for each matrix X of a complex stack,
+    r taken in X's own frame of
+    :func:`~resolvinv.tolerance.frame_exponents`: no square overflows, and
+    the largest part's square is a normal float, so no norm is 0 but a
+    zero matrix's; a NaN or an infinity gives r NaN or inf."""
+    parts = np.ascontiguousarray(stack).view(float)
+    k = frame_exponents(np.abs(parts).max(axis=(1, 2), initial=0.0))
+    if k.any():
+        parts = ldexp(parts, -k[:, None, None])
+    return np.sqrt(np.einsum("kij,kij->k", parts, parts)), k
+
+
 def _nearest_unit_roots(poles, n: int) -> np.ndarray:
     """The root of unity of order n nearest each pole, the one closest in
     angle, by :func:`_unit_roots`."""
@@ -1128,8 +1188,11 @@ def solve_filter(plan: InversionPlan, y: np.ndarray) -> np.ndarray:
     applies the plan to -T^{-1} y = -roll(y, 1), checking its poles, and
     reads T^{-1} y through its passes' indexing, with no rolled copy.  The
     sign goes on the plan (gamma, beta and the residues), which gives the
-    same bits as negating the signal, without a pass over it."""
+    same bits as negating the signal, without a pass over it.  A block of
+    signals, one on each row of the last axis, is solved row by row, as
+    the shift's ``apply_plan`` does."""
     y = np.asarray(y, dtype=complex)
     negated = InversionPlan(-plan.gamma, -plan.beta, plan.zeros,
                             -plan.residues)
-    return PeriodicShiftOperator(y.size)._apply_lagged(negated, y, 1)
+    n = y.shape[-1] if y.ndim else y.size
+    return PeriodicShiftOperator(n)._apply_lagged(negated, y, 1)

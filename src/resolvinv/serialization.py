@@ -235,9 +235,13 @@ def read_signal(path) -> np.ndarray:
 
 
 def write_signal(path, signal) -> None:
-    rows = [f"{float(z.real)!r},{float(z.imag)!r}"
-            for z in np.asarray(signal, dtype=complex)]
-    Path(path).write_text("\n".join(rows) + "\n")
+    """Write a complex signal as two-column CSV, each part as ``repr`` of
+    its Python float, by one %r format over the interleaved parts'
+    ``tolist()`` rather than a format per numpy scalar (an empty signal is
+    one empty line)."""
+    z = np.ascontiguousarray(signal, dtype=complex)
+    text = ("%r,%r\n" * z.size or "\n") % tuple(z.view(float).tolist())
+    Path(path).write_text(text)
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:

@@ -76,6 +76,27 @@ class TestSerialization:
         write_signal(path, sig)
         assert np.array_equal(read_signal(path), sig)
 
+    @given(parts=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                         2.2250738585072014e-308, 1.7e308, -1.7e308])),
+        max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_signal_csv_has_the_bytes_of_a_format_per_scalar(
+            self, tmp_path_factory, parts):
+        # the writer formats over tolist(); each part must still be the repr
+        # of its float, as an f-string per numpy scalar wrote it
+        sig = np.array(parts[:len(parts) // 2], dtype=complex)
+        sig.imag = parts[len(parts) // 2:][:sig.size]
+        want = "\n".join(f"{float(z.real)!r},{float(z.imag)!r}"
+                         for z in sig) + "\n"
+        path = tmp_path_factory.mktemp("csv") / "sig.csv"
+        write_signal(path, sig)
+        assert path.read_bytes() == want.encode()
+        if sig.size:
+            np.testing.assert_array_equal(
+                read_signal(path).view(np.uint64), sig.view(np.uint64))
+
     def test_signal_json(self, tmp_path):
         path = tmp_path / "sig.json"
         path.write_text("[[1.0, 2.0], [0.0, -1.5]]")

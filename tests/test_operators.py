@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -804,6 +805,23 @@ def test_forward_filter_round_trip_outside_the_circle():
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         back = invert_filter(spec, forward_filter(spec, x))
         assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+
+
+def test_filter_solve_takes_a_block_of_signals_row_by_row():
+    # a (2, n) block, n one past a block of the scan: each row has the bits
+    # of its own solve, through solve_filter (both passes) and invert_filter
+    n = 4097
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    spec = FilterSpec((3.84j, -1.6 - 2.4j, 1.0), (-1.6 - 2.4j, 2.0))
+    solves = [functools.partial(solve_filter, plan)
+              for plan in _plans_for_the_shift()]
+    solves.append(functools.partial(invert_filter, spec))
+    for solve in solves:
+        got = solve(y)
+        assert got.shape == y.shape
+        for row, signal in zip(got, y):
+            np.testing.assert_array_equal(_bits(row), _bits(solve(signal)))
 
 
 def test_shift_solve_builds_no_root_table(monkeypatch):
