@@ -11,12 +11,11 @@ the inverses of a second one, unless its eigenvalues are cached; a larger
 one makes per zero one LAPACK ``zgetrs`` on the LU of alpha*I - A that
 ``zgetrf`` factors once per alpha and caches.  Both cache the eigenvalues
 and the SVD on the operator and apply A only when beta != 0.  A
-multiplier makes one elementwise pass over its symbol, and
-``solve_convolution`` the same pass between one FFT pair, in the array
-the forward FFT returns, on the n // 2 + 1 distinct xi^2 only, each
-value's 1/f multiplied in at k and at n - k.  The pass
-runs ``InversionPlan.evaluate_scalar`` on blocks of 4096 samples, whose
-temporaries stay in cache, with the bits of the whole-array product.
+multiplier runs ``InversionPlan.evaluate_scalar`` over its symbol in
+blocks of 4096 samples, whose temporaries stay in cache, with the bits of
+the whole-array product; ``solve_convolution`` runs it between one FFT
+pair on the n // 2 + 1 distinct xi^2 only, each value's 1/f multiplied
+in at k and at n - k.
 d/dt on a grid makes one backward pass over blocks of 4096 samples:
 gamma v + beta v' is written into the output block, then per zero a
 numpy scan of the resolvent's recurrence adds its term, a reverse
@@ -157,7 +156,8 @@ class OperatorHandle:
 
 
 class DenseMatrixOperator(OperatorHandle):
-    """A as an explicit n x n complex matrix.
+    """A as an explicit n x n complex matrix, which must be finite: a NaN
+    or an infinity in it raises :class:`InvalidInputError` when it is built.
 
     Up to _BATCHED_DIM rows a plan's resolvents are one batched
     ``np.linalg.solve`` over the stack of z_k I - A, nothing cached and no
@@ -179,6 +179,8 @@ class DenseMatrixOperator(OperatorHandle):
             raise InvalidInputError("matrix must be square")
         if m.size == 0:
             raise EmptyInputError("matrix must be nonempty")
+        if not _finite(m):
+            raise InvalidInputError("matrix has a NaN or infinite entry")
         self.matrix = m
         self.dim = m.shape[0]
         self._lu_cache: dict[complex, tuple[np.ndarray, np.ndarray]] = {}
@@ -213,8 +215,9 @@ class DenseMatrixOperator(OperatorHandle):
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, Vh) with A = U diag(s) Vh, s descending; computed once.
 
-        Raises ``numpy.linalg.LinAlgError`` when the SVD does not converge
-        (a matrix holding a NaN or an infinity)."""
+        Raises ``numpy.linalg.LinAlgError`` when the SVD does not converge;
+        the matrix is finite, since the constructor refuses a NaN or an
+        infinity."""
         if self._svd is None:
             self._svd = np.linalg.svd(self.matrix)
         return self._svd
@@ -345,13 +348,17 @@ class MultiplierOperator(OperatorHandle):
         return PointSpectrum(self.symbol)
 
     def apply_plan(self, plan, v):
-        """One blocked elementwise pass: (1/f)(s) * v.  Raises
+        """(1/f)(s) * v by ``plan.evaluate_scalar`` on blocks of _BLOCK
+        samples, each sample meeting the operations of the whole-array
+        product in its order, so with its bits.  Raises
         :class:`ConditioningError` when a sample leaves the float range."""
         _check_symbol_gap(plan.zeros, self.symbol)
         v = self.checked_vector(v)
+        out = np.empty_like(v)
         with np.errstate(all="ignore"):
-            return _require_finite(
-                _plan_product(plan, self.symbol, v, np.empty_like(v)))
+            for s in _block_spans(self.dim):
+                out[..., s] = plan.evaluate_scalar(self.symbol[s]) * v[..., s]
+        return _require_finite(out)
 
 
 class GridDerivativeOperator(OperatorHandle):
@@ -843,42 +850,12 @@ class PeriodicShiftOperator(OperatorHandle):
                     carries[j] = scan.run(cells, u, carries[j], h[s], term)
 
 
-def _unit_roots(n: int, k: np.ndarray) -> np.ndarray:
-    """exp(2 pi i k / n) for the indices 0 <= k < n.  For n up to _BLOCK
-    they are ``np.exp``'s, bit for bit.  Past that, each root is the
-    product of the roots of k mod _BLOCK and of k's block start, and every
-    angle past a half turn is taken as 2 pi (k - n) / n, whose rounding is
-    half as large: each root is then within 4 eps of the exact one
-    (``np.exp``'s are up to 7 eps off)."""
-    if n <= _BLOCK:
-        return np.exp(2j * np.pi * k / n)
-
-    def roots(k):
-        return np.exp(1j * (2.0 * np.pi * np.where(2 * k > n, k - n, k) / n))
-
-    r = k % _BLOCK
-    return roots(r) * roots(k - r)
-
-
-def _plan_product(plan: InversionPlan, symbol: np.ndarray, v: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """out = (1/f)(symbol) * v along the last axis (``out`` may be v), by
-    ``plan.evaluate_scalar`` on blocks of _BLOCK samples, whose temporaries
-    stay in cache.  Each sample meets the same operations in the same
-    order as on the whole array, so the bits are those of
-    ``plan.evaluate_scalar(symbol) * v``.  That needs two guards, since
-    numpy rounds an in-place product of one element differently from its
-    vector loop: no block has one sample unless the array does (a last
-    one joins the block before it), and the product is formed apart from
-    ``out``."""
-    for s in _block_spans(symbol.size):
-        out[..., s] = plan.evaluate_scalar(symbol[s]) * v[..., s]
-    return out
-
-
 def _block_spans(n: int) -> list[slice]:
     """n samples as slices of _BLOCK, except that a last sample left over
-    joins the block before it: no block has one sample unless n = 1."""
+    joins the block before it: no block has one sample unless n = 1, since
+    numpy rounds an in-place product of one element (as
+    ``InversionPlan.evaluate_scalar`` forms) differently from its vector
+    loop."""
     edges = [0, *range(_BLOCK, n - 1, _BLOCK), n]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -974,9 +951,11 @@ def _frobenius(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _nearest_unit_roots(poles, n: int) -> np.ndarray:
     """The root of unity of order n nearest each pole, the one closest in
-    angle, by :func:`_unit_roots`."""
+    angle, by ``np.exp``: within 8 eps of the exact root, far inside the
+    pole rule's SPECTRUM_EPS."""
     turns = np.angle(np.asarray(poles, dtype=complex)) / (2.0 * np.pi)
-    return _unit_roots(n, np.rint(n * turns).astype(int) % n)
+    k = np.rint(n * turns).astype(int) % n
+    return np.exp(2j * np.pi * k / n)
 
 
 def _series_plan(series: ResolventSeries) -> InversionPlan:

@@ -17,9 +17,9 @@ the operator, so a sweep costs one SVD and then O(n^2) per alpha.
 
 A counts as singular, by the package's tolerance rule
 (:mod:`resolvinv.tolerance`), when s_min <= EPS * s_max or a singular
-value is not finite (an SVD that does not converge, as on a matrix
-holding a NaN, counts the same); the decision does not change when A is
-rescaled.
+value is not finite (an SVD that does not converge counts the same; a
+matrix holding a NaN or an infinity is refused when its operator is
+built); the decision does not change when A is rescaled.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ tail control is the caller's responsibility.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,7 +108,12 @@ class ResolventSeries:
         return hash(self.terms)
 
     def is_theorem_mode(self) -> bool:
-        """See :func:`theorem_mode`."""
+        """See :func:`theorem_mode`.  Decided once per series, which is
+        immutable, so the gate and the plan read one answer."""
+        return self._theorem_mode
+
+    @functools.cached_property
+    def _theorem_mode(self) -> bool:
         return theorem_mode(self.coefficients.tolist())
 
 

@@ -543,6 +543,31 @@ class TestOutOfDomainInput:
         self._assert_exit_one(["check", str(series)], capsys,
                               "non-finite point")
 
+    def test_integer_past_the_float_range(self, demo_dir, tmp_path, capsys):
+        # JSON reads 10**400 as an int, which no float holds
+        def huge_pole(doc):
+            doc["terms"][0]["alpha"] = [10 ** 400, 0.0]
+
+        series = self._edited(demo_dir, tmp_path, "series_admissible.json",
+                              huge_pole)
+        self._assert_exit_one(["check", str(series)], capsys,
+                              "non-finite point in alpha")
+
+    def test_empty_alpha_grid(self, demo_dir, tmp_path, capsys):
+        sweep = self._edited(demo_dir, tmp_path, "sweep.json",
+                             lambda d: _edit(d, ("alpha_grid",), []))
+        self._assert_exit_one(["check", str(sweep)], capsys,
+                              '"alpha_grid" must be a nonempty list')
+
+    def test_signal_of_blank_rows_only(self, demo_dir, tmp_path, capsys):
+        # rows with a blank first cell are skipped, which leaves none
+        y = tmp_path / "blank.csv"
+        y.write_text(",1.0\n ,2.0\n\n")
+        self._assert_exit_one(
+            ["invert", str(demo_dir / "filter.json"), "--input", str(y),
+             "--output", str(tmp_path / "o.csv")],
+            capsys, f"no samples in {y}")
+
     def test_ragged_matrix(self, demo_dir, tmp_path, capsys):
         def drop_one_entry(doc):
             doc["matrix"][0].pop()
@@ -969,6 +994,12 @@ class TestSweepCommand:
         out = capsys.readouterr()
         assert not json.loads(out.out.splitlines()[0])["separation_ok"]
         assert out.err.count("not separated") == 2
+
+    def test_missing_io_flags_exit_one(self, demo_dir, capsys):
+        rc = main(["sweep", str(demo_dir / "sweep.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sweep needs --input and --output\n")
 
     def test_wrong_kind_exits_one(self, demo_dir, tmp_path, capsys):
         rc = main(["sweep", str(demo_dir / "matrix.json"),

@@ -138,6 +138,19 @@ class TestTypedErrors:
         with pytest.raises(InvalidInputError):
             call(A, series, plan, v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.0, np.nan)])
+    @pytest.mark.parametrize("n", [2, 6, _BATCHED_DIM + 4])
+    def test_nonfinite_matrix(self, bad, n):
+        # refused when built, on either side of the batched rows: a solve,
+        # the SVD or the eigenvalues would end in numpy's untyped
+        # LinAlgError
+        m = np.diag(6.0 + np.arange(n)).astype(complex)
+        m[n // 3, n - 2] = bad
+        with pytest.raises(InvalidInputError,
+                           match="matrix has a NaN or infinite entry"):
+            DenseMatrixOperator(m)
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(1, np.nan)])
     def test_nonfinite_shift(self, problem, alpha):
         A, _, _ = problem

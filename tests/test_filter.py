@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as P
 
 from conftest import planted_filter
 from resolvinv.errors import (
+    ConditioningError,
     HypothesisError,
     SeparationError,
     SingularResolventError,
@@ -105,6 +106,12 @@ class TestForwardFilter:
         # a constant signal meets only omega = 1: y = x q(1) / p(1)
         got = forward_filter(FilterSpec(c, b), np.full(16, x))
         assert np.allclose(got, y, rtol=4 * EPS, atol=0)
+
+    def test_root_past_the_float_range(self):
+        # c_0 / c_1 = 1e310: the characteristic root is no float
+        with pytest.raises(ConditioningError,
+                           match="characteristic roots exceed"):
+            forward_filter(FilterSpec((1.0, 1e-310), (1.0,)), np.ones(16))
 
     @pytest.mark.parametrize("eb, ec, ex", [(500, -300, -400),
                                             (-600, 400, 900), (0, 0, -1000),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resolvinv import geometry
-from resolvinv.errors import EmptyInputError
+from resolvinv.errors import EmptyInputError, InvalidInputError
 from resolvinv.geometry import (
     HullPolygon,
     ImaginaryAxis,
@@ -89,6 +89,11 @@ class TestConvexHull:
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
             convex_hull([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_point_raises(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite point"):
+            convex_hull([0j, bad, 1j])
 
     def test_counterclockwise_orientation(self):
         hull = convex_hull([0j, 2 + 0j, 2 + 2j, 0 + 2j, 1 + 1j])

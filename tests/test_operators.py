@@ -547,6 +547,13 @@ def test_shift_acts_on_each_signal_of_a_block():
         np.testing.assert_array_equal(apply(v), [apply(v[0]), apply(v[1])])
 
 
+@pytest.mark.parametrize("n", [1, 16])
+def test_shift_spectrum_is_the_unit_circle(n):
+    # the unit circle holds the n roots of unity; the solves check each
+    # pole against its nearest root instead
+    assert PeriodicShiftOperator(n).spectrum() == UnitCircle()
+
+
 def test_one_sample_shift():
     # a 1-sample signal is its own shift: f(T) = f(1) and the filter solve
     # is the scalar 1/f(1) times -y
@@ -600,9 +607,6 @@ def test_blocked_product_matches_the_whole_array_bit_for_bit(n):
         want = _bits(_whole_array_product(plan, symbol, v))
         np.testing.assert_array_equal(
             _bits(MultiplierOperator(symbol).apply_plan(plan, v)), want)
-        # in place, as the convolution runs it on its spectrum
-        operators._plan_product(plan, symbol, v, v)
-        np.testing.assert_array_equal(_bits(v), want)
 
 
 def test_blocked_product_broadcasts_over_leading_axes():
@@ -636,30 +640,22 @@ def test_plan_evaluates_a_scalar_as_the_array_does():
         _bits(plan.evaluate_scalar(pts)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 4095, 4096])
-def test_unit_roots_up_to_one_block_are_np_exp(n):
-    np.testing.assert_array_equal(
-        _bits(operators._unit_roots(n, np.arange(n))),
-        _bits(np.exp(2j * np.pi * np.arange(n) / n)))
-
-
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="needs an extended-precision long double")
 @pytest.mark.parametrize("n", [4097, 6143, 8191, 3 * 4096 + 17, 2 ** 16,
                                2 ** 20])
-def test_unit_roots_past_one_block_are_within_4_eps(n):
+def test_nearest_unit_roots_past_one_block_are_within_8_eps(n):
     # the exact roots, from the angles 2 pi k / n in extended precision;
-    # np.exp's own roots are up to 7.4 eps off them (at n = 12305), since
-    # its angle 2 pi k * (1/n) carries two roundings of up to 2 pi eps
+    # np.exp's roots are up to 7.44 eps off them (at n = 12305), since its
+    # angle 2 pi k / n carries two roundings of up to 2 pi eps
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
     theta = two_pi * np.arange(n, dtype=np.longdouble) / n
     exact_re, exact_im = np.cos(theta), np.sin(theta)
-    got = operators._unit_roots(n, np.arange(n))
+    got = operators._nearest_unit_roots(
+        1.5 * np.exp(2j * np.pi * np.arange(n) / n), n)
     err = np.hypot((got.real - exact_re).astype(float),
                    (got.imag - exact_im).astype(float))
-    assert err.max() <= 4 * EPS
-    ref = np.exp(2j * np.pi * np.arange(n) / n)
-    assert np.abs(got - ref).max() <= 12 * EPS
+    assert err.max() <= 8 * EPS
 
 
 def _parent_filter_solve(plan, y):
@@ -830,13 +826,13 @@ def test_shift_solve_builds_no_root_table(monkeypatch):
     # once, together, and then solved twice, in the cascade and in its
     # refinement
     sizes = []
-    unit_roots = operators._unit_roots
+    nearest = operators._nearest_unit_roots
 
-    def counted(n, k):
-        sizes.append(np.size(k))
-        return unit_roots(n, k)
+    def counted(poles, n):
+        sizes.append(np.size(poles))
+        return nearest(poles, n)
 
-    monkeypatch.setattr(operators, "_unit_roots", counted)
+    monkeypatch.setattr(operators, "_nearest_unit_roots", counted)
     n = 2 ** 12
     plan = _plan_for_blocks()
     PeriodicShiftOperator(n).apply_plan(plan, np.ones(n))
@@ -851,14 +847,12 @@ def test_shift_solve_builds_no_root_table(monkeypatch):
 def test_nearest_root_is_the_table_entry_bit_for_bit(n):
     # the pole check computes the m roots it needs; at the block edges and
     # the ends they are the entries of all n roots
-    table = operators._unit_roots(n, np.arange(n))
+    table = np.exp(2j * np.pi * np.arange(n) / n)
     edges = [k for b in range(0, n + 4096, 4096) for k in (b - 1, b, b + 1)]
     k = np.unique(np.array(edges + [n // 2, (n + 1) // 2]) % n)
     poles = 1.5 * np.exp(2j * np.pi * k / n)
     np.testing.assert_array_equal(
         _bits(operators._nearest_unit_roots(poles, n)), _bits(table[k]))
-    np.testing.assert_array_equal(
-        _bits(operators._unit_roots(n, k)), _bits(table[k]))
 
 
 def _first_pole_off_the_samples(poles, samples):
@@ -953,17 +947,15 @@ def test_convolution_and_volterra_solves_are_the_whole_array_expressions(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 8194])
 def test_convolution_half_symbol_is_the_full_one_bit_for_bit(n):
     # the plan on the n // 2 + 1 distinct xi^2, mirrored to n - k, against
-    # the blocked pass over all n of them; at n = 8194 the last block of
+    # the whole-array product over all n of them; at n = 8194 the last block of
     # the half mirrors one sample
     rng = np.random.default_rng(n)
     plan = _plan_for_blocks()
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xi = np.fft.fftfreq(n, d=8.0 / (2.0 * np.pi * n))
-    spectrum = np.fft.fft(y)
-    operators._plan_product(plan, xi * xi, spectrum, spectrum)
+    want = np.fft.ifft(_whole_array_product(plan, xi * xi, np.fft.fft(y)))
     np.testing.assert_array_equal(
-        _bits(operators.solve_convolution(plan, y, 8.0)),
-        _bits(np.fft.ifft(spectrum)))
+        _bits(operators.solve_convolution(plan, y, 8.0)), _bits(want))
 
 
 # --- the blocked backward pass of the grid ----------------------------------

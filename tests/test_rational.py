@@ -116,6 +116,11 @@ class TestPartialFractions:
             assert residue == pytest.approx(limit, abs=1e-6)
             assert residue == pytest.approx(1 + 0j, abs=1e-10)
 
+    def test_constant_denominator_has_no_poles(self):
+        poles, residues = partial_fractions([1.0], [5.0])
+        assert poles.dtype == residues.dtype == complex
+        assert poles.size == residues.size == 0
+
     def test_single_pole(self):
         # 1/(alpha - z) = -1/(z - alpha)
         alpha = 1.5 + 0.5j
@@ -375,6 +380,35 @@ class TestCheckedPlan:
         assert (got.gamma, got.beta) == (want.gamma, want.beta)
         np.testing.assert_array_equal(got.zeros, want.zeros)
         np.testing.assert_array_equal(got.residues, want.residues)
+
+    def test_decides_theorem_mode_once_per_series(self, monkeypatch):
+        # a series is immutable: the gate and the plan read one answer,
+        # with the bits of each computed on its own
+        import resolvinv.series as series_module
+
+        calls = []
+        decide = series_module.theorem_mode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        want_plan = invert_to_plan(ResolventSeries(self.SERIES.terms))
+        want_report = check_admissible(ResolventSeries(self.SERIES.terms),
+                                       UnitCircle())
+        monkeypatch.setattr(series_module, "theorem_mode", counted)
+        plan = checked_plan(ResolventSeries(self.SERIES.terms), UnitCircle())
+        assert len(calls) == 1
+        calls.clear()
+        series = ResolventSeries(self.SERIES.terms)
+        report = check_admissible(series, UnitCircle())
+        again = invert_to_plan(series)
+        assert len(calls) == 1
+        assert report == want_report
+        for got in (plan, again):
+            assert (got.gamma, got.beta) == (want_plan.gamma, want_plan.beta)
+            np.testing.assert_array_equal(got.zeros, want_plan.zeros)
+            np.testing.assert_array_equal(got.residues, want_plan.residues)
 
     @pytest.mark.parametrize("series, spectrum, margin, error", [
         (ResolventSeries(((1.0, 2.0), (-0.5, 3.0))), UnitCircle(), 0.0,

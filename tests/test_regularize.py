@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import matrix_with_eigenvalues, random_theorem_series
 from resolvinv import operators
 from resolvinv.errors import (
+    ConditioningError,
     InvalidInputError,
     SingularOperatorError,
     SingularResolventError,
@@ -126,6 +127,15 @@ class TestRegularizedApply:
         A = DenseMatrixOperator(np.diag([5.0, 6.0, 7.0]))
         assert np.allclose(regularized_apply(plan, A, 0.1, np.zeros(3)), 0.0)
 
+    def test_regularized_term_past_the_float_range(self):
+        # beta R_alpha y = 1e308 * 1e308 / (1 + 1e-300) leaves the float
+        # range, though beta and y are taken in their frames
+        plan = InversionPlan(0j, 1e308 + 0j, np.empty(0, complex),
+                             np.empty(0, complex))
+        A = DenseMatrixOperator(np.eye(3))
+        with pytest.raises(ConditioningError, match="float range"):
+            regularized_apply(plan, A, 1e-300, np.full(3, 1e308))
+
     def test_singular_operator_rejected(self):
         s = random_theorem_series(np.random.default_rng(12), 2, 3)
         plan = invert_to_plan(s)
@@ -153,13 +163,11 @@ class TestRegularizedApply:
 def singular_cases():
     rng = np.random.default_rng(32)
     near, _, _ = planted_svd(rng, np.logspace(0, -14, 6))
-    nan = np.diag(6.0 + np.arange(6.0))
-    nan[2, 4] = np.nan
-    return {"sigma_ratio_1e-14": near, "nan": nan}
+    return {"sigma_ratio_1e-14": near}
 
 
 class TestSingularRule:
-    @pytest.mark.parametrize("case", ["sigma_ratio_1e-14", "nan"])
+    @pytest.mark.parametrize("case", ["sigma_ratio_1e-14"])
     def test_both_entry_points_raise(self, case):
         m = singular_cases()[case]
         s = ResolventSeries(((1.0, 1.0), (0.5, 2.0 + 1j)))

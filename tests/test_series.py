@@ -319,6 +319,11 @@ class TestZeros:
             assert hull_distance(convex_hull(poles), z[0]) == 0.0
         assert z[0] == pytest.approx(0.35e308 + 0.5e308j, rel=1e-15)
 
+    def test_vanishing_coefficient_sum_raises(self):
+        with pytest.raises(DegenerateSeriesError,
+                           match="coefficient sum vanishes"):
+            secular_zeros([1.0, -1.0], [1.0, 2.0])
+
     def test_zeros_in_hull_random(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -349,6 +354,13 @@ class TestCaratheodory:
     def test_target_on_pole_rejected(self):
         with pytest.raises(ConstructionError):
             caratheodory_zero_series([1 + 0j, 2 + 0j, 1j], 2 + 0j)
+
+    @pytest.mark.parametrize("poles, target", [
+        ([np.inf, -1.0], 0.0), ([1.0, -1.0], complex(np.nan, 0.0))])
+    def test_non_finite_input_rejected(self, poles, target):
+        with pytest.raises(InvalidInputError,
+                           match="poles and target must be finite"):
+            caratheodory_zero_series(poles, target)
 
     def test_random_interior_targets(self):
         rng = np.random.default_rng(11)
