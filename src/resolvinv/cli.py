@@ -3,10 +3,10 @@
 Subcommands: check, invert, sweep, counterexample, demo.  Problem files
 are JSON (see serialization), signals travel as two-column CSV, stdout is
 machine readable and diagnostics go to stderr.  Exit codes: 0 success /
-admissible, 1 malformed input, 2 hypothesis or admissibility failure,
-3 singular resolvent or transfer function, 4 numerical failure (a
-subproblem too ill conditioned to trust, e.g. a plan that fails its
-identity check).
+admissible, 1 malformed input or an unwritable output, 2 hypothesis or
+admissibility failure, 3 singular resolvent or transfer function,
+4 numerical failure (a subproblem too ill conditioned to trust, e.g. a
+plan that fails its identity check, as a multiple zero of f does).
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ EXIT_CODES = (
       SingularOperatorError), EXIT_INADMISSIBLE),
     (SingularResolventError, EXIT_SINGULAR),
     (ConditioningError, EXIT_NUMERICAL),
-    (ResolvinvError, EXIT_MALFORMED),
+    # an OSError here is an output file or directory that cannot be made
+    ((ResolvinvError, OSError), EXIT_MALFORMED),
 )
 
 
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResolvinvError as exc:
+    except (ResolvinvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 

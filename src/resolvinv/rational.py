@@ -3,7 +3,7 @@
 The plan for 1/f is built without polynomials: the zeros of f come from
 one small eigenvalue solve (:func:`resolvinv.series.secular_zeros`) and
 the residues of 1/f from the closed form -1/f'(z_k).  Every zero is
-simple (a repeated one raises), so the plan is two arrays.
+simple (a multiple one fails the identity check), so the plan is two arrays.
 
 A filter's transfer function is the one quotient of polynomials in the
 package.  :func:`poly_roots` finds the roots of its characteristic
@@ -38,7 +38,6 @@ from .series import (
 from .tolerance import (
     DERIVED_EPS,
     ROOT_TOL,
-    _gaps,
     ldexp,
     magnitude,
     min_gap,
@@ -67,15 +66,15 @@ def _fit_sample_points(points) -> np.ndarray:
     """Deterministic sample points, 50 of them, on a circle around the
     points (the poles and zeros of a plan).
 
-    The radius is twice their spread about the centre, plus the centre's
-    modulus: every sample then lies at least spread + |centre| from every
-    point, which keeps the rounding of z - point relative to the data, at
-    any scale.  Points that all sit at the origin have no scale, and any
-    circle serves; the unit one is used.
+    The circle is centred on their mean and its radius is twice their
+    spread about it, so every sample lies at least one spread from every
+    point, and translating the points moves the circle with them: the
+    check it carries decides alike wherever the origin is.  One point has
+    no spread; its circle has the radius |point|, or 1 at the origin.
     """
     points = np.asarray(points, dtype=complex)
     center = points.mean() if points.size else 0j
-    r = (2.0 * magnitude(points - center) + abs(center)) or 1.0
+    r = 2.0 * magnitude(points - center) or abs(center) or 1.0
     return center + r * _SAMPLE_DIRECTIONS
 
 
@@ -111,19 +110,21 @@ def invert_to_plan(series: ResolventSeries) -> InversionPlan:
     gamma and beta come from the closed formulas.  The zeros z_k of f
     come from one eigenvalue solve (:func:`secular_zeros`, in its sorted
     order) and the residues are c_k = -1/f'(z_k) with
-    f'(z) = sum_j a_j / (alpha_j - z)^2.  Two zeros closer than
-    ``ROOT_TOL * max|alpha_j|`` (over the terms with a nonzero
-    coefficient) raise :class:`RepeatedRootError`; 1/f then has a pole of
-    higher order, which the plan does not represent.  The gap is relative
-    to the poles, not to the zeros: the zeros lie in the pole hull, and a
-    double zero near the origin splits into two computed zeros whose
-    modulus says nothing about the size of the problem.  The identity
+    f'(z) = sum_j a_j / (alpha_j - z)^2.  The identity
     f(z) * (gamma + beta z + h(z)) = 1 is verified at sample points on a
-    circle around the poles and zeros before the plan is returned; a
-    gamma, beta or residue that leaves the float range raises
-    :class:`ConditioningError`.  Every comparison is relative to the data,
-    so rescaling poles and operator together by any factor leaves the
-    decision unchanged (see :mod:`resolvinv.tolerance`).
+    circle centred on the poles and zeros (:func:`_fit_sample_points`)
+    before the plan is returned, and is the one verdict on it: a multiple
+    zero of f, a pole of 1/f of higher order that the plan does not
+    represent, fails it, as does a cluster of zeros too tight to resolve.
+    Its residual max |f h - 1| counts, besides the computed one, what
+    each residue's rounding (eps times the condition of f'(z_k)) moves
+    f h by, so the huge residues of a multiple zero's two halves fail it
+    even where their cancellation happens to be exact.
+    A failed check, or a gamma, beta or residue that leaves the float
+    range, raises :class:`ConditioningError`.  The check is relative to
+    the data and centred on it, so rescaling poles and operator together
+    by any factor, or translating them together, leaves the decision
+    unchanged (see :mod:`resolvinv.tolerance`).
     """
     if not series.is_theorem_mode():
         raise HypothesisError(
@@ -140,18 +141,21 @@ def invert_to_plan(series: ResolventSeries) -> InversionPlan:
     z = framed_secular_zeros(a, ka, active)
     framed, kp = unit_frame(np.concatenate([active, z]))
     alpha, zf = framed[:m], framed[m:]
-    poles = alpha.tolist()
-    gamma, beta = framed_gamma_beta(a, poles)
-    # the zeros' gaps in this frame, where none overflows
-    if _gaps(zf)[0].min(initial=np.inf) <= magnitude(poles, ROOT_TOL):
-        raise RepeatedRootError("f has a repeated zero")
+    gamma, beta = framed_gamma_beta(a, alpha.tolist())
     pts = _fit_sample_points(framed)
     with np.errstate(all="ignore"):  # a value past the float range fails
-        c = -1.0 / (a / (alpha - zf[:, None]) ** 2).sum(axis=1)
+        terms = a / (alpha - zf[:, None]) ** 2
+        c = -1.0 / terms.sum(axis=1)
         # the identity's two sums as products with the tables of 1/(x - z)
         fz = np.reciprocal(alpha - pts[:, None]) @ a
-        hz = gamma + beta * pts + np.reciprocal(zf - pts[:, None]) @ c
-        worst = float(abs(fz * hz - 1.0).max())
+        near = np.reciprocal(zf - pts[:, None])
+        hz = gamma + beta * pts + near @ c
+        # each residue's rounding, eps * sum_j |a_j / (alpha_j - z_k)^2|
+        # * |c_k|^2, carried to f h: the halves of a multiple zero carry
+        # huge residues whose cancellation can meet the bar by luck
+        slack = abs(near) @ (np.finfo(float).eps * abs(terms).sum(axis=1)
+                             * abs(c) ** 2)
+        worst = float((abs(fz * hz - 1.0) + abs(fz) * slack).max())
     gamma, beta = ldexp(gamma, kp - ka), ldexp(beta, -ka)
     c = ldexp(c, 2 * kp - ka)
     if not (cmath.isfinite(gamma) and cmath.isfinite(beta)
@@ -159,7 +163,8 @@ def invert_to_plan(series: ResolventSeries) -> InversionPlan:
         raise ConditioningError("plan of 1/f leaves the float range")
     if not worst <= 1e-8:
         raise ConditioningError(
-            "inversion plan fails the identity check", residual=worst)
+            "inversion plan fails the identity check: "
+            f"max |f h - 1| = {worst:.3g} > 1e-08", residual=worst)
     return InversionPlan(gamma, beta, z, c)
 
 

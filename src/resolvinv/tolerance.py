@@ -46,9 +46,9 @@ carries:
   :func:`resolvinv.rational.derived_series` alone.
 
 :data:`ROOT_TOL` is the relative gap below which two roots of a filter
-polynomial, or two zeros of a plan, count as one repeated root: a double
-root comes out of an eigenvalue solve split by about sqrt(machine
-epsilon), so the gap must be wider than that.
+polynomial, and only those, count as one repeated root: a double root
+comes out of an eigenvalue solve split by about sqrt(machine epsilon), so
+the gap must be wider than that.
 """
 
 from __future__ import annotations

@@ -333,11 +333,11 @@ class TestInvertCommand:
         x0 = read_signal(demo_dir / "convolution_x0.csv")
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
-    def _matrix_problem(self, tmp_path, coeffs, poles, eigs):
+    def _matrix_problem(self, tmp_path, coeffs, poles, eigs, coupling=0.1):
         terms = [{"a": [float(a), 0.0], "alpha": [p.real, p.imag]}
                  for a, p in zip(coeffs, poles)]
         matrix = np.diag(np.asarray(eigs, dtype=complex))
-        matrix[np.arange(len(eigs) - 1), np.arange(1, len(eigs))] = 0.1
+        matrix[np.arange(len(eigs) - 1), np.arange(1, len(eigs))] = coupling
         problem = tmp_path / "matrix.json"
         problem.write_text(json.dumps({
             "kind": "matrix", "terms": terms,
@@ -363,18 +363,21 @@ class TestInvertCommand:
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
     def test_repeated_zero_is_a_typed_error(self, tmp_path, capsys):
-        # equal weights on a triangle: f has a double zero at its centre
+        # equal weights on a triangle: f has a double zero at its centre,
+        # which no plan represents, so the plan fails its identity check
         poles = 1.0 + np.exp(2j * np.pi * np.arange(3) / 3)
         problem, _ = self._matrix_problem(tmp_path, np.ones(3), poles,
                                           10.0 + np.arange(4.0))
         rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
                    "--output", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "repeated zero" in capsys.readouterr().err
+        assert rc == 4
+        assert "error: inversion plan fails the identity check" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_failed_identity_check_exits_four(self, tmp_path, capsys):
         # equal weights on a square: f has a triple zero at its centre,
-        # which splits past the repeated-zero test and fails the plan check
+        # which the plan does not represent, so it fails the plan check
         poles = np.array([1.0, 1.0j, -1.0, -1.0j])
         problem, _ = self._matrix_problem(tmp_path, np.ones(4), poles,
                                           10.0 + np.arange(4.0))
@@ -383,6 +386,63 @@ class TestInvertCommand:
         assert rc == 4
         assert "error: inversion plan fails the identity check" in (
             capsys.readouterr().err)
+
+    # a normal 8 x 8 matrix: the diagonal 2 radii from the polygon's centre
+    _RING = 2.0 * np.exp(1j * np.pi * (2 * np.arange(8) + 1) / 8)
+
+    def test_translated_near_double_zero_states_its_residual(self, tmp_path,
+                                                              capsys):
+        # a pentagon at centre 1000 with weights 1 + 1e-10 cos(1.7 j): f has
+        # a cluster of four zeros at its centre that the plan cannot resolve
+        # (its solve misses x by 2.1e-3), which the identity check must see
+        # however far the poles are from the origin
+        k = np.arange(5)
+        poles = 1000.0 + np.exp(2j * np.pi * k / 5)
+        problem, _ = self._matrix_problem(
+            tmp_path, 1.0 + 1e-10 * np.cos(1.7 * k), poles,
+            1000.0 + self._RING, coupling=0.0)
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        head = ("error: inversion plan fails the identity check: "
+                "max |f h - 1| = ")
+        assert head in err
+        worst = float(err.split(head)[1].split()[0])
+        assert 1e-4 < worst < 1e-1
+        assert "> 1e-08" in err
+
+    @pytest.mark.parametrize("center", [0.0, 1e4])
+    def test_double_zero_exits_four_wherever_the_origin_is(
+            self, tmp_path, capsys, center):
+        poles = center + np.exp(2j * np.pi * np.arange(3) / 3)
+        problem, _ = self._matrix_problem(tmp_path, np.ones(3), poles,
+                                          center + self._RING, coupling=0.0)
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert "identity check" in capsys.readouterr().err
+
+    def test_translated_pole_cluster_solves(self, tmp_path, capsys):
+        # 8 poles in a 1e-4 square at centre 100, eigenvalues 3e-4 to
+        # 4.5e-4 to its right: the zeros are simple and the solve is as
+        # good as the problem's conditioning (2.5e-11 here)
+        k = np.arange(8)
+        poles = 100.0 + 0.5e-4 * (np.cos(2.1 * k) + 1j * np.sin(3.7 * k + 1))
+        coeffs = 1.0 + 0.5 * np.cos(1.3 * k)
+        eigs = 100.0 + np.array([3.0, 3.5, 4.0, 4.5]) * 1e-4
+        problem, _ = self._matrix_problem(tmp_path, coeffs, poles, eigs,
+                                          coupling=0.0)
+        out = tmp_path / "x.csv"
+        rc = main(["invert", str(problem), "--input", str(tmp_path / "y.csv"),
+                   "--output", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        y = read_signal(tmp_path / "y.csv")
+        series = ResolventSeries(tuple(zip(coeffs, poles)))
+        back = apply_series(series, DenseMatrixOperator(np.diag(eigs + 0j)),
+                            read_signal(out))
+        assert np.linalg.norm(back - y) <= 1e-9 * np.linalg.norm(y)
 
     def test_gamma_past_the_float_range_exits_four_without_a_plan(
             self, tmp_path):
@@ -718,6 +778,48 @@ class TestOutOfDomainInput:
         assert proc.returncode == 1
         assert "error: data length" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestUnwritableOutput:
+    """An output whose directory is missing, or whose parent is a regular
+    file, exits 1 with one error line and no traceback."""
+
+    @staticmethod
+    def _parents(tmp_path):
+        (tmp_path / "afile").write_text("")
+        return {"missing": tmp_path / "missing", "file": tmp_path / "afile"}
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    @pytest.mark.parametrize("command, name, signal", [
+        ("invert", "matrix", "matrix_y"), ("sweep", "sweep", "sweep_x")])
+    def test_solution_or_report(self, demo_dir, tmp_path, capsys, command,
+                                name, signal, parent):
+        out = self._parents(tmp_path)[parent] / "x.csv"
+        rc = main([command, str(demo_dir / f"{name}.json"),
+                   "--input", str(demo_dir / f"{signal}.csv"),
+                   "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[-1].startswith("error: ")
+        assert str(out) in err
+        assert not out.exists()
+
+    def test_demo_directory_under_a_file(self, tmp_path, capsys):
+        # a missing parent is made, as mkdir -p does; a file cannot be
+        out = self._parents(tmp_path)["file"] / "demo"
+        rc = main(["demo", "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_subprocess_prints_no_traceback(self, demo_dir, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_python("-m", "resolvinv.cli", "invert",
+                          str(demo_dir / "matrix.json"),
+                          "--input", str(demo_dir / "matrix_y.csv"),
+                          "--output", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 3.0, float("nan"), float("inf"),

@@ -21,6 +21,7 @@ from resolvinv.errors import (
     SeparationError,
 )
 from resolvinv.geometry import PointSpectrum, UnitCircle
+from resolvinv.operators import MultiplierOperator, apply_plan, apply_series
 from resolvinv.series import (
     ResolventSeries,
     check_admissible,
@@ -262,32 +263,75 @@ class TestInvertToPlanScaling:
             assert ck == pytest.approx(-1.0 / fprime, rel=1e-12)
 
     def test_exact_double_zero_rejected(self):
-        # equal weights on the cube roots of unity: f = 3z^2 / (1 - z^3)
+        # equal weights on the cube roots of unity: f = 3z^2 / (1 - z^3),
+        # whose double zero the plan's simple poles cannot represent
         s = ResolventSeries(tuple((1.0, np.exp(2j * np.pi * k / 3))
                                   for k in range(3)))
-        with pytest.raises(RepeatedRootError):
+        with pytest.raises(ConditioningError, match="identity check") as info:
             invert_to_plan(s)
+        assert info.value.residual > 1e-8
 
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(3, 8),
            log_eps=st.floats(-16.0, -1.0),
            radius=st.floats(1e-2, 1e2),
-           theta=st.floats(0.0, 2 * np.pi))
+           theta=st.floats(0.0, 2 * np.pi),
+           offset=st.floats(0.0, 1e4),
+           phi=st.floats(0.0, 2 * np.pi))
     def test_near_confluent_plan_or_typed_error(self, k, log_eps, radius,
-                                                theta):
+                                                theta, offset, phi):
         # equal weights on a regular k-gon give f a zero of order k - 1 at
-        # its centre; perturbed weights split it into a tight cluster
+        # its centre; perturbed weights split it into a tight cluster.  The
+        # centre lies up to 1e4 radii from 1.  An accepted plan is checked
+        # against f itself on circles of 1.5 and 3 radii about the centre,
+        # not on the library's own sample points: |f h - 1| <= 1e-7 there
+        # (2.2e-8 at worst over 6000 random polygons of this family)
         eps = 10.0 ** log_eps
-        poles = 1.0 + radius * np.exp(1j * (theta + 2 * np.pi
-                                             * np.arange(k) / k))
+        center = 1.0 + offset * radius * np.exp(1j * phi)
+        poles = center + radius * np.exp(1j * (theta + 2 * np.pi
+                                                * np.arange(k) / k))
         coeffs = 1.0 + eps * np.cos(1.7 * np.arange(k))
         s = ResolventSeries(tuple(zip(coeffs, poles)))
         try:
             plan = invert_to_plan(s)
-        except (RepeatedRootError, ConditioningError):
+        except ConditioningError:
             return
         assert plan.zeros.shape == plan.residues.shape == (k - 1,)
-        assert _identity_residual(s, plan) <= 1e-8
+        ring = np.exp(2j * np.pi * (np.arange(40) + 0.5) / 40)
+        for r in (1.5, 3.0):
+            for z in center + r * radius * ring:
+                got = evaluate(s, z) * complex(plan.evaluate_scalar(z))
+                assert abs(got - 1.0) <= 1e-7
+
+    def test_real_pole_cluster_accepted(self):
+        # 16 real poles in [2, 2 + 1e-4]: f' > 0 between neighbours, so its
+        # 15 zeros are simple, one per gap, however tight the gaps are
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            poles = 2.0 + 1e-4 * rng.uniform(0.0, 1.0, 16)
+            s = ResolventSeries(tuple(zip(rng.uniform(0.1, 1.0, 16), poles)))
+            A = MultiplierOperator(rng.uniform(5.0, 6.0, 32))
+            x = rng.standard_normal(32)
+            back = apply_plan(invert_to_plan(s), A, apply_series(s, A, x))
+            assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("center", [0.0, 100.0])
+    def test_translated_complex_cluster_accepted(self, center):
+        # 8 complex poles in a 1e-4 square and a spectrum 2.5e-4 to 4e-4
+        # from its centre, the same problems at the origin and at 100: the
+        # solves at 100 lose what translating by 1e6 spreads costs
+        # (9.2e-11 at worst), and stay within 1e-9
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            poles = center + 1e-4 * (rng.uniform(-0.5, 0.5, 8)
+                                     + 1j * rng.uniform(-0.5, 0.5, 8))
+            s = ResolventSeries(tuple(zip(rng.uniform(0.1, 1.0, 8), poles)))
+            eig = 1e-4 * rng.uniform(2.5, 4.0, 12)
+            eig = center + eig * np.exp(2j * np.pi * rng.uniform(0, 1, 12))
+            A = MultiplierOperator(eig)
+            x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            back = apply_plan(invert_to_plan(s), A, apply_series(s, A, x))
+            assert np.linalg.norm(back - x) <= 1e-9 * np.linalg.norm(x)
 
 
 class TestFilterSpec:

@@ -15,15 +15,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resolvinv import geometry, tolerance
 from resolvinv.cli import main
 from resolvinv.demos import write_demo_files
 from resolvinv.errors import (
+    ConditioningError,
     RepeatedPoleError,
-    RepeatedRootError,
     ResolvinvError,
 )
 from resolvinv.geometry import (
@@ -45,9 +45,9 @@ from resolvinv.operators import (
     solve_even_convolution,
     solve_exponential_volterra,
 )
-from resolvinv.rational import invert_to_plan
+from resolvinv.rational import _fit_sample_points, invert_to_plan
 from resolvinv.serialization import read_signal
-from resolvinv.series import ResolventSeries, check_admissible
+from resolvinv.series import ResolventSeries, check_admissible, evaluate
 
 EXPONENTS = range(-12, 13)
 
@@ -382,14 +382,28 @@ def test_six_term_problem_at_every_scale(k, operator):
 
 @pytest.mark.parametrize("k", EXPONENTS)
 def test_double_zero_rejected_at_every_scale(k):
-    # equal weights on the cube roots of unity give f a double zero at 0;
-    # its computed halves sit about 1.5e-8 * c apart from the origin, so
-    # the gap is judged against max|alpha| = c, never against max|z|
+    # equal weights on the cube roots of unity give f a double zero at 0,
+    # a double pole of 1/f that no plan represents: its computed halves
+    # sit about 1.5e-8 * c apart, and the plan they give fails the identity
+    # check on the circle around the poles, which scales with them
     c = 10.0 ** k
     s = ResolventSeries(tuple((1.0, c * np.exp(2j * np.pi * j / 3))
                               for j in range(3)))
-    with pytest.raises(RepeatedRootError):
+    with pytest.raises(ConditioningError, match="identity check"):
         invert_to_plan(s)
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+def test_translated_double_zero_rejected_at_every_scale(k):
+    # the same double zero on turned triangles centred 3.5 radii out: the
+    # halves' residues, about 1e7 times the others, cancel exactly for
+    # about 1 in 100 of these and then meet the bar, which their rounding
+    # term in the identity check's residual keeps them from
+    for turn in np.random.default_rng(0).uniform(0.0, 1.0, 300):
+        poles = 3.5 + np.exp(2j * np.pi * np.arange(3) / 3 + 1j * turn)
+        s = ResolventSeries(tuple(zip(np.ones(3), 10.0 ** k * poles)))
+        with pytest.raises(ConditioningError, match="identity check"):
+            invert_to_plan(s)
 
 
 # --- rescale property -------------------------------------------------------
@@ -628,6 +642,73 @@ def test_ray_decision_survives_rescaling(params, k):
     if contact != "none":
         assert not got_ok, contact
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+# --- translation property ---------------------------------------------------
+
+
+def _plan_decision(series):
+    """The plan's decision, "ok" or the error class, and its identity
+    residual max |f h - 1| on the plan's own sample circle."""
+    try:
+        plan = invert_to_plan(series)
+    except ResolvinvError as exc:
+        return type(exc), getattr(exc, "residual", None)
+    pts = _fit_sample_points(np.concatenate([series.poles, plan.zeros]))
+    return "ok", max(abs(evaluate(series, z) * complex(plan.evaluate_scalar(z))
+                         - 1.0) for z in pts)
+
+
+@st.composite
+def translated_series(draw):
+    """2 to 16 weights in [0.05, 1] on random complex, real or collinear
+    poles at least 1e-6 apart, or weights 1 + eps cos(1.7 j) on a regular
+    polygon (a cluster of m - 1 zeros at its centre); the poles' spread
+    is 10^-6 to 10^2, and the shift 10^-1 to 10^5 spreads in any
+    direction, or to 10^2 for a polygon.  The 1e-6 gap keeps the series'
+    own pole rule, two poles within EPS max|alpha| are one, out of a test
+    of the plan's decision.  A plan holds its zeros where the poles are,
+    so t spreads off the origin round them by t eps of the spread; the
+    huge residues of a tight cluster carry that to the identity residual,
+    up to about 0.3 t times its value at the origin (9e-11 became 2.7e-6
+    at 5.4e4 spreads), and at 10^2 spreads it stays in the 100x margin
+    of the test below."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["complex", "real", "collinear", "polygon"]))
+    a = rng.uniform(0.05, 1.0, m)
+    if kind == "polygon":
+        poles = np.exp(2j * np.pi * np.arange(m) / m)
+        a = 1.0 + 10.0 ** rng.uniform(-16, -1) * np.cos(1.7 * np.arange(m))
+    else:
+        poles = np.zeros(1)
+        while tolerance.min_gap(poles) <= 1e-6:
+            poles = rng.uniform(-1.0, 1.0, m) + 0j
+            if kind == "complex":
+                poles += 1j * rng.uniform(-1.0, 1.0, m)
+            elif kind == "collinear":
+                poles *= cmath.exp(1j * rng.uniform(0.0, math.pi))
+    spread = 10.0 ** draw(st.floats(-6.0, 2.0))
+    reach = 2.0 if kind == "polygon" else 5.0
+    shift = 10.0 ** draw(st.floats(-1.0, reach)) * spread * cmath.exp(
+        1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return kind, a, spread * poles, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=translated_series())
+def test_translation_keeps_the_plan_decision(problem):
+    """Poles moved by up to 1e5 spreads (1e2 for a polygon): the plan is
+    accepted, or refused with the same error class, as at the origin.
+    Moving them rounds their offsets by up to 1e5 eps of the spread,
+    which moves the identity residual, so a problem whose residual at the
+    origin lies within 100 times of the 1e-8 bar, in [1e-10, 1e-6], is
+    left out."""
+    kind, a, poles, shift = problem
+    want, residual = _plan_decision(ResolventSeries(tuple(zip(a, poles))))
+    assume(residual is None or not 1e-10 <= residual <= 1e-6)
+    got, _ = _plan_decision(ResolventSeries(tuple(zip(a, poles + shift))))
+    assert got == want, (kind, residual)
 
 
 # --- the CLI under rescaling ------------------------------------------------
